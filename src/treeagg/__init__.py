@@ -18,7 +18,6 @@ ensembles with known accuracies for calibration tests.
 from .arborescence import (
     NoArborescenceError,
     WeightedTokenGraph,
-    brute_force_arborescence,
     max_arborescence,
     tree_weight,
 )
@@ -36,7 +35,6 @@ from .cim import (
     fit_canonical_params,
     fit_l1_logistic,
     infer_scores,
-    joint_prob_oracle,
 )
 from .conllu import (
     ConlluError,
@@ -57,9 +55,7 @@ from .crh import (
     weight_update,
 )
 from .edges import (
-    CandidateEdge,
     EdgeLabelMatrix,
-    build_edge_union,
     label_matrix,
     majority_vote,
     trees_from_scores,
@@ -93,7 +89,6 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateEdge",
     "CimOptions",
     "CimResult",
     "CollapseMap",
@@ -118,8 +113,6 @@ __all__ = [
     "TreebankFile",
     "TreebankReport",
     "WeightedTokenGraph",
-    "brute_force_arborescence",
-    "build_edge_union",
     "build_ensemble",
     "check_segmentation",
     "cim_run",
@@ -135,7 +128,6 @@ __all__ = [
     "generate",
     "heads_from_edges",
     "infer_scores",
-    "joint_prob_oracle",
     "label_matrix",
     "load_treebank",
     "majority_vote",

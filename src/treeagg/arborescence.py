@@ -4,9 +4,7 @@ The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
 the artificial node 0. Ties are broken deterministically: candidate arcs
 are scanned in (head, dependent) order and only strict improvements
 replace the incumbent, so among equal-weight optima the head sequence that
-compares lexicographically smallest wins. ``brute_force_arborescence``
-enumerates every head assignment (q <= 8) with the same tie rule and
-exists as an independent check on the solver.
+compares lexicographically smallest wins.
 """
 
 from __future__ import annotations
@@ -190,66 +188,3 @@ def max_arborescence(
     if best is None:
         raise NoArborescenceError("no single-rooted spanning arborescence")
     return best_tree
-
-
-_CHUNK = 1 << 18
-
-
-def brute_force_arborescence(
-    graph: WeightedTokenGraph, enforce_single_root: bool = True
-) -> DepTree:
-    """Exhaustive maximum arborescence for q <= 8.
-
-    Enumerates all head assignments drawn from each token's incoming arcs,
-    in lexicographic order of the head sequence, keeping the first
-    assignment that attains the maximum weight. Independent of the
-    Chu-Liu/Edmonds path by design.
-    """
-    q = graph.q
-    if q > 8:
-        raise ValueError(f"exhaustive search capped at 8 tokens, got {q}")
-    cand: list[list[int]] = [[] for _ in range(q)]
-    weight = np.full((q + 1, q + 1), -np.inf)
-    for h, d, w in graph.arcs:
-        cand[d - 1].append(h)
-        weight[h, d] = w
-    for d, heads in enumerate(cand, start=1):
-        if not heads:
-            raise NoArborescenceError(f"node {d} has no incoming arc")
-        heads.sort()
-    cand_arrays = [np.array(c, dtype=np.int16) for c in cand]
-    sizes = np.array([len(c) for c in cand], dtype=np.int64)
-    total = int(np.prod(sizes))
-    cols = np.arange(1, q + 1)
-
-    best_total: float | None = None
-    best_heads: tuple[int, ...] | None = None
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(total, start + _CHUNK), dtype=np.int64)
-        assign = np.empty((len(idx), q), dtype=np.int16)
-        t = idx
-        for d in range(q - 1, -1, -1):
-            assign[:, d] = cand_arrays[d][t % sizes[d]]
-            t = t // sizes[d]
-        # Parent-pointer chase: after q hops every token of a valid tree
-        # has reached the root.
-        ptr = assign.copy()
-        for _ in range(q):
-            hop = np.take_along_axis(
-                assign, np.maximum(ptr - 1, 0).astype(np.intp), axis=1
-            )
-            ptr = np.where(ptr == 0, 0, hop).astype(np.int16)
-        valid = (ptr == 0).all(axis=1)
-        if enforce_single_root:
-            valid &= (assign == 0).sum(axis=1) == 1
-        if not valid.any():
-            continue
-        totals = weight[assign, cols].sum(axis=1)
-        totals[~valid] = -np.inf
-        j = int(np.argmax(totals))
-        if best_total is None or totals[j] > best_total:
-            best_total = float(totals[j])
-            best_heads = tuple(int(x) for x in assign[j])
-    if best_heads is None:
-        raise NoArborescenceError("no spanning arborescence")
-    return DepTree(best_heads)

@@ -14,10 +14,6 @@ Aggregation proceeds in four steps:
    the Y-parser interactions) by minimizing a convex moment-matching
    objective, then score each edge as the posterior probability that it
    is correct given the votes.
-
-``joint_prob_oracle`` evaluates the full joint by enumeration (small
-ensembles only) and exists as an independent check on the closed-form
-posterior.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -364,7 +360,9 @@ def fit_canonical_params(
     Minimizes the convex objective whose stationary point makes the model
     moments tanh(theta00 + theta0_plus . L) reproduce ``mu00`` and
     ``mu0_plus``; gradient descent from zero with an expanding backtracking
-    line search, stopping when the gradient norm reaches ``tol``.
+    line search, stopping when the gradient norm reaches ``tol``. A line
+    search that stalls, or a step that grows past the largest float (the
+    objective is unbounded below), ends the fit unconverged.
     """
     labels = matrix.labels.astype(np.float64)
     mu = np.concatenate([[means.mu00], means.mu0_plus])
@@ -372,24 +370,20 @@ def fit_canonical_params(
     value, grad = _canonical_value_grad(theta, labels, mu)
     step = 1.0
     iterations = 0
-    stalled = False
     for iterations in range(1, max_iterations + 1):
         gnorm2 = float(grad @ grad)
         if math.sqrt(gnorm2) <= tol:
             iterations -= 1
             break
         step *= 2.0
-        while True:
+        while 1e-30 <= step < math.inf:
             cand = theta - step * grad
             cand_value, cand_grad = _canonical_value_grad(cand, labels, mu)
             if cand_value <= value - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
-            if step < 1e-30:
-                stalled = True
-                break
-        if stalled:
-            break
+        else:
+            break  # the line search stalled, or the step overflowed
         theta, value, grad = cand, cand_value, cand_grad
     grad_norm = float(np.linalg.norm(grad))
     return replace(
@@ -450,43 +444,6 @@ def infer_scores(params: IsingParams, matrix: EdgeLabelMatrix) -> np.ndarray:
     return _sigmoid(x)
 
 
-def joint_prob_oracle(
-    theta00: float,
-    theta0_plus: Sequence[float],
-    theta_plus: Sequence[float],
-    theta_plus_plus: Mapping[tuple[int, int], float],
-    y: int,
-    labels: Sequence[int],
-) -> float:
-    """Exact joint probability P(Y = y, L = labels) by full enumeration.
-
-    Capped at 12 parsers (2^13 states). Used to verify the closed-form
-    posterior; not part of the aggregation path.
-    """
-    m = len(theta0_plus)
-    if m > 12:
-        raise ValueError("oracle capped at 12 parsers")
-    if len(theta_plus) != m or len(labels) != m:
-        raise ValueError("parameter lengths disagree")
-    if y not in (-1, 1) or any(v not in (-1, 1) for v in labels):
-        raise ValueError("states must be -1 or +1")
-
-    t0 = np.asarray(theta0_plus, dtype=np.float64)
-    tp = np.asarray(theta_plus, dtype=np.float64)
-
-    def energy(yv: float, lv: np.ndarray) -> float:
-        e = theta00 * yv + float(tp @ lv) + float(t0 @ lv) * yv
-        for (j, k), w in theta_plus_plus.items():
-            e += w * lv[j] * lv[k]
-        return e
-
-    states = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
-    log_z = float(
-        np.logaddexp.reduce([energy(s[0], s[1:]) for s in states])
-    )
-    return math.exp(energy(float(y), np.asarray(labels, dtype=np.float64)) - log_z)
-
-
 @dataclass(frozen=True)
 class CimOptions:
     l1_penalty: float | None = None
@@ -543,6 +500,8 @@ def cim_run(matrix: EdgeLabelMatrix, opts: CimOptions = CimOptions()) -> CimResu
     The majority vote used for mean-parameter estimation is recomputed on
     the collapsed matrix so duplicated parsers cannot double-vote.
     """
+    if matrix.n_edges == 0:
+        raise ValueError("cim needs at least one candidate edge")
     if opts.collapse:
         graph = estimate_correlation_graph(
             matrix,

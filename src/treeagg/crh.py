@@ -17,13 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .edges import (
-    EdgeLabelMatrix,
-    majority_vote,
-    sentence_rows,
-    trees_from_scores,
-)
-from .trees import DepTree, ParseEnsemble, edges_of
+from .edges import EdgeLabelMatrix, majority_vote, tree_labels, trees_from_scores
+from .trees import DepTree, ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
 
@@ -99,17 +94,6 @@ def _uas_costs(
     return costs
 
 
-def _truths_from_trees(
-    matrix: EdgeLabelMatrix, trees: Mapping[str, DepTree]
-) -> np.ndarray:
-    truths = np.empty(matrix.n_edges, dtype=np.int8)
-    for sid, rows in sentence_rows(matrix):
-        chosen = set(edges_of(trees[sid]))
-        for i, e in enumerate(matrix.edges[rows], start=rows.start):
-            truths[i] = 1 if (e.head, e.dependent) in chosen else -1
-    return truths
-
-
 def crh_run(
     matrix: EdgeLabelMatrix,
     opts: CrhOptions = CrhOptions(),
@@ -135,7 +119,7 @@ def crh_run(
         trees = _weighted_vote_trees(
             uniform, matrix, ensemble, opts.enforce_single_root
         )
-        truths = _truths_from_trees(matrix, trees)
+        truths = tree_labels(matrix, trees)
 
     objective = np.inf
     history: list[float] = []
@@ -155,7 +139,7 @@ def crh_run(
             trees = _weighted_vote_trees(
                 weights, matrix, ensemble, opts.enforce_single_root
             )
-            new_truths = _truths_from_trees(matrix, trees)
+            new_truths = tree_labels(matrix, trees)
             new_costs = _uas_costs(ensemble, trees) + opts.eps
         else:
             new_truths = truth_update(weights, matrix)

@@ -3,26 +3,21 @@
 Per sentence, the candidate set is the union of all parsers' edges. Each
 candidate edge becomes one row; parser k's entry is +1 if its tree contains
 the edge and -1 otherwise, so every aggregation method downstream works on
-one {-1, +1} matrix regardless of where the labels came from.
+one {-1, +1} matrix regardless of where the labels came from. The matrix is
+held as parallel arrays: rows of sentence i are ``offsets[i]:offsets[i+1]``
+and row r is the edge ``heads[r] -> deps[r]``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
-from .trees import DepTree, ParseEnsemble, edges_of
-
-
-@dataclass(frozen=True, order=True)
-class CandidateEdge:
-    sentence_id: str
-    head: int
-    dependent: int
+from .trees import DepTree, ParseEnsemble
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,33 +25,36 @@ class EdgeLabelMatrix:
     """Rows are candidate edges (grouped by sentence, in corpus order, then
     sorted by (head, dependent)); columns are parsers; entries are +-1."""
 
-    edges: tuple[CandidateEdge, ...]
+    sentence_ids: tuple[str, ...]
+    offsets: np.ndarray
+    heads: np.ndarray
+    deps: np.ndarray
     labels: np.ndarray
     parser_ids: tuple[str, ...]
-    spans: tuple[tuple[str, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.labels.shape != (len(self.edges), len(self.parser_ids)):
+        n = len(self.heads)
+        if self.labels.shape != (n, len(self.parser_ids)):
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
-                f"{len(self.edges)} edges x {len(self.parser_ids)} parsers"
+                f"{n} edges x {len(self.parser_ids)} parsers"
             )
+        if (
+            len(self.deps) != n
+            or len(self.offsets) != len(self.sentence_ids) + 1
+            or self.offsets[0] != 0
+            or self.offsets[-1] != n
+            or (np.diff(self.offsets) < 0).any()
+        ):
+            raise ValueError("offsets, heads and deps do not match the rows")
         if self.labels.size and not np.isin(self.labels, (-1, 1)).all():
             raise ValueError("labels must be -1 or +1")
-        spans = []
-        start = 0
-        for sid, group in itertools.groupby(self.edges, key=lambda e: e.sentence_id):
-            n = sum(1 for _ in group)
-            spans.append((sid, start, start + n))
-            start += n
-        if len({s for s, _, _ in spans}) != len(spans):
-            raise ValueError("edges of one sentence must be contiguous")
-        object.__setattr__(self, "spans", tuple(spans))
-        self.labels.setflags(write=False)
+        for a in (self.offsets, self.heads, self.deps, self.labels):
+            a.setflags(write=False)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.heads)
 
     @property
     def m(self) -> int:
@@ -65,7 +63,7 @@ class EdgeLabelMatrix:
     def with_labels(
         self, labels: np.ndarray, parser_ids: tuple[str, ...]
     ) -> "EdgeLabelMatrix":
-        return EdgeLabelMatrix(self.edges, labels, parser_ids)
+        return replace(self, labels=labels, parser_ids=parser_ids)
 
     @classmethod
     def from_labels(
@@ -81,19 +79,18 @@ class EdgeLabelMatrix:
         ids = tuple(parser_ids) if parser_ids is not None else tuple(
             f"p{k + 1}" for k in range(m)
         )
-        edges = tuple(CandidateEdge(f"r{i}", 0, 1) for i in range(n))
-        return cls(edges, labels, ids)
+        sids = tuple(f"r{i}" for i in range(n))
+        return cls(
+            sids, np.arange(n + 1), np.zeros(n, np.int64), np.ones(n, np.int64),
+            labels, ids,
+        )
 
 
-def build_edge_union(ensemble: ParseEnsemble) -> dict[str, tuple[tuple[int, int], ...]]:
-    """Per-sentence union of parser edges, sorted by (head, dependent)."""
-    union: dict[str, tuple[tuple[int, int], ...]] = {}
-    for sid in ensemble.sentence_ids:
-        seen: set[tuple[int, int]] = set()
-        for tree in ensemble.trees[sid]:
-            seen.update(edges_of(tree))
-        union[sid] = tuple(sorted(seen))
-    return union
+def _flat_heads(trees: Iterable[DepTree]) -> np.ndarray:
+    """The trees' head sequences laid end to end."""
+    return np.fromiter(
+        itertools.chain.from_iterable(t.heads for t in trees), dtype=np.int64
+    )
 
 
 def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
@@ -103,24 +100,29 @@ def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     sentence by (head, dependent). Every row has at least one +1 because
     each candidate edge was proposed by some parser.
     """
-    union = build_edge_union(ensemble)
-    edges: list[CandidateEdge] = []
-    rows: list[np.ndarray] = []
-    for sid in ensemble.sentence_ids:
-        edge_sets = [set(edges_of(t)) for t in ensemble.trees[sid]]
-        for h, d in union[sid]:
-            edges.append(CandidateEdge(sid, h, d))
-            rows.append(
-                np.fromiter(
-                    (1 if (h, d) in es else -1 for es in edge_sets),
-                    dtype=np.int8,
-                    count=len(edge_sets),
-                )
-            )
-    labels = (
-        np.stack(rows) if rows else np.zeros((0, ensemble.m), dtype=np.int8)
+    sids = ensemble.sentence_ids
+    q = np.array([ensemble.token_count(s) for s in sids], dtype=np.int64)
+    # parser x token head array, tokens of all sentences end to end
+    H = np.array(
+        [_flat_heads(ensemble.trees[s][k] for s in sids) for k in range(ensemble.m)],
+        dtype=np.int64,
     )
-    return EdgeLabelMatrix(tuple(edges), labels, ensemble.parser_ids)
+    sent = np.repeat(np.arange(len(sids)), q)
+    first = np.cumsum(q) - q
+    dep = np.arange(len(sent)) - first[sent] + 1
+    # One integer per (sentence, head, dependent); sorting the keys sorts
+    # the rows in that order.
+    base = int(q.max(initial=0)) + 1
+    keys = np.unique((sent * base + H) * base + dep)
+    row_dep = keys % base
+    row_head = keys // base % base
+    row_sent = keys // (base * base)
+    tok = first[row_sent] + row_dep - 1
+    labels = np.where(H[:, tok].T == row_head[:, None], 1, -1).astype(np.int8)
+    offsets = np.searchsorted(row_sent, np.arange(len(sids) + 1))
+    return EdgeLabelMatrix(
+        sids, offsets, row_head, row_dep, labels, ensemble.parser_ids
+    )
 
 
 def majority_vote(matrix: EdgeLabelMatrix) -> np.ndarray:
@@ -130,8 +132,20 @@ def majority_vote(matrix: EdgeLabelMatrix) -> np.ndarray:
 
 
 def sentence_rows(matrix: EdgeLabelMatrix) -> Iterator[tuple[str, slice]]:
-    for sid, start, stop in matrix.spans:
+    bounds = matrix.offsets.tolist()
+    for sid, start, stop in zip(matrix.sentence_ids, bounds, bounds[1:]):
         yield sid, slice(start, stop)
+
+
+def tree_labels(
+    matrix: EdgeLabelMatrix, trees: Mapping[str, DepTree]
+) -> np.ndarray:
+    """+1 where the row's sentence tree contains the row's edge, else -1."""
+    chosen = [trees[sid] for sid in matrix.sentence_ids]
+    q = np.array([len(t) for t in chosen], dtype=np.int64)
+    first = np.cumsum(q) - q
+    tok = np.repeat(first, np.diff(matrix.offsets)) + matrix.deps - 1
+    return np.where(_flat_heads(chosen)[tok] == matrix.heads, 1, -1).astype(np.int8)
 
 
 def trees_from_scores(
@@ -141,20 +155,22 @@ def trees_from_scores(
     enforce_single_root: bool = True,
 ) -> dict[str, DepTree]:
     """Decode one tree per sentence from per-edge scores."""
+    heads = matrix.heads.tolist()
+    deps = matrix.deps.tolist()
+    weights = np.asarray(scores).tolist()
     out: dict[str, DepTree] = {}
     for sid, rows in sentence_rows(matrix):
-        q = ensemble.token_count(sid)
-        arcs = tuple(
-            (e.head, e.dependent, float(s))
-            for e, s in zip(matrix.edges[rows], scores[rows])
-        )
-        graph = WeightedTokenGraph(sid, q, arcs)
+        arcs = tuple(zip(heads[rows], deps[rows], weights[rows]))
+        graph = WeightedTokenGraph(sid, ensemble.token_count(sid), arcs)
         out[sid] = max_arborescence(graph, enforce_single_root)
     return out
 
 
 def iter_dump_lines(matrix: EdgeLabelMatrix) -> Iterator[str]:
     """Debug dump, one line per edge: sentence id, head, dependent, votes."""
-    for edge, row in zip(matrix.edges, matrix.labels):
-        votes = "\t".join(f"{int(v):+d}" for v in row)
-        yield f"{edge.sentence_id}\t{edge.head}\t{edge.dependent}\t{votes}"
+    votes = np.where(matrix.labels == 1, "+1", "-1").tolist()
+    heads = matrix.heads.tolist()
+    deps = matrix.deps.tolist()
+    for sid, rows in sentence_rows(matrix):
+        for h, d, row in zip(heads[rows], deps[rows], votes[rows]):
+            yield f"{sid}\t{h}\t{d}\t" + "\t".join(row)

@@ -1,10 +1,16 @@
-"""Shared test utilities: random graphs, synthetic vote matrices, rank stats."""
+"""Shared test utilities: random graphs, synthetic vote matrices, rank stats,
+and the exhaustive reference implementations the package is checked against."""
 
 from __future__ import annotations
 
+import itertools
+import math
+from typing import Mapping, Sequence
+
 import numpy as np
 
-from treeagg.arborescence import WeightedTokenGraph
+from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
+from treeagg.trees import DepTree, ParseEnsemble, edges_of
 
 
 def random_complete_digraph(
@@ -96,3 +102,134 @@ def conllu_text(sentences: list[tuple[str, list[str], list[int]]]) -> str:
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
+
+
+_CHUNK = 1 << 18
+
+
+def brute_force_arborescence(
+    graph: WeightedTokenGraph, enforce_single_root: bool = True
+) -> DepTree:
+    """Exhaustive maximum arborescence for q <= 8.
+
+    Enumerates all head assignments drawn from each token's incoming arcs,
+    in lexicographic order of the head sequence, keeping the first
+    assignment that attains the maximum weight. Independent of the
+    Chu-Liu/Edmonds path by design.
+    """
+    q = graph.q
+    if q > 8:
+        raise ValueError(f"exhaustive search capped at 8 tokens, got {q}")
+    cand: list[list[int]] = [[] for _ in range(q)]
+    weight = np.full((q + 1, q + 1), -np.inf)
+    for h, d, w in graph.arcs:
+        cand[d - 1].append(h)
+        weight[h, d] = w
+    for d, heads in enumerate(cand, start=1):
+        if not heads:
+            raise NoArborescenceError(f"node {d} has no incoming arc")
+        heads.sort()
+    cand_arrays = [np.array(c, dtype=np.int16) for c in cand]
+    sizes = np.array([len(c) for c in cand], dtype=np.int64)
+    total = int(np.prod(sizes))
+    cols = np.arange(1, q + 1)
+
+    best_total: float | None = None
+    best_heads: tuple[int, ...] | None = None
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(total, start + _CHUNK), dtype=np.int64)
+        assign = np.empty((len(idx), q), dtype=np.int16)
+        t = idx
+        for d in range(q - 1, -1, -1):
+            assign[:, d] = cand_arrays[d][t % sizes[d]]
+            t = t // sizes[d]
+        # Parent-pointer chase: after q hops every token of a valid tree
+        # has reached the root.
+        ptr = assign.copy()
+        for _ in range(q):
+            hop = np.take_along_axis(
+                assign, np.maximum(ptr - 1, 0).astype(np.intp), axis=1
+            )
+            ptr = np.where(ptr == 0, 0, hop).astype(np.int16)
+        valid = (ptr == 0).all(axis=1)
+        if enforce_single_root:
+            valid &= (assign == 0).sum(axis=1) == 1
+        if not valid.any():
+            continue
+        totals = weight[assign, cols].sum(axis=1)
+        totals[~valid] = -np.inf
+        j = int(np.argmax(totals))
+        if best_total is None or totals[j] > best_total:
+            best_total = float(totals[j])
+            best_heads = tuple(int(x) for x in assign[j])
+    if best_heads is None:
+        raise NoArborescenceError("no spanning arborescence")
+    return DepTree(best_heads)
+
+
+def joint_prob_oracle(
+    theta00: float,
+    theta0_plus: Sequence[float],
+    theta_plus: Sequence[float],
+    theta_plus_plus: Mapping[tuple[int, int], float],
+    y: int,
+    labels: Sequence[int],
+) -> float:
+    """Exact joint probability P(Y = y, L = labels) by full enumeration.
+
+    Capped at 12 parsers (2^13 states). Used to verify the closed-form
+    posterior; not part of the aggregation path.
+    """
+    m = len(theta0_plus)
+    if m > 12:
+        raise ValueError("oracle capped at 12 parsers")
+    if len(theta_plus) != m or len(labels) != m:
+        raise ValueError("parameter lengths disagree")
+    if y not in (-1, 1) or any(v not in (-1, 1) for v in labels):
+        raise ValueError("states must be -1 or +1")
+
+    t0 = np.asarray(theta0_plus, dtype=np.float64)
+    tp = np.asarray(theta_plus, dtype=np.float64)
+
+    def energy(yv: float, lv: np.ndarray) -> float:
+        e = theta00 * yv + float(tp @ lv) + float(t0 @ lv) * yv
+        for (j, k), w in theta_plus_plus.items():
+            e += w * lv[j] * lv[k]
+        return e
+
+    states = np.array(list(itertools.product((-1.0, 1.0), repeat=m + 1)))
+    log_z = float(
+        np.logaddexp.reduce([energy(s[0], s[1:]) for s in states])
+    )
+    return math.exp(energy(float(y), np.asarray(labels, dtype=np.float64)) - log_z)
+
+
+def reference_label_matrix(ensemble: ParseEnsemble):
+    """Set-based construction of the vote matrix, one edge at a time.
+
+    Returns (rows, spans, labels): rows are (sentence id, head, dependent)
+    in matrix order, spans are (sentence id, start, stop) for every sentence
+    with at least one row, labels the +-1 votes.
+    """
+    rows: list[tuple[str, int, int]] = []
+    votes: list[list[int]] = []
+    spans: list[tuple[str, int, int]] = []
+    for sid in ensemble.sentence_ids:
+        edge_sets = [set(edges_of(t)) for t in ensemble.trees[sid]]
+        union = sorted(set().union(*edge_sets))
+        if union:
+            spans.append((sid, len(rows), len(rows) + len(union)))
+        for h, d in union:
+            rows.append((sid, h, d))
+            votes.append([1 if (h, d) in es else -1 for es in edge_sets])
+    labels = np.array(votes, dtype=np.int8).reshape(len(rows), ensemble.m)
+    return rows, spans, labels
+
+
+def reference_dump_lines(ensemble: ParseEnsemble) -> list[str]:
+    """The ``--dump-matrix`` lines of the reference construction."""
+    rows, _, labels = reference_label_matrix(ensemble)
+    return [
+        f"{sid}\t{h}\t{d}\t" + "\t".join(f"{int(v):+d}" for v in row)
+        for (sid, h, d), row in zip(rows, labels)
+    ]

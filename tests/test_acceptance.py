@@ -12,9 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from helpers import ci_label_matrix, conllu_text, random_complete_digraph, random_vote_matrix, spearman
-from treeagg.arborescence import brute_force_arborescence, max_arborescence, tree_weight
-from treeagg.cim import IsingParams, _canonical_value_grad, fit_canonical_params, infer_scores, joint_prob_oracle
+from helpers import (
+    brute_force_arborescence,
+    ci_label_matrix,
+    conllu_text,
+    joint_prob_oracle,
+    random_complete_digraph,
+    random_vote_matrix,
+    spearman,
+)
+from treeagg.arborescence import max_arborescence, tree_weight
+from treeagg.cim import IsingParams, _canonical_value_grad, fit_canonical_params, infer_scores
 from treeagg.cli import EXIT_REJECTED, run
 from treeagg.conllu import parse_conllu, write_conllu
 from treeagg.crh import crh_run, truth_update, weight_update

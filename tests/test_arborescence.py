@@ -6,13 +6,12 @@ import pytest
 from treeagg.arborescence import (
     NoArborescenceError,
     WeightedTokenGraph,
-    brute_force_arborescence,
     max_arborescence,
     tree_weight,
 )
 from treeagg.trees import DepTree
 
-from helpers import random_complete_digraph
+from helpers import brute_force_arborescence, random_complete_digraph
 
 
 def test_graph_validation():

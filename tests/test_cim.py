@@ -26,12 +26,13 @@ from treeagg.cim import (
     fit_canonical_params,
     fit_l1_logistic,
     infer_scores,
-    joint_prob_oracle,
     plugin_canonical_params,
 )
 from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree, ParseEnsemble
+
+from helpers import joint_prob_oracle
 
 
 def ci_columns(accuracies, n, rng, truth=None):
@@ -307,6 +308,17 @@ def test_fit_satisfies_its_moment_conditions():
     cond = np.tanh(fit.theta00 + labels.astype(float) @ np.array(fit.theta0_plus))
     assert abs(cond.mean() - mu00) < 1e-5
     assert np.abs((labels * cond[:, None]).mean(axis=0) - mu0).max() < 1e-5
+
+
+def test_fit_ends_on_unachievable_moments():
+    # mu0 = 0.9 cannot be matched on two rows that vote +1 and -1: the
+    # objective is unbounded below and the expanding step overflows
+    fit = fit_canonical_params(
+        IsingParams(0.9, (0.0,), (0.9,)),
+        EdgeLabelMatrix.from_labels(np.array([[1], [-1]], dtype=np.int8)),
+    )
+    assert fit.converged is False
+    assert fit.iterations < 5000
 
 
 def test_plugin_parameters_on_symmetric_channels():

@@ -206,6 +206,20 @@ def test_missing_inputs_exit_with_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_treebank_cim_exits_with_error(tmp_path, capsys):
+    for k in range(3):
+        write(tmp_path / "parsers" / f"p{k}.conllu", "")
+    argv = ["aggregate", "--inputs", str(tmp_path / "parsers")]
+    for method in ("mst", "crh"):
+        out = tmp_path / f"{method}.conllu"
+        assert run(argv + ["--method", method, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == ""
+    code = run(argv + ["--method", "cim", "--out", str(tmp_path / "cim.conllu")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "cim.conllu").exists()
+
+
 def test_preprocess_rejects_thin_ensembles(tmp_path, capsys):
     # eight parser files against the default nine-parser floor
     text = conllu_text([(f"s{i}", ["a", "b"], [0, 1]) for i in range(60)])

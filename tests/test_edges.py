@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeagg.edges import (
-    CandidateEdge,
     EdgeLabelMatrix,
-    build_edge_union,
     iter_dump_lines,
     label_matrix,
     majority_vote,
     sentence_rows,
+    tree_labels,
     trees_from_scores,
 )
 from treeagg.trees import DepTree, ParseEnsemble, edges_of
+
+from helpers import reference_dump_lines, reference_label_matrix
 
 
 def two_parser_ensemble():
@@ -23,15 +26,22 @@ def two_parser_ensemble():
     return ParseEnsemble(("a", "b"), {"s1": (a, b)})
 
 
+def row_edges(matrix):
+    return list(zip(matrix.heads.tolist(), matrix.deps.tolist()))
+
+
 def test_union_of_identical_trees_has_tree_size():
     t = DepTree((0, 1, 1))
     ens = ParseEnsemble(("a", "b"), {"s1": (t, t)})
-    assert build_edge_union(ens) == {"s1": ((0, 1), (1, 2), (1, 3))}
+    matrix = label_matrix(ens)
+    assert matrix.sentence_ids == ("s1",)
+    assert matrix.offsets.tolist() == [0, 3]
+    assert row_edges(matrix) == [(0, 1), (1, 2), (1, 3)]
 
 
 def test_union_of_disagreeing_trees_grows_by_one():
-    union = build_edge_union(two_parser_ensemble())
-    assert union["s1"] == ((0, 1), (1, 2), (1, 3), (2, 3))
+    matrix = label_matrix(two_parser_ensemble())
+    assert row_edges(matrix) == [(0, 1), (1, 2), (1, 3), (2, 3)]
 
 
 def test_label_matrix_encodes_membership():
@@ -42,7 +52,7 @@ def test_label_matrix_encodes_membership():
         [[1, 1], [1, 1], [-1, 1], [1, -1]], dtype=np.int8
     )  # rows follow the sorted union above
     assert (matrix.labels == expected).all()
-    assert matrix.edges[3] == CandidateEdge("s1", 2, 3)
+    assert (matrix.heads[3], matrix.deps[3]) == (2, 3)
 
 
 def test_every_parser_tree_is_reconstructible_from_plus_ones():
@@ -50,9 +60,7 @@ def test_every_parser_tree_is_reconstructible_from_plus_ones():
     matrix = label_matrix(ens)
     for k in range(ens.m):
         chosen = [
-            (e.head, e.dependent)
-            for e, lab in zip(matrix.edges, matrix.labels[:, k])
-            if lab == 1
+            e for e, lab in zip(row_edges(matrix), matrix.labels[:, k]) if lab == 1
         ]
         assert sorted(chosen) == sorted(edges_of(ens.trees["s1"][k]))
         # exactly q votes per (sentence, parser)
@@ -67,29 +75,38 @@ def test_every_row_has_a_proposer():
 def test_matrix_is_deterministic_and_frozen():
     m1 = label_matrix(two_parser_ensemble())
     m2 = label_matrix(two_parser_ensemble())
-    assert m1.edges == m2.edges
-    assert (m1.labels == m2.labels).all()
-    with pytest.raises(ValueError):
-        m1.labels[0, 0] = -1  # read-only
+    assert m1.sentence_ids == m2.sentence_ids
+    for name in ("offsets", "heads", "deps", "labels"):
+        a, b = getattr(m1, name), getattr(m2, name)
+        assert (a == b).all()
+        with pytest.raises(ValueError):
+            a[0] = 0  # read-only
 
 
 def test_matrix_validation():
-    edges = (CandidateEdge("s1", 0, 1), CandidateEdge("s1", 0, 2))
-    good = np.array([[1, -1], [1, 1]], dtype=np.int8)
-    EdgeLabelMatrix(edges, good, ("a", "b"))
-    with pytest.raises(ValueError, match="-1 or"):
-        EdgeLabelMatrix(edges, np.zeros((2, 2), dtype=np.int8), ("a", "b"))
-    with pytest.raises(ValueError, match="does not match"):
-        EdgeLabelMatrix(edges, good[:1].copy(), ("a", "b"))
-    interleaved = (
-        CandidateEdge("s1", 0, 1),
-        CandidateEdge("s2", 0, 1),
-        CandidateEdge("s1", 0, 2),
-    )
-    with pytest.raises(ValueError, match="contiguous"):
-        EdgeLabelMatrix(
-            interleaved, np.ones((3, 2), dtype=np.int8), ("a", "b")
+    def make(labels, offsets=(0, 2), heads=(0, 0), deps=(1, 2)):
+        return EdgeLabelMatrix(
+            ("s1",) * (len(offsets) - 1),
+            np.array(offsets),
+            np.array(heads),
+            np.array(deps),
+            labels,
+            ("a", "b"),
         )
+
+    good = np.array([[1, -1], [1, 1]], dtype=np.int8)
+    make(good)
+    with pytest.raises(ValueError, match="-1 or"):
+        make(np.zeros((2, 2), dtype=np.int8))
+    with pytest.raises(ValueError, match="does not match"):
+        make(good[:1].copy())
+    # a sentence's rows are one offsets slice, so rows can only belong to
+    # one sentence each; offsets that do not tile the rows are refused
+    for offsets in ((0, 1), (1, 2), (0, 2, 1, 2)):
+        with pytest.raises(ValueError, match="do not match the rows"):
+            make(good, offsets=offsets)
+    with pytest.raises(ValueError, match="do not match the rows"):
+        make(good, deps=(1,))
 
 
 def test_from_labels_placeholders():
@@ -97,7 +114,9 @@ def test_from_labels_placeholders():
     matrix = EdgeLabelMatrix.from_labels(labels)
     assert matrix.parser_ids == ("p1", "p2")
     assert matrix.n_edges == 2
-    assert matrix.edges[0].sentence_id == "r0"
+    assert matrix.sentence_ids == ("r0", "r1")
+    assert matrix.offsets.tolist() == [0, 1, 2]
+    assert row_edges(matrix) == [(0, 1), (0, 1)]
 
 
 def test_majority_vote_breaks_ties_up():
@@ -128,7 +147,7 @@ def test_trees_from_scores_separable_case():
     gold = DepTree((0, 1, 1))
     gold_edges = set(edges_of(gold))
     scores = np.array(
-        [0.9 if (e.head, e.dependent) in gold_edges else 0.1 for e in matrix.edges]
+        [0.9 if e in gold_edges else 0.1 for e in row_edges(matrix)]
     )
     out = trees_from_scores(matrix, scores, ens)
     assert out == {"s1": gold}
@@ -141,3 +160,58 @@ def test_dump_lines_format():
     assert lines[1] == "s1\t1\t2\t+1\t+1"
     assert lines[2] == "s1\t1\t3\t-1\t+1"
     assert len(lines) == matrix.n_edges
+
+
+# ------------------------------------------------ properties vs reference
+
+
+@st.composite
+def head_sequences(draw, q):
+    """A valid tree over tokens 1..q: attach tokens in a random order, each
+    to the root or to a token attached before it."""
+    order = draw(st.permutations(range(1, q + 1)))
+    heads = [0] * q
+    for i, d in enumerate(order):
+        heads[d - 1] = draw(st.sampled_from((0,) + tuple(order[:i])))
+    return DepTree(tuple(heads))
+
+
+@st.composite
+def ensembles(draw):
+    m = draw(st.integers(2, 5))
+    trees = {}
+    for s in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 8))
+        trees[f"s{s}"] = tuple(draw(head_sequences(q)) for _ in range(m))
+    return ParseEnsemble(tuple(f"p{k}" for k in range(m)), trees)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles())
+def test_matrix_equals_set_based_reference(ens):
+    matrix = label_matrix(ens)
+    rows, spans, labels = reference_label_matrix(ens)
+    sids = [sid for sid, rs in sentence_rows(matrix) for _ in range(rs.start, rs.stop)]
+    assert list(zip(sids, matrix.heads.tolist(), matrix.deps.tolist())) == rows
+    assert [(sid, rs.start, rs.stop) for sid, rs in sentence_rows(matrix)] == spans
+    assert matrix.labels.dtype == np.int8
+    assert np.array_equal(matrix.labels, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles())
+def test_each_parser_votes_once_per_token(ens):
+    matrix = label_matrix(ens)
+    for sid, rows in sentence_rows(matrix):
+        plus = (matrix.labels[rows] == 1).sum(axis=0)
+        assert plus.tolist() == [ens.token_count(sid)] * ens.m
+    # a parser's column is the labelling of its own trees
+    for k in range(ens.m):
+        own = {sid: ts[k] for sid, ts in ens.trees.items()}
+        assert np.array_equal(tree_labels(matrix, own), matrix.labels[:, k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles())
+def test_dump_lines_equal_reference(ens):
+    assert list(iter_dump_lines(label_matrix(ens))) == reference_dump_lines(ens)
