@@ -79,7 +79,6 @@ from .trees import (
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
-    Token,
     edges_of,
     heads_from_edges,
     pooled_ensemble,
@@ -109,7 +108,6 @@ __all__ = [
     "SummaryReport",
     "SynthConfig",
     "SynthResult",
-    "Token",
     "TreebankFile",
     "TreebankReport",
     "WeightedTokenGraph",

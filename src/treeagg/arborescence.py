@@ -51,12 +51,6 @@ class WeightedTokenGraph:
             self, "arcs", tuple((h, d, best[(h, d)]) for h, d in sorted(best))
         )
 
-    def weight_of(self, head: int, dependent: int) -> float:
-        for h, d, w in self.arcs:
-            if (h, d) == (head, dependent):
-                return w
-        raise KeyError((head, dependent))
-
 
 def tree_weight(graph: WeightedTokenGraph, tree: DepTree) -> float:
     """Total weight of a tree under the graph, summed in dependent order."""

@@ -455,7 +455,6 @@ class CimOptions:
     fit_max_iterations: int = 5000
     reg_tol: float = 1e-6
     reg_max_iterations: int = 2000
-    enforce_single_root: bool = True
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,7 +137,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     from .conllu import build_ensemble
 
     ensemble = build_ensemble(files)
-    matrix = label_matrix(ensemble)
+    # vote_mst builds its own matrix, so mst needs one here only to dump it.
+    if args.dump_matrix or args.method != "mst":
+        matrix = label_matrix(ensemble)
     if args.dump_matrix:
         Path(args.dump_matrix).write_text(
             "\n".join(iter_dump_lines(matrix)) + "\n", encoding="utf-8"
@@ -160,7 +162,6 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             coef_threshold=args.cim_coef_threshold,
             collapse=not args.cim_no_collapse,
             triplet_min=args.cim_triplet_min,
-            enforce_single_root=single_root,
         )
         result = cim_mod.cim_run(matrix, opts)
         trees = cim_mod.cim_trees(result.scores, matrix, ensemble, single_root)
@@ -175,7 +176,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     exclude = None
     if args.exclude_punct:
         exclude = [
-            [t.upos == "PUNCT" for t in s.tokens] for s in gold.sentences
+            [s.lines[w].split("\t")[3] == "PUNCT" for w in s.words]
+            for s in gold.sentences
         ]
     methods: dict[str, float] = {}
     for spec in args.pred:

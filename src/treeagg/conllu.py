@@ -1,9 +1,11 @@
 """CoNLL-U reading and writing.
 
-Only the HEAD column is ever interpreted as structure; everything else
-(comments, multiword-token ranges, empty nodes, annotation columns) passes
-through verbatim so that writing a file back with unchanged trees is
-byte-identical. Input may use LF or CRLF line endings; output is LF.
+A sentence keeps the verbatim lines of its block. Only the ID, FORM and
+HEAD columns of word lines are read; comments, multiword-token ranges,
+empty nodes and the other columns pass through untouched, and writing
+rewrites only the HEAD column of the word lines whose head changed. Input
+may use LF or CRLF line endings; output is LF, with each sentence followed
+by one empty line and the file ending in a single newline.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .trees import DepTree, InvalidTreeError, ParseEnsemble, Sentence, Token
+from .trees import DepTree, InvalidTreeError, ParseEnsemble, Sentence
 
 _WORD_ID = re.compile(r"[1-9][0-9]*$")
 _RANGE_ID = re.compile(r"[0-9]+-[0-9]+$")
 _EMPTY_ID = re.compile(r"[0-9]+\.[0-9]+$")
-_INT = re.compile(r"[0-9]+$")
 _SENT_ID = re.compile(r"#\s*sent_id\s*=\s*(.+)$")
 
 N_COLUMNS = 10
@@ -56,35 +57,43 @@ class TreebankFile:
 def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> TreebankFile:
     """Parse CoNLL-U text into a :class:`TreebankFile`.
 
-    Errors carry line numbers. Word lines must have ten tab-separated
-    columns, consecutive integer ids from 1, and an integer HEAD; the head
-    sequence of every sentence must form a valid rooted tree. Range ids
-    ("2-3") and empty-node ids ("2.1") are kept verbatim and never parsed.
+    ``source`` is a string, a readable file, or an iterable of lines with or
+    without their line endings. Errors carry line numbers. Word lines must
+    have ten tab-separated columns, consecutive integer ids from 1, and an
+    integer HEAD; the head sequence of every sentence must form a valid
+    rooted tree. Range ids ("2-3") and empty-node ids ("2.1") are kept
+    verbatim and never parsed.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
     elif isinstance(source, str):
         text = source
     else:
-        text = "\n".join(source)
+        text = "\n".join(line[:-1] if line.endswith("\n") else line for line in source)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
     lines = text.split("\n")
 
     sentences: list[Sentence] = []
     seen_ids: set[str] = set()
-    comments: list[str] = []
-    tokens: list[Token] = []
-    extras: list[tuple[int, str]] = []
+    block: list[str] = []
+    words: list[int] = []
+    forms: list[str] = []
+    heads: list[int] = []
     first_word_line = 0
 
     def flush(line_no: int) -> None:
-        nonlocal comments, tokens, extras
-        if not tokens and not comments and not extras:
+        if not block:
             return
-        if not tokens:
+        if not words:
             raise ConlluError(line_no, "sentence block without word lines")
         sid = ""
-        for c in comments:
-            m = _SENT_ID.match(c)
+        for line in block:
+            if not line.startswith("#"):
+                break
+            m = _SENT_ID.match(line)
             if m:
                 sid = m.group(1).strip()
                 break
@@ -93,43 +102,42 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
         if sid in seen_ids:
             raise ConlluError(line_no, f"duplicate sentence id {sid!r}")
         seen_ids.add(sid)
-        heads = tuple(int(t.columns[HEAD_COLUMN]) for t in tokens)
         try:
             tree = DepTree(heads)
         except InvalidTreeError as e:
             raise ConlluError(first_word_line, str(e)) from None
-        sentences.append(
-            Sentence(sid, tuple(tokens), tree, tuple(comments), tuple(extras))
-        )
-        comments, tokens, extras = [], [], []
+        sentences.append(Sentence(sid, tuple(block), tuple(words), tuple(forms), tree))
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
-        if line.strip() == "":
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
             flush(line_no)
+            block, words, forms, heads = [], [], [], []
             continue
         if line.startswith("#"):
-            if tokens or extras:
+            if block and not block[-1].startswith("#"):
                 raise ConlluError(line_no, "comment after word lines in the same block")
-            comments.append(line)
+            block.append(line)
             continue
         cols = line.split("\t")
         if len(cols) != N_COLUMNS:
             raise ConlluError(line_no, f"expected {N_COLUMNS} columns, found {len(cols)}")
         ident = cols[0]
-        if _WORD_ID.fullmatch(ident):
-            index = int(ident)
-            if index != len(tokens) + 1:
-                raise ConlluError(line_no, f"token id {index} out of sequence")
-            if not _INT.fullmatch(cols[HEAD_COLUMN]):
-                raise ConlluError(line_no, f"non-integer HEAD {cols[HEAD_COLUMN]!r}")
-            if not tokens:
+        if ident == str(len(words) + 1):
+            head = cols[HEAD_COLUMN]
+            if not (head.isascii() and head.isdigit()):
+                raise ConlluError(line_no, f"non-integer HEAD {head!r}")
+            if not words:
                 first_word_line = line_no
-            tokens.append(Token(index, cols[1], tuple(cols)))
+            words.append(len(block))
+            forms.append(cols[1])
+            heads.append(int(head))
         elif _RANGE_ID.fullmatch(ident) or _EMPTY_ID.fullmatch(ident):
-            extras.append((len(tokens) + len(extras), line))
+            pass
+        elif _WORD_ID.fullmatch(ident):
+            raise ConlluError(line_no, f"token id {ident} out of sequence")
         else:
             raise ConlluError(line_no, f"unrecognized token id {ident!r}")
+        block.append(line)
     flush(len(lines))
 
     return TreebankFile(parser_id, tuple(sentences))
@@ -142,35 +150,22 @@ def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFil
     return replace(parsed, path=str(p))
 
 
-def _sentence_lines(sentence: Sentence, tree: DepTree) -> list[str]:
-    lines = list(sentence.comments)
-    extras = dict(sentence.extra_rows)
-    n_rows = len(sentence.tokens) + len(extras)
-    it = iter(sentence.tokens)
-    for pos in range(n_rows):
-        if pos in extras:
-            lines.append(extras[pos])
-            continue
-        tok = next(it)
-        head = tree.heads[tok.index - 1]
-        cols = tok.columns
-        if int(cols[HEAD_COLUMN]) != head:
-            cols = cols[:HEAD_COLUMN] + (str(head),) + cols[HEAD_COLUMN + 1 :]
-        lines.append("\t".join(cols))
-    return lines
-
-
 def write_conllu(
     treebank: TreebankFile, predicted: Mapping[str, DepTree] | None = None
 ) -> str:
     """Serialize a treebank, substituting trees from ``predicted`` by id.
 
-    Sentences absent from ``predicted`` keep their own trees. Output is
-    byte-identical to the parsed input except for changed HEAD fields.
+    Sentences absent from ``predicted`` keep their own trees. Each sentence
+    is written as its verbatim lines followed by one empty line, and only
+    the HEAD column of a word line whose head changed is rewritten, so the
+    output ends with a single newline. A parsed file is written back byte
+    for byte, except that CRLF endings become LF, blank lines that are
+    whitespace or repeated become one empty line, and the blank line that
+    ends a file in the UD layout is not reproduced.
     """
     out: list[str] = []
     for sentence in treebank.sentences:
-        tree = sentence.tree
+        lines: Sequence[str] = sentence.lines
         if predicted is not None and sentence.sentence_id in predicted:
             tree = predicted[sentence.sentence_id]
             if len(tree) != len(sentence):
@@ -178,7 +173,14 @@ def write_conllu(
                     f"sentence {sentence.sentence_id!r}: predicted tree over "
                     f"{len(tree)} tokens, sentence has {len(sentence)}"
                 )
-        out.extend(_sentence_lines(sentence, tree))
+            if tree != sentence.tree:
+                lines = list(lines)
+                for w, old, new in zip(sentence.words, sentence.tree.heads, tree.heads):
+                    if old != new:
+                        cols = lines[w].split("\t")
+                        cols[HEAD_COLUMN] = str(new)
+                        lines[w] = "\t".join(cols)
+        out.extend(lines)
         out.append("")
     return "\n".join(out)
 

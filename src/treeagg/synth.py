@@ -16,7 +16,7 @@ import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
 from .conllu import TreebankFile, build_ensemble
-from .trees import DepTree, ParseEnsemble, Sentence, Token, validate_tree
+from .trees import DepTree, ParseEnsemble, Sentence, validate_tree
 
 _KEEP = 1.0
 _FILLER = 1e-6
@@ -90,12 +90,14 @@ def _corrupt(gold: DepTree, rate: float, rng: np.random.Generator) -> DepTree:
     return max_arborescence(graph, enforce_single_root=True)
 
 
-def _sentence(sid: str, trees_head: DepTree) -> Sentence:
-    tokens = tuple(
-        Token.make(d, f"w{d}", trees_head.heads[d - 1])
-        for d in range(1, len(trees_head) + 1)
+def _sentence(sid: str, tree: DepTree) -> Sentence:
+    q = len(tree)
+    forms = tuple(f"w{d}" for d in range(1, q + 1))
+    lines = (f"# sent_id = {sid}",) + tuple(
+        f"{d}\t{form}\t_\t_\t_\t_\t{h}\t_\t_\t_"
+        for d, (form, h) in enumerate(zip(forms, tree.heads), start=1)
     )
-    return Sentence(sid, tokens, trees_head, (f"# sent_id = {sid}",))
+    return Sentence(sid, lines, tuple(range(1, q + 1)), forms, tree)
 
 
 def generate(config: SynthConfig) -> SynthResult:

@@ -1,4 +1,4 @@
-"""Core domain types: tokens, sentences, dependency trees, parser ensembles.
+"""Core domain types: sentences, dependency trees, parser ensembles.
 
 Head conventions follow CoNLL-U: tokens are numbered 1..q, head 0 is the
 artificial root, and ``heads[d - 1]`` is the head of token ``d``.
@@ -6,7 +6,7 @@ artificial root, and ``heads[d - 1]`` is the head of token ``d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -99,63 +99,39 @@ def heads_from_edges(edges: Iterable[tuple[int, int]], q: int) -> DepTree:
 
 
 @dataclass(frozen=True)
-class Token:
-    """One syntactic word with its verbatim CoNLL-U columns.
-
-    ``columns`` holds all ten fields as read from file; the HEAD column
-    (index 6) is replaced on write when a new tree is supplied, everything
-    else passes through untouched.
-    """
-
-    index: int
-    form: str
-    columns: tuple[str, ...]
-
-    @classmethod
-    def make(cls, index: int, form: str, head: int) -> "Token":
-        cols = (str(index), form, "_", "_", "_", "_", str(head), "_", "_", "_")
-        return cls(index, form, cols)
-
-    @property
-    def upos(self) -> str:
-        return self.columns[3]
-
-
-@dataclass(frozen=True)
 class Sentence:
-    """A sentence: tokens, one tree, and verbatim non-word material.
+    """One CoNLL-U block: its verbatim lines and the tree over its words.
 
-    ``extra_rows`` carries multiword-token ranges and empty nodes as raw
-    lines keyed by their position in the row stream (words + extras, in file
-    order), so serialization can put them back exactly where they were.
+    ``lines`` are the block's lines in file order, without line endings:
+    comments, word lines, multiword-token ranges and empty nodes. ``words``
+    gives the index in ``lines`` of each word line, so word ``k`` (1-based)
+    is ``lines[words[k - 1]]``; ``forms`` are the words' FORM columns. The
+    HEAD columns must agree with ``tree``: writing rewrites only the word
+    lines whose head differs from it.
     """
 
     sentence_id: str
-    tokens: tuple[Token, ...]
+    lines: tuple[str, ...]
+    words: tuple[int, ...]
+    forms: tuple[str, ...]
     tree: DepTree
-    comments: tuple[str, ...] = ()
-    extra_rows: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.tokens:
-            raise ValueError(f"sentence {self.sentence_id!r} has no tokens")
-        if len(self.tree) != len(self.tokens):
+        if not self.words:
+            raise ValueError(f"sentence {self.sentence_id!r} has no words")
+        if not len(self.tree) == len(self.forms) == len(self.words):
             raise ValueError(
-                f"sentence {self.sentence_id!r}: {len(self.tokens)} tokens "
-                f"but tree over {len(self.tree)}"
+                f"sentence {self.sentence_id!r}: {len(self.words)} words, "
+                f"{len(self.forms)} forms, tree over {len(self.tree)}"
             )
-        for pos, tok in enumerate(self.tokens, start=1):
-            if tok.index != pos:
+        for k, w in enumerate(self.words, start=1):
+            if not self.lines[w].startswith(f"{k}\t"):
                 raise ValueError(
-                    f"sentence {self.sentence_id!r}: token {pos} carries index {tok.index}"
+                    f"sentence {self.sentence_id!r}: word {k} is line {self.lines[w]!r}"
                 )
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
+        return len(self.words)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import math
 from typing import Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
 from treeagg.trees import DepTree, ParseEnsemble, edges_of
@@ -87,6 +88,17 @@ def spearman(x, y) -> float:
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float(rx @ ry / np.sqrt((rx @ rx) * (ry @ ry)))
+
+
+@st.composite
+def head_sequences(draw, q):
+    """A valid tree over tokens 1..q: attach tokens in a random order, each
+    to the root or to a token attached before it."""
+    order = draw(st.permutations(range(1, q + 1)))
+    heads = [0] * q
+    for i, d in enumerate(order):
+        heads[d - 1] = draw(st.sampled_from((0,) + tuple(order[:i])))
+    return DepTree(tuple(heads))
 
 
 def conllu_text(sentences: list[tuple[str, list[str], list[int]]]) -> str:

@@ -28,9 +28,7 @@ def test_graph_validation():
 def test_graph_dedupes_keeping_larger_weight():
     g = WeightedTokenGraph("s", 2, ((0, 1, 1.0), (0, 1, 3.0), (0, 2, 2.0)))
     assert g.arcs == ((0, 1, 3.0), (0, 2, 2.0))
-    assert g.weight_of(0, 1) == 3.0
-    with pytest.raises(KeyError):
-        g.weight_of(1, 2)
+    assert tree_weight(g, DepTree((0, 0))) == 5.0  # the kept 3.0 plus 2.0
 
 
 def test_tree_weight_requires_arcs_present():

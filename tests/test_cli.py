@@ -193,6 +193,41 @@ def test_evaluate_perfect_prediction_scores_100(tmp_path):
     assert json.loads(out.read_text())["methods"]["self"] == 100.0
 
 
+def test_evaluate_exclude_punct_skips_punct_words(tmp_path):
+    def sentence(punct_head):
+        return (
+            "# sent_id = s1\n"
+            "1\ta\ta\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "2\tb\tb\tVERB\t_\t_\t1\tdep\t_\t_\n"
+            "2.1\t,\t,\tPUNCT\t_\t_\t_\t_\t_\t_\n"
+            f"3\t.\t.\tPUNCT\t_\t_\t{punct_head}\tpunct\t_\t_\n"
+            "\n"
+            "# sent_id = s2\n"
+            "1\tc\tc\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        )
+
+    gold = write(tmp_path / "gold.conllu", sentence(1))
+    pred = write(tmp_path / "parsers" / "p1.conllu", sentence(2))
+    scores = {}
+    for flag in ([], ["--exclude-punct"]):
+        out = tmp_path / "r.json"
+        assert run(
+            [
+                "evaluate",
+                "--gold", str(gold),
+                "--pred", f"p={pred}",
+                "--inputs", str(tmp_path / "parsers"),
+                "--out", str(out),
+                *flag,
+            ]
+        ) == EXIT_OK
+        scores[bool(flag)] = json.loads(out.read_text())["methods"]
+    # the wrong head is on the PUNCT word 3; the empty node is not a word
+    assert scores[False]["p"] == pytest.approx(75.0)
+    assert scores[True]["p"] == 100.0
+    assert scores[True]["best_parser"] == scores[True]["avg_parser"] == 100.0
+
+
 def test_missing_inputs_exit_with_error(tmp_path, capsys):
     code = run(
         [

@@ -1,6 +1,8 @@
 """CoNLL-U parsing, serialization, and cross-file checks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeagg.conllu import (
     ConlluError,
@@ -13,7 +15,7 @@ from treeagg.conllu import (
 )
 from treeagg.trees import DepTree
 
-from helpers import conllu_text
+from helpers import conllu_text, head_sequences
 
 # Comments, a multiword range, and an empty node, all of which must
 # survive a parse/write cycle byte for byte.
@@ -47,13 +49,13 @@ def test_parse_assigns_fallback_sentence_ids():
 def test_parse_extras_and_comments():
     tb = parse_conllu(FULL_FIXTURE)
     s = tb.sentences[0]
-    assert s.comments == ("# sent_id = rt1", "# text = ab c")
-    assert [t.form for t in s.tokens] == ["a", "b", "c"]
+    assert s.lines == tuple(FULL_FIXTURE.split("\n\n")[0].split("\n"))
+    assert s.lines[:2] == ("# sent_id = rt1", "# text = ab c")
+    assert s.forms == ("a", "b", "c")
     assert s.tree == DepTree((2, 0, 2))
-    # extras keep their position in the row stream: range first, empty
-    # node between words 2 and 3
-    assert [pos for pos, _ in s.extra_rows] == [0, 3]
-    assert s.tokens[2].upos == "PUNCT"
+    # the range line comes before word 1, the empty node between words 2 and 3
+    assert s.words == (3, 4, 6)
+    assert s.lines[s.words[2]].split("\t")[3] == "PUNCT"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -71,6 +73,23 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(ConlluError, match="unrecognized token id"):
         parse_conllu("x\ta\t_\t_\t_\t_\t0\t_\t_\t_\n")
+
+    first = "1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n"
+    # ids must be ASCII digits without leading zeros
+    for ident in ("01", "\u0661", "\u00b2"):
+        with pytest.raises(ConlluError, match="unrecognized token id") as err:
+            parse_conllu(first + f"{ident}\tb\t_\t_\t_\t_\t1\t_\t_\t_\n")
+        assert err.value.line_no == 2
+    # so must HEADs, though zero padding is read as the number
+    for head in ("\u0661", "\u00b2", ""):
+        with pytest.raises(ConlluError, match="non-integer HEAD") as err:
+            parse_conllu(first + f"2\tb\t_\t_\t_\t_\t{head}\t_\t_\t_\n")
+        assert err.value.line_no == 2
+    padded = first + "2\tb\t_\t_\t_\t_\t01\t_\t_\t_\n"
+    tb = parse_conllu(padded)
+    assert tb.trees == (DepTree((0, 1)),)
+    assert write_conllu(tb, {"s1": DepTree((0, 1))}) == padded
+    assert write_conllu(tb, {"s1": DepTree((2, 0))}).split("\n")[1].split("\t")[6] == "0"
 
 
 def test_parse_rejects_cycles_with_first_word_line():
@@ -102,6 +121,37 @@ def test_crlf_input_parses_like_lf():
     text = conllu_text([("s1", ["a", "b"], [0, 1])])
     crlf = text.replace("\n", "\r\n")
     assert write_conllu(parse_conllu(crlf)) == write_conllu(parse_conllu(text))
+
+
+def test_parse_accepts_line_iterables_with_or_without_endings():
+    expected = parse_conllu(FULL_FIXTURE)
+    crlf = FULL_FIXTURE.replace("\n", "\r\n")
+    for lines in (
+        FULL_FIXTURE.splitlines(),
+        FULL_FIXTURE.splitlines(keepends=True),
+        crlf.splitlines(keepends=True),
+        crlf.split("\n"),
+    ):
+        assert parse_conllu(lines) == expected
+        assert write_conllu(parse_conllu(lines)) == FULL_FIXTURE
+
+
+def test_write_ends_every_sentence_with_one_empty_line():
+    # The output ends in a single newline: the blank line that ends a file
+    # in the UD layout is not reproduced. Keeping it would change every
+    # output file, so a change here must be deliberate.
+    one = "1\ta\t_\t_\t_\t_\t0\t_\t_\t_"
+    two = "1\tb\t_\t_\t_\t_\t0\t_\t_\t_"
+    expected = f"{one}\n\n{two}\n"
+    for source in (
+        f"{one}\n\n{two}",
+        f"{one}\n\n{two}\n",
+        f"{one}\n\n{two}\n\n",
+        f"\n{one}\n \n\n{two}\n\n\n",
+        f"{one}\r\n\r\n{two}\r\n\r\n",
+    ):
+        assert write_conllu(parse_conllu(source)) == expected
+    assert write_conllu(parse_conllu("")) == ""
 
 
 def test_roundtrip_is_byte_identical():
@@ -175,3 +225,67 @@ def test_build_ensemble_aligns_by_position():
         build_ensemble([a, short])
     with pytest.raises(ValueError, match="no parser files"):
         build_ensemble([])
+
+
+# ------------------------------------------------ properties
+
+
+_FIELD = st.text(alphabet="abXY_:=|-. ", min_size=1, max_size=4)
+
+
+@st.composite
+def conllu_blocks(draw):
+    """One CoNLL-U block as (lines, tree): comments, word lines with
+    optionally zero-padded HEADs, multiword ranges and empty nodes."""
+    tree = draw(head_sequences(draw(st.integers(1, 6))))
+    q = len(tree)
+    lines = [f"# {draw(_FIELD)}" for _ in range(draw(st.integers(0, 2)))]
+    for d, h in enumerate(tree.heads, start=1):
+        if d < q and draw(st.booleans()):
+            lines.append(f"{d}-{d + 1}\t{draw(_FIELD)}" + "\t_" * 8)
+        head = f"0{h}" if draw(st.booleans()) else str(h)
+        cols = [str(d)] + [draw(_FIELD) for _ in range(5)] + [head]
+        lines.append("\t".join(cols + [draw(_FIELD) for _ in range(3)]))
+        if draw(st.booleans()):
+            lines.append(f"{d}.1\t{draw(_FIELD)}" + "\t_" * 8)
+    return lines, tree
+
+
+@st.composite
+def conllu_files(draw):
+    blocks = draw(st.lists(conllu_blocks(), min_size=1, max_size=4))
+    for i, (lines, _) in enumerate(blocks):
+        if draw(st.booleans()):
+            lines.insert(0, f"# sent_id = b{i}")
+    return blocks, draw(st.booleans()), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(conllu_files(), st.data())
+def test_write_reproduces_source_and_moves_only_heads(source, data):
+    blocks, final_blank, crlf = source
+    expected = "\n\n".join("\n".join(lines) for lines, _ in blocks) + "\n"
+    text = expected + ("\n" if final_blank else "")
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    tb = parse_conllu(text)
+    assert tb.trees == tuple(tree for _, tree in blocks)
+    assert write_conllu(tb) == expected
+
+    predicted = {
+        s.sentence_id: data.draw(head_sequences(len(s))) for s in tb.sentences
+    }
+    before = expected.split("\n")
+    after = write_conllu(tb, predicted).split("\n")
+    assert len(after) == len(before)
+    moved = set()
+    offset = 0
+    for s in tb.sentences:
+        for w, old, new in zip(s.words, s.tree.heads, predicted[s.sentence_id].heads):
+            if old != new:
+                moved.add(offset + w)
+                cols = before[offset + w].split("\t")
+                cols[6] = str(new)
+                assert after[offset + w] == "\t".join(cols)
+        offset += len(s.lines) + 1
+    assert [i for i, (b, a) in enumerate(zip(before, after)) if b != a] == sorted(moved)

@@ -16,7 +16,7 @@ from treeagg.edges import (
 )
 from treeagg.trees import DepTree, ParseEnsemble, edges_of
 
-from helpers import reference_dump_lines, reference_label_matrix
+from helpers import head_sequences, reference_dump_lines, reference_label_matrix
 
 
 def two_parser_ensemble():
@@ -163,17 +163,6 @@ def test_dump_lines_format():
 
 
 # ------------------------------------------------ properties vs reference
-
-
-@st.composite
-def head_sequences(draw, q):
-    """A valid tree over tokens 1..q: attach tokens in a random order, each
-    to the root or to a token attached before it."""
-    order = draw(st.permutations(range(1, q + 1)))
-    heads = [0] * q
-    for i, d in enumerate(order):
-        heads[d - 1] = draw(st.sampled_from((0,) + tuple(order[:i])))
-    return DepTree(tuple(heads))
 
 
 @st.composite

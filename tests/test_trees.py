@@ -7,7 +7,6 @@ from treeagg.trees import (
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
-    Token,
     edges_of,
     heads_from_edges,
     pooled_ensemble,
@@ -59,17 +58,26 @@ def test_heads_from_edges_rejects_bad_edge_sets():
 
 
 def test_sentence_invariants():
-    tokens = (Token.make(1, "a", 0), Token.make(2, "b", 1))
-    sent = Sentence("s1", tokens, DepTree((0, 1)))
+    lines = (
+        "# sent_id = s1",
+        "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
+        "2\tb\t_\t_\t_\t_\t1\t_\t_\t_",
+    )
+    sent = Sentence("s1", lines, (1, 2), ("a", "b"), DepTree((0, 1)))
     assert len(sent) == 2
     assert sent.forms == ("a", "b")
-    with pytest.raises(ValueError, match="no tokens"):
-        Sentence("s2", (), DepTree((0,)))
-    with pytest.raises(ValueError, match="tokens"):
-        Sentence("s3", tokens, DepTree((0,)))
-    bad = (Token.make(1, "a", 0), Token.make(3, "b", 1))
-    with pytest.raises(ValueError, match="carries index"):
-        Sentence("s4", bad, DepTree((0, 1)))
+    with pytest.raises(ValueError, match="no words"):
+        Sentence("s2", lines[:1], (), (), DepTree((0,)))
+    with pytest.raises(ValueError, match="tree over 1"):
+        Sentence("s3", lines, (1, 2), ("a", "b"), DepTree((0,)))
+    with pytest.raises(ValueError, match="1 forms"):
+        Sentence("s3", lines, (1, 2), ("a",), DepTree((0, 1)))
+    # word k must be the line whose id is k
+    misnumbered = lines[:2] + ("3\tb\t_\t_\t_\t_\t1\t_\t_\t_",)
+    with pytest.raises(ValueError, match="word 2 is line"):
+        Sentence("s4", misnumbered, (1, 2), ("a", "b"), DepTree((0, 1)))
+    with pytest.raises(ValueError, match="word 1 is line"):
+        Sentence("s5", lines, (0, 2), ("a", "b"), DepTree((0, 1)))
 
 
 def _ens(parser_ids, trees):
