@@ -79,9 +79,6 @@ from .trees import (
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
-    edges_of,
-    heads_from_edges,
-    pooled_ensemble,
     validate_tree,
 )
 
@@ -118,13 +115,11 @@ __all__ = [
     "collapse_correlated",
     "crh_run",
     "crh_trees",
-    "edges_of",
     "estimate_correlation_graph",
     "estimate_mean_params",
     "fit_canonical_params",
     "fit_l1_logistic",
     "generate",
-    "heads_from_edges",
     "infer_scores",
     "label_matrix",
     "load_treebank",
@@ -132,7 +127,6 @@ __all__ = [
     "max_arborescence",
     "method_diffs",
     "parse_conllu",
-    "pooled_ensemble",
     "preprocess",
     "rank_and_select",
     "save_treebank",

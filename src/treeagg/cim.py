@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -174,10 +174,6 @@ class CollapseMap:
     components: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
 
-    @property
-    def column_of(self) -> dict[int, int]:
-        return {j: c for c, comp in enumerate(self.components) for j in comp}
-
 
 def collapse_correlated(
     matrix: EdgeLabelMatrix, graph: CorrelationGraph
@@ -226,7 +222,9 @@ def collapse_correlated(
         pseudo = np.where(s > 0, 1, np.where(s < 0, -1, matrix.labels[:, rep]))
         cols.append(pseudo.astype(np.int8))
         ids.append("+".join(matrix.parser_ids[j] for j in comp))
-    reduced = matrix.with_labels(np.column_stack(cols).astype(np.int8), tuple(ids))
+    reduced = replace(
+        matrix, labels=np.column_stack(cols).astype(np.int8), parser_ids=tuple(ids)
+    )
     return reduced, CollapseMap(components, representatives)
 
 
@@ -235,17 +233,15 @@ class IsingParams:
     """Mean parameters, canonical parameters, and fit diagnostics.
 
     ``mu00`` is the mean of the majority-vote proxy for Y, ``mu_plus`` the
-    per-parser label means, ``mu0_plus`` the estimated E[L_j * Y], and
-    ``mu_plus_plus`` pairwise products for correlated pairs. Only
-    ``theta00`` and ``theta0_plus`` matter for inference; per-parser
-    singleton terms have no estimation procedure here and exist only as
-    oracle inputs.
+    per-parser label means and ``mu0_plus`` the estimated E[L_j * Y].
+    ``theta00`` and ``theta0_plus`` are the canonical parameters inference
+    needs; the per-parser singleton and pairwise terms cancel in the
+    posterior and are not estimated.
     """
 
     mu00: float
     mu_plus: tuple[float, ...]
     mu0_plus: tuple[float, ...]
-    mu_plus_plus: Mapping[tuple[int, int], float] = field(default_factory=dict)
     triplet_fallback: bool = False
     theta00: float | None = None
     theta0_plus: tuple[float, ...] | None = None
@@ -280,10 +276,7 @@ def accuracy_moment_from_pair_means(
 
 
 def estimate_mean_params(
-    matrix: EdgeLabelMatrix,
-    pairs: Iterable[tuple[int, int]] = (),
-    triplet_min: float = 0.01,
-    clamp: tuple[float, float] = (0.001, 0.999),
+    matrix: EdgeLabelMatrix, triplet_min: float = 0.01
 ) -> IsingParams:
     """Triplet method-of-moments estimates of the mean parameters.
 
@@ -298,7 +291,7 @@ def estimate_mean_params(
     with mu00 taken from the majority vote. On balanced data this reduces
     to the triplet median itself. The square root is taken positive
     (parsers are assumed better than chance); results are clamped into
-    ``clamp`` by magnitude. With fewer than three parsers, a degenerate
+    [0.001, 0.999] by magnitude. With fewer than three parsers, a degenerate
     majority vote, or no usable triplet for a column, that column falls
     back to the empirical mean of L_j times the majority vote (keeping
     its sign) and the result is flagged.
@@ -312,7 +305,6 @@ def estimate_mean_params(
     covariances = pair_means - np.outer(mu_plus, mu_plus)
     var_y = 1.0 - mu00**2
 
-    lo, hi = clamp
     mu0 = np.empty(m)
     fallback = False
     for j in range(m):
@@ -328,16 +320,11 @@ def estimate_mean_params(
             fallback = True
             mu0[j] = float((labels[:, j] * mv_f).mean())
     signs = np.where(mu0 < 0, -1.0, 1.0)
-    mu0 = signs * np.clip(np.abs(mu0), lo, hi)
-
-    mu_pp = {
-        (j, k): float(pair_means[j, k]) for j, k in pairs
-    }
+    mu0 = signs * np.clip(np.abs(mu0), 0.001, 0.999)
     return IsingParams(
         mu00=mu00,
         mu_plus=tuple(float(v) for v in mu_plus),
         mu0_plus=tuple(float(v) for v in mu0),
-        mu_plus_plus=mu_pp,
         triplet_fallback=fallback,
     )
 
@@ -524,10 +511,9 @@ def cim_run(matrix: EdgeLabelMatrix, opts: CimOptions = CimOptions()) -> CimResu
             l1_penalty=opts.l1_penalty,
             coef_threshold=opts.coef_threshold,
         )
-        reduced, cmap = collapse_correlated(matrix, graph)
     else:
         graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
-        reduced, cmap = collapse_correlated(matrix, graph)
+    reduced, cmap = collapse_correlated(matrix, graph)
     means = estimate_mean_params(reduced, triplet_min=opts.triplet_min)
     params = fit_canonical_params(means, reduced)
     if not params.converged:

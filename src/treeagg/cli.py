@@ -21,6 +21,7 @@ preprocessing thresholds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from . import crh as crh_mod
 from .conllu import (
     ConlluError,
     TreebankFile,
+    build_ensemble,
     load_treebank,
     save_treebank,
 )
@@ -53,10 +55,20 @@ EXIT_REJECTED = 3
 METHODS = ("mst", "crh", "cim")
 
 
-def _load_parser_dir(inputs: str) -> list[TreebankFile]:
+def _load_parser_dir(
+    inputs: str, selected: Sequence[str] | None = None
+) -> list[TreebankFile]:
+    """Parse the ``*.conllu`` files under ``inputs`` in name order, or with
+    ``selected`` only those whose stem is a selected parser id."""
     paths = sorted(Path(inputs).glob("*.conllu"))
     if not paths:
         raise FileNotFoundError(f"no .conllu files under {inputs}")
+    if selected is not None:
+        stems = {p.stem for p in paths}
+        missing = [s for s in selected if s not in stems]
+        if missing:
+            raise ValueError(f"selected parsers not found: {missing}")
+        paths = [p for p in paths if p.stem in selected]
     return [load_treebank(p) for p in paths]
 
 
@@ -99,8 +111,6 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     files = _load_parser_dir(args.inputs)
     gold = load_treebank(args.gold)
-    from .conllu import build_ensemble
-
     ensemble = build_ensemble(files)
     result = rank_and_select(
         ensemble, gold.trees, args.sample_size, args.top_k, args.seed
@@ -126,16 +136,7 @@ def _selected_ids(path: str | None) -> list[str] | None:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    files = _load_parser_dir(args.inputs)
-    selected = _selected_ids(args.selected)
-    if selected is not None:
-        by_id = {f.parser_id: f for f in files}
-        missing = [p for p in selected if p not in by_id]
-        if missing:
-            raise ValueError(f"selected parsers not found: {missing}")
-        files = [f for f in files if f.parser_id in set(selected)]
-    from .conllu import build_ensemble
-
+    files = _load_parser_dir(args.inputs, _selected_ids(args.selected))
     ensemble = build_ensemble(files)
     # vote_mst builds its own matrix, so mst needs one here only to dump it.
     if args.dump_matrix or args.method != "mst":
@@ -188,10 +189,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         methods[name] = uas(pred.trees, gold.trees, exclude)
     selected: tuple[str, ...] = ()
     if args.inputs:
-        files = _load_parser_dir(args.inputs)
         sel = _selected_ids(args.selected)
+        files = _load_parser_dir(args.inputs, sel)
         if sel is not None:
-            files = [f for f in files if f.parser_id in set(sel)]
             selected = tuple(sel)
         per_parser = {
             f.parser_id: uas(f.trees, gold.trees, exclude) for f in files
@@ -306,7 +306,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="treeagg",
         description="Aggregate dependency parser ensembles into consensus trees.",

@@ -40,7 +40,6 @@ class TreebankFile:
 
     parser_id: str
     sentences: tuple[Sentence, ...]
-    path: str | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -146,8 +145,7 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
 def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFile:
     p = Path(path)
     with open(p, encoding="utf-8", newline="") as fh:
-        parsed = parse_conllu(fh, parser_id if parser_id is not None else p.stem)
-    return replace(parsed, path=str(p))
+        return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
 
 
 def write_conllu(

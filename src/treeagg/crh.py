@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, majority_vote, tree_labels, trees_from_scores
+from .edges import EdgeLabelMatrix, tree_labels, trees_from_scores
 from .trees import DepTree, ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
@@ -54,6 +54,10 @@ def _costs_edge(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
     return (matrix.labels != truths[:, None]).sum(axis=0).astype(np.float64)
 
 
+def _weights(costs: np.ndarray) -> np.ndarray:
+    return -np.log(costs / costs.sum())
+
+
 def weight_update(
     truths: np.ndarray, matrix: EdgeLabelMatrix, eps: float = 1e-8
 ) -> np.ndarray:
@@ -62,8 +66,7 @@ def weight_update(
     Costs are smoothed by ``eps`` so perfect parsers keep finite weight;
     the result always satisfies sum(exp(-w)) == 1.
     """
-    costs = _costs_edge(truths, matrix) + eps
-    return -np.log(costs / costs.sum())
+    return _weights(_costs_edge(truths, matrix) + eps)
 
 
 def truth_update(weights: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
@@ -111,15 +114,20 @@ def crh_run(
     if uas_mode and ensemble is None:
         raise ValueError('distance "uas" needs the ensemble')
 
-    truths = majority_vote(matrix)
-    trees: dict[str, DepTree] = {}
-    if uas_mode:
-        assert ensemble is not None
-        uniform = np.ones(matrix.m)
-        trees = _weighted_vote_trees(
-            uniform, matrix, ensemble, opts.enforce_single_root
-        )
-        truths = tree_labels(matrix, trees)
+    def step(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The truth step for ``weights``, and the costs of its truths."""
+        if uas_mode:
+            assert ensemble is not None
+            trees = _weighted_vote_trees(
+                weights, matrix, ensemble, opts.enforce_single_root
+            )
+            return tree_labels(matrix, trees), _uas_costs(ensemble, trees) + opts.eps
+        truths = truth_update(weights, matrix)
+        return truths, _costs_edge(truths, matrix) + opts.eps
+
+    # start from the unweighted vote: the majority vote, or in uas mode
+    # the unweighted vote trees
+    truths, costs = step(np.ones(matrix.m))
 
     objective = np.inf
     history: list[float] = []
@@ -127,24 +135,9 @@ def crh_run(
     converged = False
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
-        if uas_mode:
-            assert ensemble is not None
-            costs = _uas_costs(ensemble, trees) + opts.eps
-        else:
-            costs = _costs_edge(truths, matrix) + opts.eps
-        weights = -np.log(costs / costs.sum())
-
-        if uas_mode:
-            assert ensemble is not None
-            trees = _weighted_vote_trees(
-                weights, matrix, ensemble, opts.enforce_single_root
-            )
-            new_truths = tree_labels(matrix, trees)
-            new_costs = _uas_costs(ensemble, trees) + opts.eps
-        else:
-            new_truths = truth_update(weights, matrix)
-            new_costs = _costs_edge(new_truths, matrix) + opts.eps
-        new_objective = float(weights @ new_costs)
+        weights = _weights(costs)
+        new_truths, costs = step(weights)
+        new_objective = float(weights @ costs)
         history.append(new_objective)
 
         unchanged = bool(np.array_equal(new_truths, truths))

@@ -11,7 +11,7 @@ and row r is the edge ``heads[r] -> deps[r]``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -59,11 +59,6 @@ class EdgeLabelMatrix:
     @property
     def m(self) -> int:
         return len(self.parser_ids)
-
-    def with_labels(
-        self, labels: np.ndarray, parser_ids: tuple[str, ...]
-    ) -> "EdgeLabelMatrix":
-        return replace(self, labels=labels, parser_ids=parser_ids)
 
     @classmethod
     def from_labels(

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conllu import TreebankFile, build_ensemble, check_segmentation
+from .conllu import TreebankFile, check_segmentation
 from .edges import label_matrix, trees_from_scores
 from .trees import DepTree, ParseEnsemble
 
@@ -37,7 +37,6 @@ class FilterLog:
 
 @dataclass(frozen=True)
 class PreprocessResult:
-    ensemble: ParseEnsemble | None
     files: tuple[TreebankFile, ...] | None
     gold: TreebankFile | None
     log: FilterLog
@@ -66,7 +65,7 @@ def preprocess(
             total, 0, 0, (), len(files),
             f"{len(files)} parsers, need at least {min_parsers}",
         )
-        return PreprocessResult(None, None, None, log)
+        return PreprocessResult(None, None, log)
     seg_ok = check_segmentation([*files, gold])
     seg_dropped = seg_ok.count(False)
     kept: list[int] = []
@@ -84,11 +83,10 @@ def preprocess(
             total, seg_dropped, agree_dropped, tuple(kept), len(files),
             f"{len(kept)} surviving sentences, need at least {min_sentences}",
         )
-        return PreprocessResult(None, None, None, log)
+        return PreprocessResult(None, None, log)
     log = FilterLog(total, seg_dropped, agree_dropped, tuple(kept), len(files))
-    filtered = tuple(f.subset(kept) for f in files)
     return PreprocessResult(
-        build_ensemble(filtered), filtered, gold.subset(kept), log
+        tuple(f.subset(kept) for f in files), gold.subset(kept), log
     )
 
 

@@ -7,7 +7,7 @@ artificial root, and ``heads[d - 1]`` is the head of token ``d``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class InvalidTreeError(ValueError):
@@ -17,7 +17,7 @@ class InvalidTreeError(ValueError):
 @dataclass(frozen=True)
 class TreeCheck:
     ok: bool
-    reason: str | None = None  # "out-of-range" | "self-loop" | "cycle" | "unreachable"
+    reason: str | None = None  # "out-of-range" | "self-loop" | "cycle"
 
 
 def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
@@ -33,9 +33,8 @@ def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
             return TreeCheck(False, "out-of-range")
         if h == d:
             return TreeCheck(False, "self-loop")
-    # Every token has exactly one head, so the parent walk from any token
-    # either reaches the root or enters a cycle; "unreachable" is kept for
-    # completeness but cannot fire once the range checks above have passed.
+    # Every token has exactly one head, so once the range checks above have
+    # passed, the parent walk from any token reaches the root or a cycle.
     state = [0] * (q + 1)  # 0 unseen, 1 on current walk, 2 known good
     state[0] = 2
     for start in range(1, q + 1):
@@ -50,8 +49,6 @@ def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
             state[v] = 2
         if verdict == 1:
             return TreeCheck(False, "cycle")
-        if verdict != 2:
-            return TreeCheck(False, "unreachable")
     return TreeCheck(True)
 
 
@@ -72,30 +69,6 @@ class DepTree:
 
     def __len__(self) -> int:
         return len(self.heads)
-
-    @property
-    def root_edges(self) -> int:
-        return self.heads.count(0)
-
-
-def edges_of(tree: DepTree) -> list[tuple[int, int]]:
-    """Directed edges (head, dependent) of a tree, ordered by dependent."""
-    return [(h, d) for d, h in enumerate(tree.heads, start=1)]
-
-
-def heads_from_edges(edges: Iterable[tuple[int, int]], q: int) -> DepTree:
-    """Inverse of :func:`edges_of`; rejects duplicate or missing dependents."""
-    heads = [-1] * q
-    for h, d in edges:
-        if not 1 <= d <= q:
-            raise InvalidTreeError(f"dependent {d} outside 1..{q}")
-        if heads[d - 1] != -1:
-            raise InvalidTreeError(f"dependent {d} has two heads")
-        heads[d - 1] = h
-    if any(h == -1 for h in heads):
-        missing = [d for d, h in enumerate(heads, start=1) if h == -1]
-        raise InvalidTreeError(f"dependents without a head: {missing}")
-    return DepTree(tuple(heads))
 
 
 @dataclass(frozen=True)
@@ -166,35 +139,3 @@ class ParseEnsemble:
 
     def token_count(self, sentence_id: str) -> int:
         return len(self.trees[sentence_id][0])
-
-    def restrict(self, parser_ids: Sequence[str]) -> "ParseEnsemble":
-        """Keep only the given parsers, in current ensemble order."""
-        keep = [i for i, p in enumerate(self.parser_ids) if p in set(parser_ids)]
-        if len(keep) != len(parser_ids):
-            missing = set(parser_ids) - set(self.parser_ids)
-            raise ValueError(f"unknown parser ids: {sorted(missing)}")
-        return ParseEnsemble(
-            tuple(self.parser_ids[i] for i in keep),
-            {sid: tuple(ts[i] for i in keep) for sid, ts in self.trees.items()},
-        )
-
-
-def pooled_ensemble(parts: Mapping[str, ParseEnsemble]) -> ParseEnsemble:
-    """Pool several treebanks' ensembles into one, for corpus-level estimation.
-
-    Sentence ids are prefixed with the treebank name to stay unique. All
-    parts must share the same parser ids in the same order.
-    """
-    if not parts:
-        raise ValueError("nothing to pool")
-    ids = None
-    merged: dict[str, tuple[DepTree, ...]] = {}
-    for name, ens in parts.items():
-        if ids is None:
-            ids = ens.parser_ids
-        elif ens.parser_ids != ids:
-            raise ValueError(f"treebank {name!r} has different parser ids")
-        for sid, ts in ens.trees.items():
-            merged[f"{name}/{sid}"] = ts
-    assert ids is not None
-    return ParseEnsemble(ids, merged)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from treeagg.cim import CimResult, cim_run, cim_trees
+from treeagg.conllu import build_ensemble
 from treeagg.crh import CrhState, crh_run, crh_trees
 from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.evaluation import uas, vote_mst
@@ -80,8 +81,7 @@ def corpus() -> CorpusRuns:
     cim_uas = _uas_of(cim_trees(cim.scores, matrix, synth.ensemble), synth)
     elapsed = time.perf_counter() - start
 
-    ensemble9 = synth.ensemble.restrict(synth.ensemble.parser_ids[:9])
-    matrix9 = label_matrix(ensemble9)
+    matrix9 = label_matrix(build_ensemble(synth.files[:9]))
     cim9 = cim_run(matrix9)
     return CorpusRuns(
         synth=synth,

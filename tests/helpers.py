@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
-from treeagg.trees import DepTree, ParseEnsemble, edges_of
+from treeagg.trees import DepTree, ParseEnsemble
 
 
 def random_complete_digraph(
@@ -214,6 +214,11 @@ def joint_prob_oracle(
         np.logaddexp.reduce([energy(s[0], s[1:]) for s in states])
     )
     return math.exp(energy(float(y), np.asarray(labels, dtype=np.float64)) - log_z)
+
+
+def edges_of(tree: DepTree) -> list[tuple[int, int]]:
+    """Directed edges (head, dependent) of a tree, ordered by dependent."""
+    return [(h, d) for d, h in enumerate(tree.heads, start=1)]
 
 
 def reference_label_matrix(ensemble: ParseEnsemble):

@@ -30,6 +30,7 @@ from treeagg.cim import (
     infer_scores,
     plugin_canonical_params,
 )
+from treeagg.conllu import build_ensemble
 from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree, ParseEnsemble
@@ -520,7 +521,7 @@ def test_run_detects_and_removes_the_duplicate():
         "parser_4",
     )
     # the collapsed matrix is exactly the four distinct parsers
-    four = label_matrix(result.ensemble.restrict(result.ensemble.parser_ids[:4]))
+    four = label_matrix(build_ensemble(result.files[:4]))
     assert (out.reduced.labels == four.labels).all()
     assert out.scores.shape == (matrix.n_edges,)
     assert ((out.scores > 0.0) & (out.scores < 1.0)).all()

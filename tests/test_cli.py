@@ -34,6 +34,12 @@ def test_synth_writes_corpus_manifest_and_is_reproducible(tmp_path):
     assert manifest["accuracies"] == [1.0, 0.85, 0.7, 0.85]
     for rel in ("gold.conllu", "parsers/parser_2.conllu"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+    # the argument parser is built once per process; a run without
+    # --duplicate-of must not see the earlier runs' duplicates
+    assert run([*args[:-2], "--out-dir", str(tmp_path / "c")]) == EXIT_OK
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["duplicates"] == []
+    assert manifest["parsers"] == ["parser_1", "parser_2", "parser_3"]
 
 
 def test_synth_rejects_bad_rates(tmp_path, capsys):
@@ -347,7 +353,7 @@ def test_unknown_selected_parser_errors(tmp_path, capsys):
             "--seed", "2",
         ]
     ) == EXIT_OK
-    selected = write(tmp_path / "sel.json", json.dumps(["parser_9"]))
+    selected = write(tmp_path / "sel.json", json.dumps(["parser_1", "parser_9"]))
     code = run(
         [
             "aggregate",
@@ -358,7 +364,20 @@ def test_unknown_selected_parser_errors(tmp_path, capsys):
         ]
     )
     assert code == EXIT_ERROR
-    assert "not found" in capsys.readouterr().err
+    assert "selected parsers not found: ['parser_9']" in capsys.readouterr().err
+    code = run(
+        [
+            "evaluate",
+            "--gold", str(corpus / "gold.conllu"),
+            "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
+            "--inputs", str(corpus / "parsers"),
+            "--selected", str(selected),
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert "selected parsers not found: ['parser_9']" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_usage_error_exits_two():

@@ -186,7 +186,6 @@ def test_load_and_save(tmp_path):
     path.write_text(FULL_FIXTURE, encoding="utf-8")
     tb = load_treebank(path)
     assert tb.parser_id == "sample"  # stem is the default id
-    assert tb.path == str(path)
     out = tmp_path / "copy.conllu"
     save_treebank(tb, out)
     assert out.read_text(encoding="utf-8") == FULL_FIXTURE

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeagg.crh import (
     CrhOptions,
@@ -102,6 +104,29 @@ def test_permuting_columns_permutes_weights():
     b = crh_run(EdgeLabelMatrix.from_labels(labels[:, perm]))
     assert np.allclose(b.weights, a.weights[perm])
     assert (a.truths == b.truths).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_permuting_rows_permutes_only_the_truths(data):
+    m = data.draw(st.integers(2, 6), label="m")
+    n = data.draw(st.integers(1, 40), label="n")
+    votes = data.draw(
+        st.lists(
+            st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        ),
+        label="votes",
+    )
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    labels = np.array(votes, dtype=np.int8)
+    a = crh_run(EdgeLabelMatrix.from_labels(labels))
+    b = crh_run(EdgeLabelMatrix.from_labels(labels[perm]))
+    assert np.array_equal(b.weights, a.weights)
+    assert b.iterations == a.iterations
+    assert b.objective_history == a.objective_history
+    assert np.array_equal(b.truths, a.truths[perm])
 
 
 def test_two_parser_symmetry_is_an_exact_tie():

@@ -14,9 +14,14 @@ from treeagg.edges import (
     tree_labels,
     trees_from_scores,
 )
-from treeagg.trees import DepTree, ParseEnsemble, edges_of
+from treeagg.trees import DepTree, ParseEnsemble
 
-from helpers import head_sequences, reference_dump_lines, reference_label_matrix
+from helpers import (
+    edges_of,
+    head_sequences,
+    reference_dump_lines,
+    reference_label_matrix,
+)
 
 
 def two_parser_ensemble():

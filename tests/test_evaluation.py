@@ -97,7 +97,7 @@ def test_preprocess_filters_and_counts():
     assert result.log.agree_dropped == 10
     assert result.log.kept_positions == tuple(range(15, 60))
     assert result.log.rejected is None
-    assert len(result.ensemble.sentence_ids) == 45
+    assert [len(f) for f in result.files] == [45, 45]
     assert len(result.gold) == 45
 
 
@@ -108,15 +108,16 @@ def test_preprocess_is_idempotent():
     assert second.log.seg_dropped == 0
     assert second.log.agree_dropped == 0
     assert len(second.log.kept_positions) == 45
-    assert second.ensemble.sentence_ids == first.ensemble.sentence_ids
+    assert second.files == first.files
+    assert second.gold == first.gold
 
 
 def test_preprocess_rejects_thin_treebanks():
     fa, fb, gold = sixty_sentence_fixture()
     # 45 survivors fall short of the default 50-sentence floor
     rejected = preprocess([fa, fb], gold, min_parsers=2)
-    assert rejected.ensemble is None
     assert rejected.files is None
+    assert rejected.gold is None
     assert "45 surviving sentences" in rejected.log.rejected
     assert rejected.log.kept_positions == tuple(range(15, 60))
 
@@ -124,7 +125,8 @@ def test_preprocess_rejects_thin_treebanks():
 def test_preprocess_rejects_too_few_parsers():
     fa, _, gold = sixty_sentence_fixture()
     rejected = preprocess([fa], gold, min_sentences=40, min_parsers=2)
-    assert rejected.ensemble is None
+    assert rejected.files is None
+    assert rejected.gold is None
     assert "1 parsers, need at least 2" in rejected.log.rejected
 
 

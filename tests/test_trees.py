@@ -7,11 +7,10 @@ from treeagg.trees import (
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
-    edges_of,
-    heads_from_edges,
-    pooled_ensemble,
     validate_tree,
 )
+
+from helpers import edges_of
 
 
 def test_validate_tree_accepts_valid_sequences():
@@ -31,7 +30,7 @@ def test_validate_tree_names_first_violation():
 def test_deptree_validates_on_construction():
     tree = DepTree((0, 1, 1))
     assert len(tree) == 3
-    assert tree.root_edges == 1
+    assert tree.heads.count(0) == 1
     with pytest.raises(InvalidTreeError):
         DepTree((2, 1))
     with pytest.raises(InvalidTreeError):
@@ -45,16 +44,7 @@ def test_deptree_coerces_to_int_tuple():
 def test_edges_roundtrip():
     tree = DepTree((2, 0, 2))
     assert edges_of(tree) == [(2, 1), (0, 2), (2, 3)]
-    assert heads_from_edges(edges_of(tree), 3) == tree
-
-
-def test_heads_from_edges_rejects_bad_edge_sets():
-    with pytest.raises(InvalidTreeError, match="two heads"):
-        heads_from_edges([(0, 1), (2, 1)], 2)
-    with pytest.raises(InvalidTreeError, match="without a head"):
-        heads_from_edges([(0, 1)], 2)
-    with pytest.raises(InvalidTreeError, match="outside"):
-        heads_from_edges([(0, 5)], 2)
+    assert DepTree(tuple(h for h, _ in edges_of(tree))) == tree
 
 
 def test_sentence_invariants():
@@ -96,26 +86,3 @@ def test_ensemble_invariants():
         _ens(["a", "b"], {"s1": (t,)})
     with pytest.raises(ValueError, match="token count"):
         _ens(["a", "b"], {"s1": (t, DepTree((0,)))})
-
-
-def test_restrict_keeps_ensemble_order():
-    t1, t2, t3 = DepTree((0,)), DepTree((0,)), DepTree((0,))
-    ens = _ens(["a", "b", "c"], {"s1": (t1, t2, t3)})
-    # request order does not matter, ensemble order wins
-    sub = ens.restrict(["c", "a"])
-    assert sub.parser_ids == ("a", "c")
-    with pytest.raises(ValueError, match="unknown parser ids"):
-        ens.restrict(["a", "zz"])
-
-
-def test_pooled_ensemble_prefixes_sentence_ids():
-    t = DepTree((0,))
-    e1 = _ens(["a", "b"], {"s1": (t, t)})
-    e2 = _ens(["a", "b"], {"s1": (t, t), "s2": (t, t)})
-    pooled = pooled_ensemble({"x": e1, "y": e2})
-    assert pooled.sentence_ids == ("x/s1", "y/s1", "y/s2")
-    e3 = _ens(["a", "c"], {"s1": (t, t)})
-    with pytest.raises(ValueError, match="different parser ids"):
-        pooled_ensemble({"x": e1, "y": e3})
-    with pytest.raises(ValueError, match="nothing to pool"):
-        pooled_ensemble({})
