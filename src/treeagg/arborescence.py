@@ -3,8 +3,9 @@
 The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
 the artificial node 0. Ties are broken deterministically: candidate arcs
 are scanned in (head, dependent) order and only strict improvements
-replace the incumbent, so among equal-weight optima the head sequence that
-compares lexicographically smallest wins.
+replace the incumbent. Among equal-weight optima the lexicographically
+smallest head sequence wins only while no cycle is contracted; after one,
+the winner depends on which cycle was met first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trees import DepTree
+from .trees import DepTree, find_cycle
 
 
 class NoArborescenceError(ValueError):
@@ -23,13 +24,12 @@ class NoArborescenceError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedTokenGraph:
-    """Candidate arcs (head, dependent) -> weight for one sentence.
+    """Candidate arcs (head, dependent) -> weight over tokens 1..q.
 
     Arcs are deduplicated keeping the larger weight, sorted, and validated:
     finite weights, heads in 0..q, dependents in 1..q, no self-loops.
     """
 
-    sentence_id: str
     q: int
     arcs: tuple[tuple[int, int, float], ...]
 
@@ -70,38 +70,21 @@ class _Arc(NamedTuple):
     parent: "_Arc | None"
 
 
-def _find_cycle(best: dict[int, _Arc], root: int) -> list[int] | None:
-    color: dict[int, int] = {root: 2}
-    for start in sorted(best):
-        if color.get(start, 0):
-            continue
-        walk: list[int] = []
-        node = start
-        while color.get(node, 0) == 0:
-            color[node] = 1
-            walk.append(node)
-            node = best[node].head
-        hit = color[node]
-        for v in walk:
-            color[v] = 2
-        if hit == 1:
-            return walk[walk.index(node) :]
-    return None
-
-
-def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc]:
-    """One Chu-Liu/Edmonds pass; returns chosen arcs at this level."""
+def _solve(nodes: list[int], arcs: list[_Arc]) -> list[_Arc]:
+    """One Chu-Liu/Edmonds pass from root 0; returns chosen arcs at this level."""
     best: dict[int, _Arc] = {}
     for arc in sorted(arcs, key=lambda a: (a.head, a.dep, -a.weight)):
-        if arc.dep == root or arc.head == arc.dep:
+        if arc.dep == 0 or arc.head == arc.dep:
             continue
         cur = best.get(arc.dep)
         if cur is None or arc.weight > cur.weight:
             best[arc.dep] = arc
     for v in nodes:
-        if v != root and v not in best:
+        if v != 0 and v not in best:
             raise NoArborescenceError(f"node {v} has no incoming arc")
-    cycle = _find_cycle(best, root)
+    # nodes contracted away by the caller point at the root; no arc enters them
+    heads = [best[v].head if v in best else 0 for v in range(1, max(nodes) + 1)]
+    cycle = find_cycle(heads)
     if cycle is None:
         return list(best.values())
 
@@ -123,7 +106,7 @@ def _solve(nodes: list[int], arcs: list[_Arc], root: int) -> list[_Arc]:
     sub_nodes = [v for v in nodes if v not in in_cycle] + [c]
     chosen: list[_Arc] = []
     entering: _Arc | None = None
-    for arc in _solve(sub_nodes, contracted, root):
+    for arc in _solve(sub_nodes, contracted):
         lifted = arc.parent
         assert lifted is not None
         chosen.append(lifted)
@@ -151,9 +134,10 @@ def max_arborescence(
     Ties are broken deterministically by scanning arcs in (head,
     dependent) order and keeping the incumbent unless strictly beaten;
     with a unique optimum the result is exact, and with all-equal
-    weights it is the lexicographically smallest head sequence. Between
-    those extremes the choice among equal-weight optima is stable but
-    unspecified, because cycle contraction reorders the comparison.
+    weights on a complete graph it is the lexicographically smallest
+    head sequence. Once the best incoming arcs form a cycle, the choice
+    among equal-weight optima is stable but depends on which cycle is
+    contracted first, so it need not be the smallest.
 
     With ``enforce_single_root`` the tree uses exactly one arc out of
     the root, found by re-solving once per candidate root arc with the
@@ -163,7 +147,7 @@ def max_arborescence(
     arcs = [_Arc(h, d, w, None) for h, d, w in graph.arcs]
     nodes = list(range(graph.q + 1))
     if not enforce_single_root:
-        return _heads_from(_solve(nodes, arcs, 0), graph.q)
+        return _heads_from(_solve(nodes, arcs), graph.q)
 
     root_children = sorted({a.dep for a in arcs if a.head == 0})
     if not root_children:
@@ -172,7 +156,7 @@ def max_arborescence(
     for r in root_children:
         restricted = [a for a in arcs if a.head != 0 or a.dep == r]
         try:
-            tree = _heads_from(_solve(nodes, restricted, 0), graph.q)
+            tree = _heads_from(_solve(nodes, restricted), graph.q)
         except NoArborescenceError:
             continue
         total = tree_weight(graph, tree)

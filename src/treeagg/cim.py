@@ -28,6 +28,11 @@ import numpy as np
 from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores
 from .trees import DepTree, ParseEnsemble
 
+_L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
+_FIT_TOL = 1e-6  # fit_canonical_params' gradient-norm tolerance
+_FIT_MAX_ITERATIONS = 5000  # and its iteration cap
+_PLUGIN_EPS = 1e-3  # plugin_canonical_params' channel clamp
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
@@ -47,14 +52,14 @@ def fit_l1_logistic(
     target: np.ndarray,
     penalty: float,
     tol: float = 1e-6,
-    max_iterations: int = 2000,
     counts: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int, bool]:
     """L1-penalized logistic regression by proximal gradient (FISTA).
 
     Minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
     intercept; ``target`` is in {-1, +1}. Convergence is the KKT residual
-    of the nonsmooth optimality conditions dropping below ``tol``.
+    of the nonsmooth optimality conditions dropping below ``tol`` within
+    ``_L1_MAX_ITERATIONS`` iterations.
     ``counts`` gives each row a multiplicity (``None``: one each), so the
     distinct rows of a matrix with their counts fit as the full matrix.
     """
@@ -79,7 +84,7 @@ def fit_l1_logistic(
     w = np.zeros(p + 1)
     z = w.copy()
     momentum = 1.0
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _L1_MAX_ITERATIONS + 1):
         w_next = z - step * grad(z)
         w_next[1:] = _soft_threshold(w_next[1:], step * penalty)
         m_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
@@ -88,7 +93,7 @@ def fit_l1_logistic(
         g = grad(w)
         if kkt(w, g) <= tol:
             return float(w[0]), w[1:], it, True
-    return float(w[0]), w[1:], max_iterations, False
+    return float(w[0]), w[1:], _L1_MAX_ITERATIONS, False
 
 
 def default_l1_penalty(m: int, n: int) -> float:
@@ -115,8 +120,6 @@ def estimate_correlation_graph(
     matrix: EdgeLabelMatrix,
     l1_penalty: float | None = None,
     coef_threshold: float = 1.0,
-    tol: float = 1e-6,
-    max_iterations: int = 2000,
 ) -> CorrelationGraph:
     """Neighborhood selection over parser columns.
 
@@ -153,9 +156,7 @@ def estimate_correlation_graph(
     for j in active:
         feats = [k for k in active if k != j]
         X = np.column_stack([labels[:, feats], mv])
-        _, w, _, _ = fit_l1_logistic(
-            X, labels[:, j], l1_penalty, tol, max_iterations, counts
-        )
+        _, w, _, _ = fit_l1_logistic(X, labels[:, j], l1_penalty, counts=counts)
         for pos, k in enumerate(feats):
             coef[(j, k)] = abs(float(w[pos]))
     edges = set()
@@ -345,30 +346,25 @@ def _canonical_value_grad(
     return value, grad
 
 
-def fit_canonical_params(
-    means: IsingParams,
-    matrix: EdgeLabelMatrix,
-    tol: float = 1e-6,
-    max_iterations: int = 5000,
-) -> IsingParams:
+def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingParams:
     """Fit the Y bias and Y-parser interactions by moment matching.
 
     Minimizes the convex objective whose stationary point makes the model
     moments tanh(theta00 + theta0_plus . L) reproduce ``mu00`` and
     ``mu0_plus``; gradient descent from zero with an expanding backtracking
-    line search, stopping when the gradient norm reaches ``tol``. A line
-    search that stalls, or a step that grows past the largest float, ends
-    the fit unconverged.
+    line search, stopping when the gradient norm reaches ``_FIT_TOL`` or
+    after ``_FIT_MAX_ITERATIONS`` steps. A line search that stalls, or a
+    step that grows past the largest float, ends the fit unconverged.
 
     So does a proof that the fit cannot converge. The objective
     f(theta) = -theta . mu + E log 2cosh(theta00 + theta0_plus . L) is
     convex, with recession function r(d) = -d . mu + E|d0 + d_plus . L|,
     and every gradient satisfies grad f . d <= r(d). Once an accepted
-    iterate has r(theta) < -tol * |theta|, f is unbounded below along
-    theta and no point has a gradient norm within ``tol``, so the descent
-    stops there. Estimated moments at or beyond a hard labeling's (the
-    usual case on real vote matrices) end this way, typically after the
-    first step.
+    iterate has r(theta) < -_FIT_TOL * |theta|, f is unbounded below
+    along theta and no point has a gradient norm within ``_FIT_TOL``, so
+    the descent stops there. Estimated moments at or beyond a hard
+    labeling's (the usual case on real vote matrices) end this way,
+    typically after the first step.
     """
     labels = matrix.labels.astype(np.float64)
     mu = np.concatenate([[means.mu00], means.mu0_plus])
@@ -376,9 +372,9 @@ def fit_canonical_params(
     value, grad = _canonical_value_grad(theta, labels, mu)
     step = 1.0
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _FIT_MAX_ITERATIONS + 1):
         gnorm2 = float(grad @ grad)
-        if math.sqrt(gnorm2) <= tol:
+        if math.sqrt(gnorm2) <= _FIT_TOL:
             iterations -= 1
             break
         step *= 2.0
@@ -392,8 +388,8 @@ def fit_canonical_params(
             break  # the line search stalled, or the step overflowed
         theta, value, grad = cand, cand_value, cand_grad
         recession = np.abs(theta[0] + labels @ theta[1:]).mean() - theta @ mu
-        if recession < -tol * np.linalg.norm(theta):
-            break  # unbounded below: no gradient norm reaches tol
+        if recession < -_FIT_TOL * np.linalg.norm(theta):
+            break  # unbounded below: no gradient norm reaches _FIT_TOL
     grad_norm = float(np.linalg.norm(grad))
     return replace(
         means,
@@ -401,11 +397,11 @@ def fit_canonical_params(
         theta0_plus=tuple(float(v) for v in theta[1:]),
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=grad_norm <= tol,
+        converged=grad_norm <= _FIT_TOL,
     )
 
 
-def plugin_canonical_params(means: IsingParams, eps: float = 1e-3) -> IsingParams:
+def plugin_canonical_params(means: IsingParams) -> IsingParams:
     """Closed-form canonical parameters from the estimated mean parameters.
 
     The moment-matching objective has a finite minimizer only when the
@@ -414,10 +410,11 @@ def plugin_canonical_params(means: IsingParams, eps: float = 1e-3) -> IsingParam
     the descent to infinity and the saturated iterate degenerates into a
     hard vote with meaningless weights. This algebraic route stays
     finite: invert the mean parameters into per-parser vote channels
-    P(L_j | Y), clamped into [eps, 1-eps], and read the conditional
-    log-odds of the implied conditional-independence model off them.
+    P(L_j | Y), clamped into [_PLUGIN_EPS, 1 - _PLUGIN_EPS], and read the
+    conditional log-odds of the implied conditional-independence model off
+    them.
     """
-    mu00 = min(max(means.mu00, -1.0 + 2 * eps), 1.0 - 2 * eps)
+    mu00 = min(max(means.mu00, -1.0 + 2 * _PLUGIN_EPS), 1.0 - 2 * _PLUGIN_EPS)
     var_y = 1.0 - mu00**2
     prior = 0.5 * (math.log1p(mu00) - math.log1p(-mu00))
     theta00 = prior
@@ -427,7 +424,7 @@ def plugin_canonical_params(means: IsingParams, eps: float = 1e-3) -> IsingParam
         alpha = col_mean - beta * mu00
         half = []
         for y in (1.0, -1.0):
-            p_plus = min(max((1.0 + alpha + beta * y) / 2.0, eps), 1.0 - eps)
+            p_plus = min(max((1.0 + alpha + beta * y) / 2.0, _PLUGIN_EPS), 1.0 - _PLUGIN_EPS)
             half.append((math.log(p_plus), math.log(1.0 - p_plus)))
         (lp_pos, lm_pos), (lp_neg, lm_neg) = half
         theta0.append(((lp_pos - lp_neg) - (lm_pos - lm_neg)) / 4.0)

@@ -64,6 +64,8 @@ def _load_parser_dir(
     if not paths:
         raise FileNotFoundError(f"no .conllu files under {inputs}")
     if selected is not None:
+        if not selected:
+            raise ValueError("the parser selection is empty")
         stems = {p.stem for p in paths}
         missing = [s for s in selected if s not in stems]
         if missing:

@@ -13,7 +13,6 @@ weight-summed votes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -21,20 +20,20 @@ from .edges import EdgeLabelMatrix, tree_labels, trees_from_scores
 from .trees import DepTree, ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
+_TOL = 1e-9  # crh_run stops once the objective drops by less than this
 
 
 @dataclass(frozen=True)
 class CrhOptions:
     distance: str = "edge"
     max_iterations: int = 100
-    tol: float = 1e-9
     eps: float = 1e-8
     enforce_single_root: bool = True
 
     def __post_init__(self) -> None:
         if self.distance not in DISTANCE_MODES:
             raise ValueError(f"distance must be one of {DISTANCE_MODES}")
-        if self.max_iterations < 1 or self.eps <= 0 or self.tol < 0:
+        if self.max_iterations < 1 or self.eps <= 0:
             raise ValueError("bad CRH options")
 
 
@@ -85,16 +84,14 @@ def _weighted_vote_trees(
     return trees_from_scores(matrix, votes, ensemble, enforce_single_root)
 
 
-def _uas_costs(
-    ensemble: ParseEnsemble, aggregated: Mapping[str, DepTree]
-) -> np.ndarray:
-    costs = np.zeros(ensemble.m)
-    for sid in ensemble.sentence_ids:
-        agg = np.asarray(aggregated[sid].heads)
-        for k, tree in enumerate(ensemble.trees[sid]):
-            match = (np.asarray(tree.heads) == agg).mean()
-            costs[k] += 1.0 - match
-    return costs
+def _uas_costs(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
+    """Each parser's sum over sentences of 1 - UAS against the truth trees,
+    whose edges, one per token, are the +1 rows of ``tree_labels``."""
+    chosen = truths == 1
+    starts = matrix.offsets[:-1]
+    q = np.add.reduceat(chosen, starts, dtype=np.int64)
+    match = np.add.reduceat((matrix.labels == 1) & chosen[:, None], starts, dtype=np.int64)
+    return (1.0 - match / q[:, None]).sum(axis=0)
 
 
 def crh_run(
@@ -105,8 +102,8 @@ def crh_run(
     """Alternate weight and truth updates from a majority-vote start.
 
     Stops when the truths stop changing or the objective decrease falls
-    below ``opts.tol``, or after ``opts.max_iterations`` rounds. The "uas"
-    distance needs the ensemble to score whole trees.
+    below ``_TOL``, or after ``opts.max_iterations`` rounds. The "uas"
+    distance needs the ensemble only to decode each step's trees.
     """
     if matrix.m < 2:
         raise ValueError("need at least two parsers")
@@ -121,7 +118,8 @@ def crh_run(
             trees = _weighted_vote_trees(
                 weights, matrix, ensemble, opts.enforce_single_root
             )
-            return tree_labels(matrix, trees), _uas_costs(ensemble, trees) + opts.eps
+            truths = tree_labels(matrix, trees)
+            return truths, _uas_costs(truths, matrix) + opts.eps
         truths = truth_update(weights, matrix)
         return truths, _costs_edge(truths, matrix) + opts.eps
 
@@ -141,7 +139,7 @@ def crh_run(
         history.append(new_objective)
 
         unchanged = bool(np.array_equal(new_truths, truths))
-        small_drop = objective - new_objective < opts.tol
+        small_drop = objective - new_objective < _TOL
         truths, objective = new_truths, new_objective
         if unchanged or small_drop:
             converged = True

@@ -156,7 +156,7 @@ def trees_from_scores(
     out: dict[str, DepTree] = {}
     for sid, rows in sentence_rows(matrix):
         arcs = tuple(zip(heads[rows], deps[rows], weights[rows]))
-        graph = WeightedTokenGraph(sid, ensemble.token_count(sid), arcs)
+        graph = WeightedTokenGraph(ensemble.token_count(sid), arcs)
         out[sid] = max_arborescence(graph, enforce_single_root)
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -141,6 +141,8 @@ def rank_and_select(
     Sampling is uniform without replacement over the (already filtered)
     sentences; ranking ties keep ensemble order (stable sort).
     """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     sids = ensemble.sentence_ids
     if len(gold_trees) != len(sids):
         raise ValueError("gold trees do not align with the ensemble")
@@ -215,19 +217,9 @@ class TreebankReport:
     methods: Mapping[str, float]
     selected_parsers: tuple[str, ...] = ()
     filters: Mapping[str, int] = field(default_factory=dict)
-    sample_table: tuple[tuple[str, float], ...] = ()
 
     def to_json(self) -> dict:
-        out: dict = {
-            "treebank": self.treebank,
-            "n_sentences": self.n_sentences,
-            "methods": dict(self.methods),
-            "selected_parsers": list(self.selected_parsers),
-            "filters": dict(self.filters),
-        }
-        if self.sample_table:
-            out["sample_table"] = [[p, u] for p, u in self.sample_table]
-        return out
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TreebankReport":
@@ -237,9 +229,6 @@ class TreebankReport:
             methods={k: float(v) for k, v in data["methods"].items()},
             selected_parsers=tuple(data.get("selected_parsers", ())),
             filters={k: int(v) for k, v in data.get("filters", {}).items()},
-            sample_table=tuple(
-                (p, float(u)) for p, u in data.get("sample_table", ())
-            ),
         )
 
 

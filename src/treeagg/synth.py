@@ -86,8 +86,7 @@ def _corrupt(gold: DepTree, rate: float, rng: np.random.Generator) -> DepTree:
         for h in range(q + 1)
         if h != d
     )
-    graph = WeightedTokenGraph("repair", q, arcs)
-    return max_arborescence(graph, enforce_single_root=True)
+    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True)
 
 
 def _sentence(sid: str, tree: DepTree) -> Sentence:

@@ -20,6 +20,27 @@ class TreeCheck:
     reason: str | None = None  # "out-of-range" | "self-loop" | "cycle"
 
 
+def find_cycle(heads: Sequence[int]) -> list[int] | None:
+    """The first cycle met walking from nodes 1, 2, ... toward the root 0,
+    in walk order, or ``None``. Node d points to ``heads[d - 1]``, which
+    must lie in 0..len(heads)."""
+    state = [0] * (len(heads) + 1)  # 0 unseen, 1 on current walk, 2 done
+    state[0] = 2
+    for start in range(1, len(heads) + 1):
+        walk = []
+        node = start
+        while state[node] == 0:
+            state[node] = 1
+            walk.append(node)
+            node = heads[node - 1]
+        verdict = state[node]
+        for v in walk:
+            state[v] = 2
+        if verdict == 1:
+            return walk[walk.index(node) :]
+    return None
+
+
 def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
     """Check that ``heads`` forms a directed tree over tokens 1..q rooted at 0.
 
@@ -33,22 +54,8 @@ def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
             return TreeCheck(False, "out-of-range")
         if h == d:
             return TreeCheck(False, "self-loop")
-    # Every token has exactly one head, so once the range checks above have
-    # passed, the parent walk from any token reaches the root or a cycle.
-    state = [0] * (q + 1)  # 0 unseen, 1 on current walk, 2 known good
-    state[0] = 2
-    for start in range(1, q + 1):
-        walk = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            walk.append(node)
-            node = heads[node - 1]
-        verdict = state[node]
-        for v in walk:
-            state[v] = 2
-        if verdict == 1:
-            return TreeCheck(False, "cycle")
+    if find_cycle(heads) is not None:
+        return TreeCheck(False, "cycle")
     return TreeCheck(True)
 
 

@@ -14,9 +14,7 @@ from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
 from treeagg.trees import DepTree, ParseEnsemble
 
 
-def random_complete_digraph(
-    name: str, q: int, rng: np.random.Generator
-) -> WeightedTokenGraph:
+def random_complete_digraph(q: int, rng: np.random.Generator) -> WeightedTokenGraph:
     """Complete directed graph over {0..q} with uniform random weights."""
     arcs = tuple(
         (h, d, float(rng.random()))
@@ -24,7 +22,7 @@ def random_complete_digraph(
         for h in range(0, q + 1)
         if h != d
     )
-    return WeightedTokenGraph(name, q, arcs)
+    return WeightedTokenGraph(q, arcs)
 
 
 def ci_label_matrix(
@@ -214,6 +212,44 @@ def joint_prob_oracle(
         np.logaddexp.reduce([energy(s[0], s[1:]) for s in states])
     )
     return math.exp(energy(float(y), np.asarray(labels, dtype=np.float64)) - log_z)
+
+
+def reference_tree_check(heads: Sequence[int], q: int) -> str | None:
+    """``validate_tree``'s reason by another route, ``None`` for a tree.
+
+    Range, then self-loop, for each token in order; then a token whose
+    heads do not reach the root within q steps lies on or below a cycle.
+    """
+    if len(heads) != q:
+        return "out-of-range"
+    for d, h in enumerate(heads, start=1):
+        if not 0 <= h <= q:
+            return "out-of-range"
+        if h == d:
+            return "self-loop"
+    for d in range(1, q + 1):
+        node = d
+        for _ in range(q):
+            if node == 0:
+                break
+            node = heads[node - 1]
+        if node != 0:
+            return "cycle"
+    return None
+
+
+def reference_uas_costs(
+    ensemble: ParseEnsemble, aggregated: Mapping[str, DepTree]
+) -> np.ndarray:
+    """crh's uas-distance costs recounted from the trees: each parser's
+    sum over sentences of 1 - UAS against ``aggregated``."""
+    costs = np.zeros(ensemble.m)
+    for sid in ensemble.sentence_ids:
+        agg = np.asarray(aggregated[sid].heads)
+        for k, tree in enumerate(ensemble.trees[sid]):
+            match = (np.asarray(tree.heads) == agg).mean()
+            costs[k] += 1.0 - match
+    return costs
 
 
 def edges_of(tree: DepTree) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ def test_criterion_1_arborescence_totals_match_oracle(acceptance_log):
     mismatches = 0
     for i in range(500):
         q = int(rng.integers(3, 7))
-        g = random_complete_digraph(f"g{i}", q, rng)
+        g = random_complete_digraph(q, rng)
         solved = tree_weight(g, max_arborescence(g))
         oracle = tree_weight(g, brute_force_arborescence(g))
         if solved != oracle:

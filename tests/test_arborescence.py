@@ -9,30 +9,30 @@ from treeagg.arborescence import (
     max_arborescence,
     tree_weight,
 )
-from treeagg.trees import DepTree
+from treeagg.trees import DepTree, find_cycle
 
 from helpers import brute_force_arborescence, random_complete_digraph
 
 
 def test_graph_validation():
     with pytest.raises(ValueError, match="at least one token"):
-        WeightedTokenGraph("s", 0, ())
+        WeightedTokenGraph(0, ())
     with pytest.raises(ValueError, match="outside token range"):
-        WeightedTokenGraph("s", 2, ((0, 3, 1.0),))
+        WeightedTokenGraph(2, ((0, 3, 1.0),))
     with pytest.raises(ValueError, match="self-loop"):
-        WeightedTokenGraph("s", 2, ((1, 1, 1.0),))
+        WeightedTokenGraph(2, ((1, 1, 1.0),))
     with pytest.raises(ValueError, match="non-finite"):
-        WeightedTokenGraph("s", 2, ((0, 1, float("nan")),))
+        WeightedTokenGraph(2, ((0, 1, float("nan")),))
 
 
 def test_graph_dedupes_keeping_larger_weight():
-    g = WeightedTokenGraph("s", 2, ((0, 1, 1.0), (0, 1, 3.0), (0, 2, 2.0)))
+    g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 1, 3.0), (0, 2, 2.0)))
     assert g.arcs == ((0, 1, 3.0), (0, 2, 2.0))
     assert tree_weight(g, DepTree((0, 0))) == 5.0  # the kept 3.0 plus 2.0
 
 
 def test_tree_weight_requires_arcs_present():
-    g = WeightedTokenGraph("s", 2, ((0, 1, 1.0), (1, 2, 2.0)))
+    g = WeightedTokenGraph(2, ((0, 1, 1.0), (1, 2, 2.0)))
     assert tree_weight(g, DepTree((0, 1))) == 3.0
     with pytest.raises(ValueError, match="absent from the graph"):
         tree_weight(g, DepTree((2, 0)))
@@ -41,7 +41,7 @@ def test_tree_weight_requires_arcs_present():
 def test_single_tree_graph_returns_that_tree():
     tree = DepTree((2, 0, 2, 3))
     arcs = tuple((h, d, 1.0) for d, h in enumerate(tree.heads, start=1))
-    g = WeightedTokenGraph("s", 4, arcs)
+    g = WeightedTokenGraph(4, arcs)
     assert max_arborescence(g) == tree
     assert brute_force_arborescence(g) == tree
 
@@ -49,9 +49,7 @@ def test_single_tree_graph_returns_that_tree():
 def test_two_token_example():
     # all three arborescences: [0,1] weighs 3, [2,0] weighs 1.5, [0,0]
     # weighs 2 (two root edges, invalid under single-root)
-    g = WeightedTokenGraph(
-        "s", 2, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (2, 1, 0.5))
-    )
+    g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (2, 1, 0.5)))
     assert max_arborescence(g).heads == (0, 1)
     assert max_arborescence(g, enforce_single_root=False).heads == (0, 1)
     assert tree_weight(g, max_arborescence(g)) == 3.0
@@ -63,31 +61,104 @@ def test_equal_weight_ties_break_lexicographically():
     arcs = tuple(
         (h, d, 1.0) for d in range(1, 4) for h in range(0, 4) if h != d
     )
-    g = WeightedTokenGraph("s", 3, arcs)
+    g = WeightedTokenGraph(3, arcs)
     assert max_arborescence(g).heads == (0, 1, 1)
     assert max_arborescence(g, enforce_single_root=False).heads == (0, 0, 0)
     assert brute_force_arborescence(g).heads == (0, 1, 1)
     assert brute_force_arborescence(g, enforce_single_root=False).heads == (0, 0, 0)
 
 
+def test_equal_weight_ties_after_a_contraction_pin_todays_outputs():
+    # all weights 1 on sparse graphs whose best incoming arcs form a cycle:
+    # the winner depends on the contractions, and is not the
+    # lexicographically smallest optimum the oracle returns. The best arcs
+    # of the q = 6 graph form two cycles, {1, 4} and {3, 5}; walking from
+    # the highest node first would contract {3, 5} first and give
+    # (4, 3, 6, 6, 3, 0)
+    cases = (
+        (3, ((0, 3), (1, 2), (2, 1), (3, 1), (3, 2)), (3, 1, 0), (2, 3, 0)),
+        (
+            4,
+            ((0, 3), (1, 2), (1, 3), (2, 1), (3, 4), (4, 1), (4, 2), (4, 3)),
+            (4, 1, 0, 3),
+            (2, 4, 0, 3),
+        ),
+        (
+            6,
+            ((4, 1), (3, 2), (4, 2), (5, 3), (6, 3), (1, 4), (5, 4), (6, 4),
+             (3, 5), (0, 6), (3, 6)),
+            (4, 4, 6, 6, 3, 0),
+            (4, 3, 6, 5, 3, 0),
+        ),
+    )
+    for q, arcs, solved, smallest in cases:
+        g = WeightedTokenGraph(q, tuple((h, d, 1.0) for h, d in arcs))
+        for single in (True, False):
+            assert max_arborescence(g, single).heads == solved
+            assert brute_force_arborescence(g, single).heads == smallest
+
+
+def test_ties_after_two_contractions_pin_todays_outputs():
+    # the best arcs form the cycles {1, 6} and {3, 5}. After the first is
+    # contracted, nodes 1 and 6 are gone from the inner pass; were they
+    # walked there, toward the contracted node 7, the inner pass would meet
+    # a cycle through 7 before reaching {3, 5} and give (5, 1, 5, 6, 0, 1)
+    arcs = (
+        (5, 1, 1.0), (6, 1, 2.0), (1, 2, 2.0), (3, 2, 2.0), (5, 2, 2.0),
+        (4, 3, 1.0), (5, 3, 2.0), (6, 4, 1.0), (0, 5, 1.0), (3, 5, 2.0),
+        (1, 6, 1.0), (4, 6, 1.0),
+    )
+    g = WeightedTokenGraph(6, arcs)
+    for single in (True, False):
+        tree = max_arborescence(g, single)
+        assert tree.heads == (5, 3, 5, 6, 0, 1)
+        assert tree_weight(g, tree) == tree_weight(g, brute_force_arborescence(g, single))
+
+
+def test_equal_weight_ties_without_a_cycle_give_the_smallest_sequence():
+    # the tie rule that does hold: when every token's smallest candidate
+    # head already forms a tree, that tree wins
+    rng = np.random.default_rng(9)
+    acyclic = 0
+    for _ in range(400):
+        q = int(rng.integers(1, 6))
+        arcs = tuple(
+            (h, d, 1.0)
+            for d in range(1, q + 1)
+            for h in range(0, q + 1)
+            if h != d and rng.random() < 0.5
+        )
+        heads = [
+            min((h for h, d, _ in arcs if d == dep), default=-1)
+            for dep in range(1, q + 1)
+        ]
+        if -1 in heads or find_cycle(heads) is not None:
+            continue
+        acyclic += 1
+        g = WeightedTokenGraph(q, arcs)
+        assert max_arborescence(g, False).heads == tuple(heads)
+        assert brute_force_arborescence(g, False).heads == tuple(heads)
+    assert acyclic > 50
+
+
 def test_missing_arcs_are_detected():
-    partial = WeightedTokenGraph("s", 2, ((0, 1, 1.0),))
+    partial = WeightedTokenGraph(2, ((0, 1, 1.0),))
     with pytest.raises(NoArborescenceError, match="no incoming arc"):
         max_arborescence(partial, enforce_single_root=False)
     with pytest.raises(NoArborescenceError, match="single-rooted"):
         max_arborescence(partial)
-    rootless = WeightedTokenGraph("t", 2, ((1, 2, 1.0), (2, 1, 1.0)))
+    rootless = WeightedTokenGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
     with pytest.raises(NoArborescenceError, match="no arc out of the root"):
         max_arborescence(rootless)
     # only root arcs: fine unrestricted, impossible under single-root
-    g = WeightedTokenGraph("u", 2, ((0, 1, 1.0), (0, 2, 1.0)))
+    g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 2, 1.0)))
     with pytest.raises(NoArborescenceError, match="single-rooted"):
         max_arborescence(g)
     assert max_arborescence(g, enforce_single_root=False).heads == (0, 0)
 
 
 def test_brute_force_caps_token_count():
-    g = random_complete_digraph("s", 9, np.random.default_rng(0))
+    g = random_complete_digraph(9, np.random.default_rng(0))
     with pytest.raises(ValueError, match="capped at 8"):
         brute_force_arborescence(g)
 
@@ -105,7 +176,7 @@ def test_solver_matches_oracle_totals_under_heavy_ties():
             for h in range(0, q + 1)
             if h != d
         )
-        g = WeightedTokenGraph(f"g{i}", q, arcs)
+        g = WeightedTokenGraph(q, arcs)
         for single in (True, False):
             a = max_arborescence(g, single)
             b = brute_force_arborescence(g, single)
@@ -127,7 +198,7 @@ def test_solver_matches_oracle_heads_when_optimum_is_unique():
             for h in range(0, q + 1)
             if h != d
         )
-        g = WeightedTokenGraph(f"u{i}", q, arcs)
+        g = WeightedTokenGraph(q, arcs)
         for single in (True, False):
             a = max_arborescence(g, single)
             b = brute_force_arborescence(g, single)
@@ -140,7 +211,7 @@ def test_solver_handles_nested_cycles():
         (0, 1, 0.1), (1, 2, 10.0), (2, 1, 10.0), (2, 3, 9.0),
         (3, 2, 9.5), (1, 3, 0.2), (0, 2, 0.3), (0, 3, 0.1),
     )
-    g = WeightedTokenGraph("s", 3, arcs)
+    g = WeightedTokenGraph(3, arcs)
     best = max_arborescence(g)
     assert best == brute_force_arborescence(g)
     # hand enumeration of all eight single-root trees: the 0->3->2->1

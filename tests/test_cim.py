@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeagg import cim
 from treeagg.cim import (
+    _FIT_MAX_ITERATIONS,
+    _L1_MAX_ITERATIONS,
     CimOptions,
     CorrelationGraph,
     IsingParams,
@@ -31,6 +34,7 @@ from treeagg.cim import (
     plugin_canonical_params,
 )
 from treeagg.conllu import build_ensemble
+from treeagg.crh import CrhOptions, crh_run
 from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree, ParseEnsemble
@@ -607,3 +611,39 @@ def test_trees_follow_separable_scores():
     scores = np.where(matrix.labels[:, 0] == 1, 0.9, 0.1)
     trees = cim_trees(scores, matrix, ens)
     assert trees == {"s1": a}
+
+
+def _degenerate(kind, m):
+    rng = np.random.default_rng(m)
+    votes = np.where(rng.random((40, m)) < 0.5, 1, -1).astype(np.int8)
+    if kind == "one row":
+        return votes[:1]
+    if kind == "all rows agree":
+        return np.repeat(votes[:, :1], m, axis=1)
+    if kind == "constant column":
+        votes[:, 0] = 1
+    else:  # duplicated columns
+        votes[:, -1] = votes[:, 0]
+    return votes
+
+
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize(
+    "kind", ("one row", "all rows agree", "constant column", "duplicated columns")
+)
+def test_solvers_end_within_their_caps_on_degenerate_matrices(kind, m, monkeypatch):
+    l1_iterations = []
+
+    def recorded_l1(*args, **kwargs):
+        result = fit_l1_logistic(*args, **kwargs)
+        l1_iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(cim, "fit_l1_logistic", recorded_l1)
+    matrix = EdgeLabelMatrix.from_labels(_degenerate(kind, m))
+    estimate_correlation_graph(matrix)
+    fit = fit_canonical_params(estimate_mean_params(matrix), matrix)
+    assert fit.iterations <= _FIT_MAX_ITERATIONS
+    assert crh_run(matrix).iterations <= CrhOptions().max_iterations
+    assert cim_run(matrix).params.iterations <= _FIT_MAX_ITERATIONS
+    assert all(it <= _L1_MAX_ITERATIONS for it in l1_iterations)

@@ -380,6 +380,54 @@ def test_unknown_selected_parser_errors(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_empty_parser_selection_errors(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(
+        [
+            "synth",
+            "--out-dir", str(corpus),
+            "--sentences", "10",
+            "--tokens", "5:6",
+            "--rates", "0.0,0.1,0.2",
+            "--seed", "2",
+        ]
+    ) == EXIT_OK
+    capsys.readouterr()
+    rank = [
+        "rank",
+        "--inputs", str(corpus / "parsers"),
+        "--gold", str(corpus / "gold.conllu"),
+        "--seed", "1",
+        "--out", str(tmp_path / "sel.json"),
+    ]
+    assert run([*rank, "--top-k", "0"]) == EXIT_ERROR
+    assert "top_k must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "sel.json").exists()
+
+    # a selection file can also be written by hand
+    selected = write(tmp_path / "sel.json", json.dumps({"selected": []}))
+    aggregate = [
+        "aggregate",
+        "--inputs", str(corpus / "parsers"),
+        "--selected", str(selected),
+        "--method", "mst",
+        "--out", str(tmp_path / "pred.conllu"),
+    ]
+    evaluate = [
+        "evaluate",
+        "--gold", str(corpus / "gold.conllu"),
+        "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
+        "--inputs", str(corpus / "parsers"),
+        "--selected", str(selected),
+        "--out", str(tmp_path / "report.json"),
+    ]
+    for argv in (aggregate, evaluate):
+        assert run(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: the parser selection is empty\n"
+    assert not (tmp_path / "pred.conllu").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         run(["not-a-command"])

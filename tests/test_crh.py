@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from treeagg.crh import (
     CrhOptions,
     CrhState,
+    _uas_costs,
+    _weighted_vote_trees,
     crh_run,
     crh_trees,
     truth_update,
     weight_update,
 )
-from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote
+from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote, tree_labels
 from treeagg.synth import SynthConfig, generate
 
-from helpers import random_vote_matrix
+from helpers import random_vote_matrix, reference_uas_costs
 
 
 def matrix_with_costs(errors_per_parser, n=40):
@@ -163,6 +165,26 @@ def test_uas_distance_mode():
     # reliability order still follows the corruption rates
     assert state.weights[0] > state.weights[1] > state.weights[2]
     assert abs(np.exp(-state.weights).sum() - 1.0) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans())
+def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
+    rng = np.random.default_rng(seed)
+    res = generate(
+        SynthConfig(
+            n_sentences=int(rng.integers(1, 10)),
+            tokens=(1, 9),
+            rates=tuple(float(r) for r in rng.uniform(0.0, 0.6, m)),
+            seed=seed,
+        )
+    )
+    matrix = label_matrix(res.ensemble)
+    weights = rng.uniform(0.1, 3.0, m)
+    trees = _weighted_vote_trees(weights, matrix, res.ensemble, single_root)
+    costs = _uas_costs(tree_labels(matrix, trees), matrix)
+    # bit for bit: the same sums, accumulated in sentence order
+    assert costs.tobytes() == reference_uas_costs(res.ensemble, trees).tobytes()
 
 
 def test_options_validation():

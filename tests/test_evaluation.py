@@ -250,13 +250,11 @@ def test_treebank_report_json_roundtrip():
         methods={"mst": 90.5, "crh": 91.25, "cim": 92.0},
         selected_parsers=("pa", "pb"),
         filters={"seg_dropped": 5, "agree_dropped": 10},
-        sample_table=(("pa", 97.5), ("pb", 88.0)),
     )
     wire = json.loads(json.dumps(report.to_json()))
     assert TreebankReport.from_json(wire) == report
     bare = TreebankReport("yy", 50, {"cim": 80.0})
     assert TreebankReport.from_json(json.loads(json.dumps(bare.to_json()))) == bare
-    assert "sample_table" not in bare.to_json()
 
 
 def test_method_diffs_signs_and_counts():

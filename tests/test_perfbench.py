@@ -3,13 +3,16 @@
 ``perfbench/spans.py`` wraps each ``(module, function)`` in its ``TRACED``
 table by name, and the benchmark's workloads and checks read attributes of
 the package (``treeagg.<name>``, or ``T.<name>`` with ``T`` the package), so
-renaming or removing one of them would only surface as a crash of a
-benchmark run. These checks make it fail here instead.
+renaming or removing one of them, or a parameter its calls pass, would only
+surface as a crash of a benchmark run. These checks make it fail here
+instead.
 """
 
+import ast
 import functools
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -45,3 +48,42 @@ def test_every_name_the_benchmark_reads_resolves():
 
 def test_every_exported_name_resolves():
     assert [name for name in treeagg.__all__ if not hasattr(treeagg, name)] == []
+
+
+def _package_calls():
+    """(where, attribute chain, call node) for each call in perfbench/*.py
+    of a name read off the package, as in ``treeagg.a.b(...)``."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            names, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                names.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name):
+                continue
+            names.insert(0, func.id)
+            roots = [i for i, n in enumerate(names) if n in ("treeagg", "T")]
+            if roots and roots[0] < len(names) - 1:
+                yield f"{path.name}:{node.lineno}", names[roots[0] + 1 :], node
+
+
+def test_every_package_call_in_the_benchmark_binds():
+    called = set()
+    for where, chain, call in _package_calls():
+        target = functools.reduce(getattr, chain, treeagg)
+        positional = [None for a in call.args if not isinstance(a, ast.Starred)]
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        signature = inspect.signature(target)
+        # *args or **kwargs may fill the rest: check only what is spelled out
+        unpacked = len(positional) < len(call.args) or None in (
+            k.arg for k in call.keywords
+        )
+        bind = signature.bind_partial if unpacked else signature.bind
+        try:
+            bind(*positional, **keywords)
+        except TypeError as e:
+            raise AssertionError(f"{where}: {'.'.join(chain)}{signature}: {e}") from e
+        called.add(".".join(chain))
+    assert {"crh_run", "CrhOptions", "cim_run", "vote_mst", "cli.run"} <= called

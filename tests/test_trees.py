@@ -1,16 +1,19 @@
 """Tree and ensemble domain types."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeagg.trees import (
     DepTree,
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
+    find_cycle,
     validate_tree,
 )
 
-from helpers import edges_of
+from helpers import edges_of, reference_tree_check
 
 
 def test_validate_tree_accepts_valid_sequences():
@@ -25,6 +28,23 @@ def test_validate_tree_names_first_violation():
     assert validate_tree([1, 0], 2).reason == "self-loop"
     assert validate_tree([2, 1], 2).reason == "cycle"
     assert validate_tree([2, 3, 2], 3).reason == "cycle"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda q: st.lists(st.integers(-1, q + 1), min_size=q, max_size=q)
+    )
+)
+def test_validate_tree_matches_the_reference(heads):
+    q = len(heads)
+    check = validate_tree(heads, q)
+    assert check.reason == reference_tree_check(heads, q)
+    assert check.ok == (check.reason is None)
+    if check.reason == "cycle":
+        # the walk returns a real cycle, in parent order
+        cycle = find_cycle(heads)
+        assert [heads[v - 1] for v in cycle] == cycle[1:] + cycle[:1]
 
 
 def test_deptree_validates_on_construction():
