@@ -5,7 +5,8 @@ log-linear with a bias term for Y, per-parser singleton terms, per-parser
 interaction terms with Y, and pairwise terms between correlated parsers.
 Aggregation proceeds in four steps:
 
-1. estimate a parser correlation graph by sparse logistic regressions,
+1. estimate a parser correlation graph by neighborhood selection: an
+   L1-penalized logistic regression per column, all in one batched solve,
 2. collapse each connected component of correlated parsers into one
    pseudo-parser (within-component majority vote),
 3. estimate mean parameters of the collapsed model by the triplet
@@ -43,57 +44,72 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _soft_threshold(x: np.ndarray, radius: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - radius, 0.0)
+def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct vote rows as floats, in byte order, with first row and count."""
+    rows = np.ascontiguousarray(labels, dtype=np.int8)
+    rows = rows.view(np.dtype((np.void, rows.shape[1])))  # far faster than axis=0
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    return labels[first].astype(np.float64), first, counts
 
 
 def fit_l1_logistic(
     features: np.ndarray,
-    target: np.ndarray,
+    targets: np.ndarray,
     penalty: float,
     tol: float = 1e-6,
     counts: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, int, bool]:
-    """L1-penalized logistic regression by proximal gradient (FISTA).
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """k L1-penalized logistic regressions at once, by proximal gradient (FISTA).
 
-    Minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
-    intercept; ``target`` is in {-1, +1}. Convergence is the KKT residual
-    of the nonsmooth optimality conditions dropping below ``tol`` within
-    ``_L1_MAX_ITERATIONS`` iterations.
-    ``counts`` gives each row a multiplicity (``None``: one each), so the
-    distinct rows of a matrix with their counts fit as the full matrix.
+    ``features`` is (k, n, p) and ``targets`` (k, n), in {-1, +1}; each
+    problem minimizes mean log-loss plus ``penalty * ||w||_1`` with an
+    unpenalized intercept, with its own step (its inverse Lipschitz bound)
+    and the shared momentum sequence. A problem freezes, with its iterate,
+    once the KKT residual of the nonsmooth optimality conditions is within
+    ``tol``. Returns intercepts (k,), coefficients (k, p), the iterations
+    the loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and
+    whether all froze. ``counts`` gives each row a multiplicity (``None``:
+    one each), so distinct rows with their counts fit as the full matrix.
     """
-    n, p = features.shape
+    k, n, p = features.shape
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
     total = c.sum()
-    X = np.column_stack([np.ones(n), features.astype(np.float64)])
-    t = (np.asarray(target, dtype=np.float64) + 1.0) / 2.0
-    step = 4.0 * total / np.linalg.norm(np.sqrt(c)[:, None] * X, 2) ** 2
-
-    def grad(w: np.ndarray) -> np.ndarray:
-        return X.T @ (c * (_sigmoid(X @ w) - t)) / total
-
-    def kkt(w: np.ndarray, g: np.ndarray) -> float:
-        r = abs(g[0])
-        gv, wv = g[1:], w[1:]
-        on = wv != 0
-        r = max(r, float(np.max(np.abs(gv[on] + penalty * np.sign(wv[on])), initial=0)))
-        r = max(r, float(np.max(np.abs(gv[~on]) - penalty, initial=0)))
-        return r
-
-    w = np.zeros(p + 1)
-    z = w.copy()
-    momentum = 1.0
-    for it in range(1, _L1_MAX_ITERATIONS + 1):
-        w_next = z - step * grad(z)
-        w_next[1:] = _soft_threshold(w_next[1:], step * penalty)
+    # each design transposed, (k, p + 1, n): rows along the last axis
+    XT = np.concatenate([np.ones((k, 1, n)), np.swapaxes(features, 1, 2)], axis=1)
+    step = 4.0 * total / np.linalg.norm(np.sqrt(c) * XT, 2, axis=(1, 2))[:, None] ** 2
+    # per coordinate: the l1 weight (none on the intercept) and prox radius
+    weight = np.r_[0.0, np.full(p, penalty)]
+    radius = step * weight
+    # c * (sigmoid(x) - t) = half_c * tanh(x / 2) + offset, t = (target + 1) / 2
+    half_c = c / 2.0
+    offset = -half_c * np.asarray(targets, dtype=np.float64)[:, None, :]
+    live = np.arange(k)  # the problems not yet frozen
+    fitted = np.zeros((k, p + 1))
+    w = z = np.zeros((k, p + 1))
+    gz = (offset @ np.swapaxes(XT, 1, 2))[:, 0] / total
+    momentum, it = 1.0, 0
+    while live.size and it < _L1_MAX_ITERATIONS:
+        it += 1
+        w_next = z - step * gz
+        w_next -= np.clip(w_next, -radius, radius)  # soft threshold
         m_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
         z = w_next + ((momentum - 1.0) / m_next) * (w_next - w)
         w, momentum = w_next, m_next
-        g = grad(w)
-        if kkt(w, g) <= tol:
-            return float(w[0]), w[1:], it, True
-    return float(w[0]), w[1:], _L1_MAX_ITERATIONS, False
+        # the gradients at w (for the KKT check) and at z (for the next step)
+        residuals = np.tanh(np.stack([w, z], axis=1) / 2.0 @ XT)
+        residuals *= half_c
+        residuals += offset
+        g = residuals @ np.swapaxes(XT, 1, 2) / total
+        gw, gz = g[:, 0], g[:, 1]
+        kkt = np.abs(gw + weight * np.sign(w)) - weight * (w == 0)
+        done = kkt.max(axis=1) <= tol
+        if done.any():
+            fitted[live[done]] = w[done]
+            live, XT, offset, step, radius, w, z, gz = (
+                a[~done] for a in (live, XT, offset, step, radius, w, z, gz)
+            )
+    fitted[live] = w
+    return fitted[:, 0], fitted[:, 1:], it, live.size == 0
 
 
 def default_l1_penalty(m: int, n: int) -> float:
@@ -134,38 +150,32 @@ def estimate_correlation_graph(
     produces cross-parser coefficients up to roughly 0.5. Duplicated or
     near-duplicated parsers sit an order of magnitude higher.
 
-    The regressions run on the distinct vote patterns weighted by their
-    counts: the same fit as on every row, at a fraction of the cost.
+    All regressions run as one batched solve on the distinct vote patterns,
+    weighted by their counts: the same fits as on every row, far cheaper.
     """
     n, m = matrix.labels.shape
     if m < 2:
         raise ValueError("need at least two parsers")
-    patterns, first, counts = np.unique(
-        matrix.labels, axis=0, return_index=True, return_counts=True
-    )
-    labels = patterns.astype(np.float64)
+    labels, first, counts = _vote_patterns(matrix.labels)
     # the majority vote is a function of the row's votes, so one per pattern
     mv = majority_vote(matrix)[first].astype(np.float64)
     if l1_penalty is None:
         l1_penalty = default_l1_penalty(m, n)
-    excluded = tuple(
-        j for j in range(m) if np.all(labels[:, j] == labels[0, j])
-    )
+    excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
-    coef: dict[tuple[int, int], float] = {}
-    for j in active:
-        feats = [k for k in active if k != j]
-        X = np.column_stack([labels[:, feats], mv])
-        _, w, _, _ = fit_l1_logistic(X, labels[:, j], l1_penalty, counts=counts)
-        for pos, k in enumerate(feats):
-            coef[(j, k)] = abs(float(w[pos]))
-    edges = set()
+    k = len(active)
+    # active column a's design: the other active columns, then the vote (m)
+    cols = np.array([[b for b in active if b != j] + [m] for j in active], dtype=np.intp)
+    features = np.column_stack([labels, mv])[:, cols.reshape(k, k)].transpose(1, 0, 2)
+    fit = fit_l1_logistic(features, labels[:, active].T, l1_penalty, counts=counts)
+    coefs = np.abs(fit[1])
     strengths: dict[tuple[int, int], float] = {}
-    for j, k in itertools.combinations(active, 2):
-        if coef[(j, k)] > coef_threshold and coef[(k, j)] > coef_threshold:
-            edges.add((j, k))
-            strengths[(j, k)] = min(coef[(j, k)], coef[(k, j)])
-    return CorrelationGraph(matrix.parser_ids, frozenset(edges), strengths, excluded)
+    for a, b in itertools.combinations(range(k), 2):
+        # b sits at b - 1 among a's features, a at a among b's
+        strength = float(min(coefs[a, b - 1], coefs[b, a]))
+        if strength > coef_threshold:
+            strengths[(active[a], active[b])] = strength
+    return CorrelationGraph(matrix.parser_ids, frozenset(strengths), strengths, excluded)
 
 
 @dataclass(frozen=True)
@@ -331,18 +341,18 @@ def estimate_mean_params(
 
 
 def _canonical_value_grad(
-    theta: np.ndarray, labels: np.ndarray, mu: np.ndarray
+    theta: np.ndarray, labels: np.ndarray, weights: np.ndarray, mu: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    z = theta[0] + labels @ theta[1:]
+    z = theta[0] + labels @ theta[1:]  # weights: each row's share, summing to 1
     az = np.abs(z)
     # Overly long line-search trials may overflow the mean to +inf; that
     # is the right answer (the trial is rejected), not an error.
     with np.errstate(over="ignore"):
-        value = float(-(theta @ mu) + np.mean(az + np.log1p(np.exp(-2.0 * az))))
-    tz = np.tanh(z)
+        value = float(-(theta @ mu) + weights @ (az + np.log1p(np.exp(-2.0 * az))))
+    tz = weights * np.tanh(z)
     grad = np.empty_like(theta)
-    grad[0] = -mu[0] + tz.mean()
-    grad[1:] = -mu[1:] + labels.T @ tz / labels.shape[0]
+    grad[0] = -mu[0] + tz.sum()
+    grad[1:] = -mu[1:] + labels.T @ tz
     return value, grad
 
 
@@ -351,10 +361,12 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
 
     Minimizes the convex objective whose stationary point makes the model
     moments tanh(theta00 + theta0_plus . L) reproduce ``mu00`` and
-    ``mu0_plus``; gradient descent from zero with an expanding backtracking
-    line search, stopping when the gradient norm reaches ``_FIT_TOL`` or
-    after ``_FIT_MAX_ITERATIONS`` steps. A line search that stalls, or a
-    step that grows past the largest float, ends the fit unconverged.
+    ``mu0_plus`` (means over the sorted distinct vote patterns, weighted by
+    their shares, so row order cannot move the fit); gradient descent from
+    zero with an expanding backtracking line search, stopping when the
+    gradient norm reaches ``_FIT_TOL`` or after ``_FIT_MAX_ITERATIONS``
+    steps. A line search that stalls, or a step that grows past the largest
+    float, ends the fit unconverged.
 
     So does a proof that the fit cannot converge. The objective
     f(theta) = -theta . mu + E log 2cosh(theta00 + theta0_plus . L) is
@@ -366,10 +378,11 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
     labeling's (the usual case on real vote matrices) end this way,
     typically after the first step.
     """
-    labels = matrix.labels.astype(np.float64)
+    labels, _, counts = _vote_patterns(matrix.labels)
+    weights = counts / matrix.n_edges
     mu = np.concatenate([[means.mu00], means.mu0_plus])
     theta = np.zeros(matrix.m + 1)
-    value, grad = _canonical_value_grad(theta, labels, mu)
+    value, grad = _canonical_value_grad(theta, labels, weights, mu)
     step = 1.0
     iterations = 0
     for iterations in range(1, _FIT_MAX_ITERATIONS + 1):
@@ -380,14 +393,14 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
         step *= 2.0
         while 1e-30 <= step < math.inf:
             cand = theta - step * grad
-            cand_value, cand_grad = _canonical_value_grad(cand, labels, mu)
+            cand_value, cand_grad = _canonical_value_grad(cand, labels, weights, mu)
             if cand_value <= value - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
         else:
             break  # the line search stalled, or the step overflowed
         theta, value, grad = cand, cand_value, cand_grad
-        recession = np.abs(theta[0] + labels @ theta[1:]).mean() - theta @ mu
+        recession = weights @ np.abs(theta[0] + labels @ theta[1:]) - theta @ mu
         if recession < -_FIT_TOL * np.linalg.norm(theta):
             break  # unbounded below: no gradient norm reaches _FIT_TOL
     grad_norm = float(np.linalg.norm(grad))
@@ -503,11 +516,7 @@ def cim_run(matrix: EdgeLabelMatrix, opts: CimOptions = CimOptions()) -> CimResu
     if matrix.n_edges == 0:
         raise ValueError("cim needs at least one candidate edge")
     if opts.collapse:
-        graph = estimate_correlation_graph(
-            matrix,
-            l1_penalty=opts.l1_penalty,
-            coef_threshold=opts.coef_threshold,
-        )
+        graph = estimate_correlation_graph(matrix, opts.l1_penalty, opts.coef_threshold)
     else:
         graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
     reduced, cmap = collapse_correlated(matrix, graph)

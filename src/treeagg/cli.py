@@ -175,6 +175,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.selected and not args.inputs:
+        raise ValueError("--selected needs --inputs")
     gold = load_treebank(args.gold)
     exclude = None
     if args.exclude_punct:
@@ -193,8 +195,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.inputs:
         sel = _selected_ids(args.selected)
         files = _load_parser_dir(args.inputs, sel)
-        if sel is not None:
-            selected = tuple(sel)
+        selected = tuple(sel or ())
         per_parser = {
             f.parser_id: uas(f.trees, gold.trees, exclude) for f in files
         }

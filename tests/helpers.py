@@ -11,6 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
+from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
+from treeagg.edges import EdgeLabelMatrix, majority_vote
 from treeagg.trees import DepTree, ParseEnsemble
 
 
@@ -286,3 +288,77 @@ def reference_dump_lines(ensemble: ParseEnsemble) -> list[str]:
         f"{sid}\t{h}\t{d}\t" + "\t".join(f"{int(v):+d}" for v in row)
         for (sid, h, d), row in zip(rows, labels)
     ]
+
+
+def reference_l1_logistic(
+    features: np.ndarray,
+    target: np.ndarray,
+    penalty: float,
+    tol: float = 1e-6,
+    counts: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, int, bool]:
+    """One L1-penalized logistic regression by FISTA, one column at a time.
+
+    The per-column loop the batched ``fit_l1_logistic`` replaced: the same
+    objective, steps, momentum and KKT stopping rule on an (n, p) design
+    and an (n,) target in {-1, +1}, with the masked two-branch sigmoid.
+    """
+    n, p = features.shape
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    total = c.sum()
+    X = np.column_stack([np.ones(n), features.astype(np.float64)])
+    t = (np.asarray(target, dtype=np.float64) + 1.0) / 2.0
+    step = 4.0 * total / np.linalg.norm(np.sqrt(c)[:, None] * X, 2) ** 2
+
+    def grad(w: np.ndarray) -> np.ndarray:
+        return X.T @ (c * (_sigmoid(X @ w) - t)) / total
+
+    def kkt(w: np.ndarray, g: np.ndarray) -> float:
+        r = abs(g[0])
+        gv, wv = g[1:], w[1:]
+        on = wv != 0
+        r = max(r, float(np.max(np.abs(gv[on] + penalty * np.sign(wv[on])), initial=0)))
+        r = max(r, float(np.max(np.abs(gv[~on]) - penalty, initial=0)))
+        return r
+
+    w = np.zeros(p + 1)
+    z = w.copy()
+    momentum = 1.0
+    for it in range(1, _L1_MAX_ITERATIONS + 1):
+        w_next = z - step * grad(z)
+        w_next[1:] = np.sign(w_next[1:]) * np.maximum(np.abs(w_next[1:]) - step * penalty, 0.0)
+        m_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+        z = w_next + ((momentum - 1.0) / m_next) * (w_next - w)
+        w, momentum = w_next, m_next
+        g = grad(w)
+        if kkt(w, g) <= tol:
+            return float(w[0]), w[1:], it, True
+    return float(w[0]), w[1:], _L1_MAX_ITERATIONS, False
+
+
+def reference_correlation_graph(
+    matrix: EdgeLabelMatrix, l1_penalty: float, coef_threshold: float = 1.0
+) -> tuple[frozenset, dict, tuple[int, ...]]:
+    """(edges, strengths, excluded) of neighborhood selection with one
+    ``reference_l1_logistic`` fit per active column."""
+    m = matrix.m
+    patterns, first, counts = np.unique(
+        matrix.labels, axis=0, return_index=True, return_counts=True
+    )
+    labels = patterns.astype(np.float64)
+    mv = majority_vote(matrix)[first].astype(np.float64)
+    excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
+    active = [j for j in range(m) if j not in excluded]
+    coef: dict[tuple[int, int], float] = {}
+    for j in active:
+        feats = [k for k in active if k != j]
+        X = np.column_stack([labels[:, feats], mv])
+        _, w, _, _ = reference_l1_logistic(X, labels[:, j], l1_penalty, counts=counts)
+        for pos, k in enumerate(feats):
+            coef[(j, k)] = abs(float(w[pos]))
+    strengths = {
+        (j, k): min(coef[(j, k)], coef[(k, j)])
+        for j, k in itertools.combinations(active, 2)
+        if coef[(j, k)] > coef_threshold and coef[(k, j)] > coef_threshold
+    }
+    return frozenset(strengths), strengths, excluded

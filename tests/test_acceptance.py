@@ -92,12 +92,13 @@ def test_criterion_3_fit_gradients_and_stationarity(acceptance_log):
         labels = np.where(rng.random((40, m)) < 0.5, 1.0, -1.0)
         mu = rng.uniform(-0.9, 0.9, size=m + 1)
         theta = rng.normal(scale=0.5, size=m + 1)
-        _, grad = _canonical_value_grad(theta, labels, mu)
+        shares = np.full(len(labels), 1 / len(labels))
+        _, grad = _canonical_value_grad(theta, labels, shares, mu)
         for i in range(m + 1):
             e = np.zeros(m + 1)
             e[i] = step
-            up, _ = _canonical_value_grad(theta + e, labels, mu)
-            down, _ = _canonical_value_grad(theta - e, labels, mu)
+            up, _ = _canonical_value_grad(theta + e, labels, shares, mu)
+            down, _ = _canonical_value_grad(theta - e, labels, shares, mu)
             worst_fd = max(worst_fd, abs((up - down) / (2 * step) - grad[i]))
 
     # feasible targets: moments generated by the model itself

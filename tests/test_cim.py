@@ -1,9 +1,9 @@
 """Correlation-aware Ising aggregation, stage by stage.
 
-Each stage gets its own oracle: the l1 fit is checked against a
-recomputed KKT residual, the moment fit against the stationarity
-conditions it claims to solve, and inference against exhaustive
-enumeration of the joint model.
+Each stage gets its own oracle: the batched l1 fit is checked against a
+recomputed KKT residual and the per-column FISTA loop in ``helpers``, the
+moment fit against the stationarity conditions it claims to solve, and
+inference against exhaustive enumeration of the joint model.
 """
 
 import itertools
@@ -39,7 +39,7 @@ from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree, ParseEnsemble
 
-from helpers import joint_prob_oracle
+from helpers import joint_prob_oracle, reference_correlation_graph, reference_l1_logistic
 
 
 @st.composite
@@ -69,6 +69,14 @@ def ci_columns(accuracies, n, rng, truth=None):
 # ---------------------------------------------------------------- l1 fit
 
 
+def fit_one(X, y, penalty, **kwargs):
+    """The batched solver on a single problem (k = 1)."""
+    intercepts, coefs, iterations, converged = fit_l1_logistic(
+        X[None], y[None], penalty, **kwargs
+    )
+    return float(intercepts[0]), coefs[0], iterations, converged
+
+
 def test_default_penalty_shrinks_with_sample_size():
     assert default_l1_penalty(10, 400) == pytest.approx(
         0.1 * math.sqrt(math.log(10) / 400)
@@ -80,7 +88,7 @@ def test_strong_penalty_zeroes_coefficients_but_not_intercept():
     rng = np.random.default_rng(2)
     X = np.where(rng.random((400, 3)) < 0.5, 1.0, -1.0)
     y = np.ones(400)
-    intercept, coefs, _, converged = fit_l1_logistic(X, y, penalty=0.3)
+    intercept, coefs, _, converged = fit_one(X, y, penalty=0.3)
     assert converged
     assert (coefs == 0.0).all()
     assert intercept > 3.0  # free to chase the all-positive target
@@ -91,7 +99,7 @@ def test_intercept_absorbs_class_imbalance():
     _ = rng.random((10000, 4))  # keep features independent of the target below
     X = np.where(rng.random((20000, 2)) < 0.5, 1.0, -1.0)
     y = np.where(rng.random(20000) < 0.9, 1.0, -1.0)
-    intercept, coefs, _, converged = fit_l1_logistic(X, y, penalty=0.2)
+    intercept, coefs, _, converged = fit_one(X, y, penalty=0.2)
     assert converged
     assert (coefs == 0.0).all()
     # log-odds of the marginal: log(0.9 / 0.1)
@@ -103,7 +111,7 @@ def test_kkt_residual_recomputed_from_scratch():
     X = np.where(rng.random((600, 4)) < 0.5, 1.0, -1.0)
     y = np.where(rng.random(600) < 0.6, 1.0, -1.0)
     lam = 0.02
-    intercept, w, _, converged = fit_l1_logistic(X, y, penalty=lam, tol=1e-8)
+    intercept, w, _, converged = fit_one(X, y, penalty=lam, tol=1e-8)
     assert converged
     # mean log-loss gradient at the returned point
     s = 1.0 / (1.0 + np.exp(y * (intercept + X @ w)))
@@ -129,13 +137,56 @@ def test_counts_fit_equals_fit_on_expanded_rows(votes, data, penalty):
         data.draw(st.lists(st.integers(1, 4), min_size=len(votes), max_size=len(votes)))
     )
     X, y = votes[:, 1:], votes[:, 0]
-    b0, w0, it0, ok0 = fit_l1_logistic(
+    b0, w0, it0, ok0 = fit_one(
         np.repeat(X, counts, axis=0), np.repeat(y, counts), penalty
     )
-    b1, w1, it1, ok1 = fit_l1_logistic(X, y, penalty, counts=counts)
+    b1, w1, it1, ok1 = fit_one(X, y, penalty, counts=counts)
     assert abs(b1 - b0) <= 1e-10
     assert np.abs(w1 - w0).max() <= 1e-10
     assert (it1, ok1) == (it0, ok0)
+
+
+@pytest.mark.parametrize("penalty", (0.005, 0.02, 0.3))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_one_problem_batch_equals_the_per_column_loop(seed, penalty):
+    rng = np.random.default_rng(seed)
+    truth = np.where(rng.random(600) < 0.6, 1, -1)
+    X = np.column_stack(
+        [np.where(rng.random(600) < a, truth, -truth) for a in (0.9, 0.8, 0.7, 0.5)]
+    ).astype(np.int8)
+    y = np.where(rng.random(600) < 0.85, truth, -truth).astype(np.int8)
+    counts = rng.integers(1, 5, 600)
+    b0, w0, it0, ok0 = reference_l1_logistic(X, y, penalty, counts=counts)
+    b1, w1, it1, ok1 = fit_one(X, y, penalty, counts=counts)
+    assert ok0 and ok1
+    assert abs(b1 - b0) <= 1e-12
+    assert np.abs(w1 - w0).max() <= 1e-12
+    assert it1 == it0
+
+
+def test_batch_runs_until_its_last_problem_freezes():
+    rng = np.random.default_rng(4)
+    truth = np.where(rng.random(600) < 0.6, 1, -1)
+    votes = np.column_stack(
+        [np.where(rng.random(600) < a, truth, -truth) for a in (0.9, 0.8, 0.7, 0.6)]
+    ).astype(np.int8)
+    counts = rng.integers(1, 5, 600)
+    # problem j regresses column j on the other three
+    others = [[c for c in range(4) if c != j] for j in range(4)]
+    intercepts, coefs, iterations, converged = fit_l1_logistic(
+        np.stack([votes[:, o] for o in others]), votes.T, 0.02, counts=counts
+    )
+    reference = [
+        reference_l1_logistic(votes[:, o], votes[:, j], 0.02, counts=counts)
+        for j, o in enumerate(others)
+    ]
+    assert converged and all(ok for _, _, _, ok in reference)
+    # each problem froze at its own iteration, the loop ran to the last one
+    assert len({it for _, _, it, _ in reference}) > 1
+    assert iterations == max(it for _, _, it, _ in reference)
+    for j, (b, w, _, _) in enumerate(reference):
+        assert abs(intercepts[j] - b) <= 1e-12
+        assert np.abs(coefs[j] - w).max() <= 1e-12
 
 
 # ---------------------------------------------------- correlation graph
@@ -168,7 +219,7 @@ def test_duplicated_column_is_the_only_edge():
     def coef(j, k):
         others = [c for c in range(5) if c != j]
         X = np.column_stack([labels[:, others], mv])
-        _, w, _, _ = fit_l1_logistic(X, labels[:, j], default_l1_penalty(5, 8000))
+        _, w, _, _ = fit_one(X, labels[:, j], default_l1_penalty(5, 8000))
         return abs(w[others.index(k)])
 
     assert graph.strengths[(1, 4)] == pytest.approx(
@@ -221,6 +272,19 @@ def test_graph_ignores_row_order_and_duplication(votes, rnd):
         assert other.edges == base.edges
         assert other.excluded == base.excluded
         assert other.strengths == pytest.approx(base.strengths, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(vote_arrays(), st.sampled_from((0.005, 0.02, 0.1, None)))
+def test_batched_graph_equals_per_column_fits(votes, penalty):
+    matrix = EdgeLabelMatrix.from_labels(votes)
+    if penalty is None:
+        penalty = default_l1_penalty(matrix.m, matrix.n_edges)
+    graph = estimate_correlation_graph(matrix, l1_penalty=penalty)
+    edges, strengths, excluded = reference_correlation_graph(matrix, penalty)
+    assert graph.edges == edges
+    assert graph.excluded == excluded
+    assert graph.strengths == pytest.approx(strengths, abs=1e-9)
 
 
 def test_graph_needs_two_parsers():
@@ -594,13 +658,9 @@ def test_scores_permute_with_the_rows(votes, rnd):
     base = cim_run(EdgeLabelMatrix.from_labels(votes))
     moved = cim_run(EdgeLabelMatrix.from_labels(votes[order]))
     assert moved.params.plugin == base.params.plugin
-    if base.params.plugin:
-        assert np.array_equal(moved.scores, base.scores[order])
-    else:
-        # a converged moment fit stops at the first iterate whose gradient
-        # norm is within 1e-6, and the row order moves the rounding of the
-        # descent: targeted search found score gaps up to 6e-7
-        assert np.abs(moved.scores - base.scores[order]).max() < 1e-5
+    # the moment fit runs on the sorted vote patterns, so the row order
+    # cannot move its rounding, converged or not
+    assert np.array_equal(moved.scores, base.scores[order])
 
 
 def test_trees_follow_separable_scores():
@@ -620,6 +680,8 @@ def _degenerate(kind, m):
         return votes[:1]
     if kind == "all rows agree":
         return np.repeat(votes[:, :1], m, axis=1)
+    if kind == "every column constant":
+        return np.repeat(votes[:1], len(votes), axis=0)
     if kind == "constant column":
         votes[:, 0] = 1
     else:  # duplicated columns
@@ -629,7 +691,14 @@ def _degenerate(kind, m):
 
 @pytest.mark.parametrize("m", (2, 3))
 @pytest.mark.parametrize(
-    "kind", ("one row", "all rows agree", "constant column", "duplicated columns")
+    "kind",
+    (
+        "one row",
+        "all rows agree",
+        "every column constant",
+        "constant column",
+        "duplicated columns",
+    ),
 )
 def test_solvers_end_within_their_caps_on_degenerate_matrices(kind, m, monkeypatch):
     l1_iterations = []
@@ -641,9 +710,15 @@ def test_solvers_end_within_their_caps_on_degenerate_matrices(kind, m, monkeypat
 
     monkeypatch.setattr(cim, "fit_l1_logistic", recorded_l1)
     matrix = EdgeLabelMatrix.from_labels(_degenerate(kind, m))
-    estimate_correlation_graph(matrix)
+    graph = estimate_correlation_graph(matrix)
     fit = fit_canonical_params(estimate_mean_params(matrix), matrix)
     assert fit.iterations <= _FIT_MAX_ITERATIONS
     assert crh_run(matrix).iterations <= CrhOptions().max_iterations
     assert cim_run(matrix).params.iterations <= _FIT_MAX_ITERATIONS
+    assert len(l1_iterations) == 2  # one batched solve per graph
     assert all(it <= _L1_MAX_ITERATIONS for it in l1_iterations)
+    if kind == "every column constant":
+        # no column is active: the solve has no problem and returns at once
+        assert graph.excluded == tuple(range(m))
+        assert graph.edges == frozenset()
+        assert l1_iterations == [0, 0]

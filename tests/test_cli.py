@@ -199,6 +199,24 @@ def test_evaluate_perfect_prediction_scores_100(tmp_path):
     assert json.loads(out.read_text())["methods"]["self"] == 100.0
 
 
+def test_evaluate_selected_without_inputs_exits_with_error(tmp_path, capsys):
+    gold = write(tmp_path / "gold.conllu", conllu_text([("s1", ["a", "b"], [0, 1])]))
+    selected = write(tmp_path / "sel.json", json.dumps({"selected": ["nobody"]}))
+    out = tmp_path / "r.json"
+    code = run(
+        [
+            "evaluate",
+            "--gold", str(gold),
+            "--pred", f"self={gold}",
+            "--selected", str(selected),
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --selected needs --inputs\n"
+    assert not out.exists()
+
+
 def test_evaluate_exclude_punct_skips_punct_words(tmp_path):
     def sentence(punct_head):
         return (

@@ -5,7 +5,7 @@ table by name, and the benchmark's workloads and checks read attributes of
 the package (``treeagg.<name>``, or ``T.<name>`` with ``T`` the package), so
 renaming or removing one of them, or a parameter its calls pass, would only
 surface as a crash of a benchmark run. These checks make it fail here
-instead.
+instead, as does a change to what the tracer reads off a return value.
 """
 
 import ast
@@ -17,7 +17,9 @@ import re
 from pathlib import Path
 
 import treeagg
+import treeagg.cim
 import treeagg.cli  # noqa: F401  (the workloads call treeagg.cli.run)
+from treeagg.cim import _L1_MAX_ITERATIONS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -25,14 +27,40 @@ SPANS = PERFBENCH / "spans.py"
 PACKAGE_READ = re.compile(r"\b(?:treeagg|T)((?:\.[A-Za-z_]\w*)+)")
 
 
-def test_every_traced_function_resolves():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_function_resolves():
+    spans = _spans()
     assert spans.TRACED
     for module_name, func_name in spans.TRACED:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, func_name, None)), (module_name, func_name)
+
+
+def test_tracer_counts_one_batched_l1_solve_per_cim_run():
+    # the benchmark's cim.l1_iterations and cim.l1_converged_ratio read
+    # fit_l1_logistic's return through these counts
+    synth = treeagg.generate(
+        treeagg.SynthConfig(n_sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
+    )
+    matrix = treeagg.label_matrix(synth.ensemble)
+    solver = treeagg.cim.fit_l1_logistic
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        treeagg.cim.cim_run(matrix)
+    finally:
+        tracer.uninstall()
+    assert treeagg.cim.fit_l1_logistic is solver
+    counts = tracer.counts
+    assert counts["cim.fit_l1_logistic.calls"] == 1
+    assert 0 < counts["cim.l1_iterations"] <= _L1_MAX_ITERATIONS
+    assert counts["cim.l1_converged"] <= counts["cim.fit_l1_logistic.calls"]
 
 
 def test_every_name_the_benchmark_reads_resolves():
