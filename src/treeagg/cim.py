@@ -112,6 +112,11 @@ def fit_l1_logistic(
     return fitted[:, 0], fitted[:, 1:], it, live.size == 0
 
 
+def _require_edges(matrix: EdgeLabelMatrix) -> None:
+    if matrix.n_edges == 0:
+        raise ValueError("cim needs at least one candidate edge")
+
+
 def default_l1_penalty(m: int, n: int) -> float:
     return 0.1 * math.sqrt(math.log(m) / n)
 
@@ -156,6 +161,7 @@ def estimate_correlation_graph(
     n, m = matrix.labels.shape
     if m < 2:
         raise ValueError("need at least two parsers")
+    _require_edges(matrix)
     labels, first, counts = _vote_patterns(matrix.labels)
     # the majority vote is a function of the row's votes, so one per pattern
     mv = majority_vote(matrix)[first].astype(np.float64)
@@ -513,8 +519,7 @@ def cim_run(matrix: EdgeLabelMatrix, opts: CimOptions = CimOptions()) -> CimResu
     The majority vote used for mean-parameter estimation is recomputed on
     the collapsed matrix so duplicated parsers cannot double-vote.
     """
-    if matrix.n_edges == 0:
-        raise ValueError("cim needs at least one candidate edge")
+    _require_edges(matrix)
     if opts.collapse:
         graph = estimate_correlation_graph(matrix, opts.l1_penalty, opts.coef_threshold)
     else:

@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import cim as cim_mod
 from . import crh as crh_mod
 from .conllu import (
@@ -47,6 +49,7 @@ from .evaluation import (
     vote_mst,
 )
 from .synth import SynthConfig, generate
+from .trees import per_sentence
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,7 +118,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     gold = load_treebank(args.gold)
     ensemble = build_ensemble(files)
     result = rank_and_select(
-        ensemble, gold.trees, args.sample_size, args.top_k, args.seed
+        ensemble, gold, args.sample_size, args.top_k, args.seed
     )
     payload = {
         "selected": list(result.selected),
@@ -140,16 +143,14 @@ def _selected_ids(path: str | None) -> list[str] | None:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     files = _load_parser_dir(args.inputs, _selected_ids(args.selected))
     ensemble = build_ensemble(files)
-    # vote_mst builds its own matrix, so mst needs one here only to dump it.
-    if args.dump_matrix or args.method != "mst":
-        matrix = label_matrix(ensemble)
+    matrix = label_matrix(ensemble)
     if args.dump_matrix:
         Path(args.dump_matrix).write_text(
             "\n".join(iter_dump_lines(matrix)) + "\n", encoding="utf-8"
         )
     single_root = not args.no_single_root
     if args.method == "mst":
-        trees = vote_mst(ensemble, single_root)
+        trees = vote_mst(ensemble, single_root, matrix)
     elif args.method == "crh":
         opts = crh_mod.CrhOptions(
             distance=args.crh_distance,
@@ -180,24 +181,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     gold = load_treebank(args.gold)
     exclude = None
     if args.exclude_punct:
-        exclude = [
-            [s.lines[w].split("\t")[3] == "PUNCT" for w in s.words]
-            for s in gold.sentences
-        ]
+        exclude = per_sentence(np.array(gold.column(3)) == "PUNCT", gold.offsets)
     methods: dict[str, float] = {}
     for spec in args.pred:
         name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--pred wants NAME=FILE, got {spec!r}")
         pred = load_treebank(path)
-        methods[name] = uas(pred.trees, gold.trees, exclude)
+        methods[name] = uas(pred, gold, exclude)
     selected: tuple[str, ...] = ()
     if args.inputs:
         sel = _selected_ids(args.selected)
         files = _load_parser_dir(args.inputs, sel)
         selected = tuple(sel or ())
         per_parser = {
-            f.parser_id: uas(f.trees, gold.trees, exclude) for f in files
+            f.parser_id: uas(f, gold, exclude) for f in files
         }
         methods["best_parser"] = max(per_parser.values())
         methods["avg_parser"] = sum(per_parser.values()) / len(per_parser)

@@ -1,11 +1,19 @@
 """CoNLL-U reading and writing.
 
-A sentence keeps the verbatim lines of its block. Only the ID, FORM and
-HEAD columns of word lines are read; comments, multiword-token ranges,
-empty nodes and the other columns pass through untouched, and writing
-rewrites only the HEAD column of the word lines whose head changed. Input
-may use LF or CRLF line endings; output is LF, with each sentence followed
-by one empty line and the file ending in a single newline.
+A parsed file is a set of arrays over its verbatim lines. Parsing reads
+only the ID and HEAD columns of word lines; comments, multiword-token
+ranges, empty nodes and the other columns pass through untouched
+(``TreebankFile.column`` reads one on request), and writing rewrites only
+the HEAD column of the word lines whose head changed. Input may use LF or
+CRLF line endings; output is LF, with each sentence followed by one empty
+line and the file ending in a single newline.
+
+Parsing scans the whole text at once: numpy finds the newlines and tabs,
+classifies each line by its first byte, reads the ID and HEAD fields of
+word lines as digit fields, and checks every sentence's tree together
+(``trees.check_trees``). When any check fails, the line loop
+``_raise_first_error`` reruns over the text only to raise the first error
+with its line number.
 """
 
 from __future__ import annotations
@@ -15,7 +23,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .trees import DepTree, InvalidTreeError, ParseEnsemble, Sentence
+import numpy as np
+
+from .trees import (
+    DepTree,
+    InvalidTreeError,
+    ParseEnsemble,
+    Sentence,
+    check_trees,
+    concat_ranges,
+    per_sentence,
+)
 
 _WORD_ID = re.compile(r"[1-9][0-9]*$")
 _RANGE_ID = re.compile(r"[0-9]+-[0-9]+$")
@@ -24,6 +42,9 @@ _SENT_ID = re.compile(r"#\s*sent_id\s*=\s*(.+)$")
 
 N_COLUMNS = 10
 HEAD_COLUMN = 6
+# ID and HEAD fields up to this many digits are read as int64 arrays
+_MAX_DIGITS = 18
+_NEWLINE, _TAB, _HASH, _ZERO, _NINE = b"\n\t#09"
 
 
 class ConlluError(ValueError):
@@ -34,23 +55,83 @@ class ConlluError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreebankFile:
-    """One parser's (or the gold) trees for a whole treebank."""
+    """One parser's (or the gold) trees for a whole treebank, as arrays.
+
+    ``lines`` are the source lines without line endings; the subsets of a
+    file share them. Sentence i, with id ``sentence_ids[i]``, is the block
+    ``lines[blocks[i, 0]:blocks[i, 1]]``, and its words are the entries
+    ``offsets[i]:offsets[i + 1]`` of the flat arrays ``heads`` (the HEAD
+    column) and ``words`` (the index in ``lines`` of each word line).
+    ``sentences`` and ``trees`` are built from these on demand.
+    """
 
     parser_id: str
-    sentences: tuple[Sentence, ...]
+    lines: tuple[str, ...]
+    sentence_ids: tuple[str, ...]
+    blocks: np.ndarray
+    offsets: np.ndarray
+    heads: np.ndarray
+    words: np.ndarray
+
+    def __post_init__(self) -> None:
+        for a in (self.blocks, self.offsets, self.heads, self.words):
+            a.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.sentence_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreebankFile):
+            return NotImplemented
+        return (self.parser_id, self.sentences) == (other.parser_id, other.sentences)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Token count of each sentence."""
+        return np.diff(self.offsets)
+
+    def column(self, index: int) -> list[str]:
+        """Column ``index`` (0-based, so FORM is 1) of every word line,
+        sentences end to end."""
+        lines = self.lines
+        return [lines[w].split("\t", index + 1)[index] for w in self.words.tolist()]
 
     @property
     def trees(self) -> tuple[DepTree, ...]:
-        return tuple(s.tree for s in self.sentences)
+        return tuple(DepTree(h) for h in per_sentence(self.heads, self.offsets))
+
+    @property
+    def sentences(self) -> tuple[Sentence, ...]:
+        bounds = self.offsets.tolist()
+        words = self.words.tolist()
+        forms = self.column(1)
+        return tuple(
+            Sentence(
+                sid,
+                self.lines[start:stop],
+                tuple(w - start for w in words[a:b]),
+                tuple(forms[a:b]),
+                tree,
+            )
+            for sid, (start, stop), a, b, tree in zip(
+                self.sentence_ids, self.blocks.tolist(), bounds, bounds[1:], self.trees
+            )
+        )
 
     def subset(self, positions: Sequence[int]) -> "TreebankFile":
-        picked = tuple(self.sentences[i] for i in positions)
-        return replace(self, sentences=picked)
+        pos = np.asarray(positions, dtype=np.int64)
+        q = self.lengths[pos]
+        tokens = concat_ranges(self.offsets[pos], q)
+        return replace(
+            self,
+            sentence_ids=tuple(self.sentence_ids[i] for i in pos.tolist()),
+            blocks=self.blocks[pos],
+            offsets=np.concatenate(([0], np.cumsum(q))),
+            heads=self.heads[tokens],
+            words=self.words[tokens],
+        )
 
 
 def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> TreebankFile:
@@ -74,19 +155,111 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
         if text.endswith("\r"):
             text = text[:-1]
     lines = text.split("\n")
+    scanned = _scan(text, lines)
+    if scanned is None:
+        _raise_first_error(lines)
+        raise AssertionError("the scan rejected text the line check accepts")
+    return TreebankFile(parser_id, tuple(lines), *scanned)
 
-    sentences: list[Sentence] = []
+
+def _read_numbers(
+    raw: np.ndarray, start: np.ndarray, stop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each field ``raw[start:stop]``: whether it is 1 to _MAX_DIGITS
+    ASCII digits, and then its value."""
+    length = stop - start
+    width = min(int(length.max(initial=0)), _MAX_DIGITS)
+    # right-aligned: column j holds the digit worth 10 ** (width - 1 - j)
+    cols = np.arange(width)
+    inside = cols >= width - length[:, None]
+    digit = raw[np.maximum(stop[:, None] - width + cols, 0)] - _ZERO  # wraps below "0"
+    is_digit = digit <= _NINE - _ZERO
+    ok = (length > 0) & (length <= _MAX_DIGITS) & (is_digit | ~inside).all(axis=1)
+    value = np.where(inside & is_digit, digit, 0) @ 10 ** np.arange(width - 1, -1, -1)
+    return ok, value
+
+
+def _scan(text: str, lines: list[str]):
+    """(sentence ids, blocks, offsets, heads, words) of a valid file, or
+    ``None`` as soon as a check fails."""
+    # one "\n" per line, the last one appended, so every line has an end
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+    ends = np.flatnonzero(raw == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = raw[starts]
+    blank = first == _NEWLINE
+    comment = first == _HASH
+    token = (first >= _ZERO) & (first <= _NINE)
+    for i in np.flatnonzero(~(blank | comment | token)).tolist():
+        if not lines[i].isspace():
+            return None
+        blank[i] = True
+    filled = ~blank
+    before = np.concatenate(([False], filled[:-1]))
+    # a comment may not follow a token line of its block
+    if (comment & before & ~np.concatenate(([False], comment[:-1]))).any():
+        return None
+    block_start = filled & ~before
+    block_of = np.cumsum(block_start) - 1
+    n_blocks = int(block_start.sum())
+
+    tok = np.flatnonzero(token)
+    tabs = np.flatnonzero(raw == _TAB)
+    t0 = np.searchsorted(tabs, starts[tok])
+    if (np.searchsorted(tabs, ends[tok]) - t0 != N_COLUMNS - 1).any():
+        return None
+    numeric, ident = _read_numbers(raw, starts[tok], tabs[t0])
+    for i in tok[~numeric].tolist():
+        field = lines[i].partition("\t")[0]
+        if not (_RANGE_ID.fullmatch(field) or _EMPTY_ID.fullmatch(field)):
+            return None
+    # every all-digit id is a word line: 1, 2, ... within its block
+    words = tok[numeric]
+    sent = block_of[words]
+    q = np.bincount(sent, minlength=n_blocks)
+    offsets = np.concatenate(([0], np.cumsum(q)))
+    rank = np.arange(len(words)) - offsets[sent] + 1
+    if (q == 0).any() or (ident[numeric] != rank).any() or (raw[starts[words]] == _ZERO).any():
+        return None
+    head = t0[numeric] + HEAD_COLUMN  # the tab that ends the HEAD field
+    digits, heads = _read_numbers(raw, tabs[head - 1] + 1, tabs[head])
+    for k in np.flatnonzero(~digits).tolist():
+        field = lines[words[k]].split("\t")[HEAD_COLUMN]
+        if not (field.isascii() and field.isdigit()):
+            return None
+        heads[k] = min(int(field), np.iinfo(np.int64).max)
+    if not check_trees(heads, offsets).all():
+        return None
+
+    found: list[str | None] = [None] * n_blocks
+    marks = np.flatnonzero(comment)
+    for i, b in zip(marks.tolist(), block_of[marks].tolist()):
+        if found[b] is None:
+            m = _SENT_ID.match(lines[i])
+            if m:
+                found[b] = m.group(1).strip()
+    ids = tuple(sid or f"s{b + 1}" for b, sid in enumerate(found))
+    if len(set(ids)) != n_blocks:
+        return None
+    stops = np.flatnonzero(filled & ~np.concatenate((filled[1:], [False]))) + 1
+    blocks = np.column_stack((np.flatnonzero(block_start), stops))
+    return ids, blocks, offsets, heads, words
+
+
+def _raise_first_error(lines: Sequence[str]) -> None:
+    """Walk the lines as a reader would and raise the first error found,
+    with its line number. Parsing runs this only on text its scan rejected."""
     seen_ids: set[str] = set()
+    n_sentences = 0
     block: list[str] = []
-    words: list[int] = []
-    forms: list[str] = []
     heads: list[int] = []
     first_word_line = 0
 
     def flush(line_no: int) -> None:
+        nonlocal n_sentences
         if not block:
             return
-        if not words:
+        if not heads:
             raise ConlluError(line_no, "sentence block without word lines")
         sid = ""
         for line in block:
@@ -96,21 +269,20 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
             if m:
                 sid = m.group(1).strip()
                 break
-        if not sid:
-            sid = f"s{len(sentences) + 1}"
+        n_sentences += 1
+        sid = sid or f"s{n_sentences}"
         if sid in seen_ids:
             raise ConlluError(line_no, f"duplicate sentence id {sid!r}")
         seen_ids.add(sid)
         try:
-            tree = DepTree(heads)
+            DepTree(heads)
         except InvalidTreeError as e:
             raise ConlluError(first_word_line, str(e)) from None
-        sentences.append(Sentence(sid, tuple(block), tuple(words), tuple(forms), tree))
 
     for line_no, line in enumerate(lines, start=1):
         if not line or line.isspace():
             flush(line_no)
-            block, words, forms, heads = [], [], [], []
+            block, heads = [], []
             continue
         if line.startswith("#"):
             if block and not block[-1].startswith("#"):
@@ -121,14 +293,12 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
         if len(cols) != N_COLUMNS:
             raise ConlluError(line_no, f"expected {N_COLUMNS} columns, found {len(cols)}")
         ident = cols[0]
-        if ident == str(len(words) + 1):
+        if ident == str(len(heads) + 1):
             head = cols[HEAD_COLUMN]
             if not (head.isascii() and head.isdigit()):
                 raise ConlluError(line_no, f"non-integer HEAD {head!r}")
-            if not words:
+            if not heads:
                 first_word_line = line_no
-            words.append(len(block))
-            forms.append(cols[1])
             heads.append(int(head))
         elif _RANGE_ID.fullmatch(ident) or _EMPTY_ID.fullmatch(ident):
             pass
@@ -138,8 +308,6 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
             raise ConlluError(line_no, f"unrecognized token id {ident!r}")
         block.append(line)
     flush(len(lines))
-
-    return TreebankFile(parser_id, tuple(sentences))
 
 
 def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFile:
@@ -161,24 +329,30 @@ def write_conllu(
     whitespace or repeated become one empty line, and the blank line that
     ends a file in the UD layout is not reproduced.
     """
-    out: list[str] = []
-    for sentence in treebank.sentences:
-        lines: Sequence[str] = sentence.lines
-        if predicted is not None and sentence.sentence_id in predicted:
-            tree = predicted[sentence.sentence_id]
-            if len(tree) != len(sentence):
+    lines: Sequence[str] = treebank.lines
+    if predicted is not None:
+        new = treebank.heads.copy()
+        bounds = treebank.offsets.tolist()
+        for sid, a, b in zip(treebank.sentence_ids, bounds, bounds[1:]):
+            tree = predicted.get(sid)
+            if tree is None:
+                continue
+            if len(tree) != b - a:
                 raise ValueError(
-                    f"sentence {sentence.sentence_id!r}: predicted tree over "
-                    f"{len(tree)} tokens, sentence has {len(sentence)}"
+                    f"sentence {sid!r}: predicted tree over "
+                    f"{len(tree)} tokens, sentence has {b - a}"
                 )
-            if tree != sentence.tree:
-                lines = list(lines)
-                for w, old, new in zip(sentence.words, sentence.tree.heads, tree.heads):
-                    if old != new:
-                        cols = lines[w].split("\t")
-                        cols[HEAD_COLUMN] = str(new)
-                        lines[w] = "\t".join(cols)
-        out.extend(lines)
+            new[a:b] = tree.heads
+        moved = np.flatnonzero(new != treebank.heads)
+        if moved.size:
+            lines = list(lines)
+            for w, h in zip(treebank.words[moved].tolist(), new[moved].tolist()):
+                cols = lines[w].split("\t")
+                cols[HEAD_COLUMN] = str(h)
+                lines[w] = "\t".join(cols)
+    out: list[str] = []
+    for start, stop in treebank.blocks.tolist():
+        out.extend(lines[start:stop])
         out.append("")
     return "\n".join(out)
 
@@ -189,6 +363,15 @@ def save_treebank(
     predicted: Mapping[str, DepTree] | None = None,
 ) -> None:
     Path(path).write_text(write_conllu(treebank, predicted), encoding="utf-8")
+
+
+def aligned_tokens(
+    files: Sequence[TreebankFile], positions: np.ndarray
+) -> list[np.ndarray]:
+    """Per file, the flat indices of the tokens of the sentences at
+    ``positions``, which must have the same token counts in every file."""
+    q = files[0].lengths[positions]
+    return [concat_ranges(f.offsets[positions], q) for f in files]
 
 
 def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
@@ -202,11 +385,17 @@ def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     counts = {len(f) for f in files}
     if len(counts) != 1:
         raise ValueError(f"sentence counts differ across files: {sorted(counts)}")
-    flags = []
-    for group in zip(*(f.sentences for f in files)):
-        ref = group[0].forms
-        flags.append(all(s.forms == ref for s in group[1:]))
-    return flags
+    q = np.stack([f.lengths for f in files])
+    same = (q == q[0]).all(axis=0)
+    keep = np.flatnonzero(same)
+    tokens = aligned_tokens(files, keep)
+    forms = [np.array(f.column(1), dtype=object)[t] for f, t in zip(files, tokens)]
+    differ = np.zeros(len(forms[0]), dtype=bool)
+    for other in forms[1:]:
+        differ |= other != forms[0]
+    sent = np.repeat(np.arange(len(keep)), q[0, keep])
+    same[keep[np.unique(sent[differ])]] = False
+    return same.tolist()
 
 
 def build_ensemble(files: Sequence[TreebankFile]) -> ParseEnsemble:
@@ -224,8 +413,15 @@ def build_ensemble(files: Sequence[TreebankFile]) -> ParseEnsemble:
                 f"{f.parser_id!r} has {len(f)} sentences, "
                 f"{files[0].parser_id!r} has {n}"
             )
-    trees = {
-        files[0].sentences[i].sentence_id: tuple(f.sentences[i].tree for f in files)
-        for i in range(n)
-    }
-    return ParseEnsemble(tuple(f.parser_id for f in files), trees)
+    ref = files[0]
+    for f in files[1:]:
+        differ = np.flatnonzero(f.lengths != ref.lengths)
+        if differ.size:
+            sid = ref.sentence_ids[differ[0]]
+            raise ValueError(f"sentence {sid!r}: parsers disagree on token count")
+    return ParseEnsemble.from_heads(
+        [f.parser_id for f in files],
+        ref.sentence_ids,
+        ref.offsets,
+        np.stack([f.heads for f in files]),
+    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,13 +81,6 @@ class EdgeLabelMatrix:
         )
 
 
-def _flat_heads(trees: Iterable[DepTree]) -> np.ndarray:
-    """The trees' head sequences laid end to end."""
-    return np.fromiter(
-        itertools.chain.from_iterable(t.heads for t in trees), dtype=np.int64
-    )
-
-
 def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     """Build the signed label matrix for an ensemble.
 
@@ -96,14 +89,11 @@ def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     each candidate edge was proposed by some parser.
     """
     sids = ensemble.sentence_ids
-    q = np.array([ensemble.token_count(s) for s in sids], dtype=np.int64)
+    q = np.diff(ensemble.offsets)
     # parser x token head array, tokens of all sentences end to end
-    H = np.array(
-        [_flat_heads(ensemble.trees[s][k] for s in sids) for k in range(ensemble.m)],
-        dtype=np.int64,
-    )
+    H = ensemble.heads
     sent = np.repeat(np.arange(len(sids)), q)
-    first = np.cumsum(q) - q
+    first = ensemble.offsets[:-1]
     dep = np.arange(len(sent)) - first[sent] + 1
     # One integer per (sentence, head, dependent); sorting the keys sorts
     # the rows in that order.
@@ -140,7 +130,10 @@ def tree_labels(
     q = np.array([len(t) for t in chosen], dtype=np.int64)
     first = np.cumsum(q) - q
     tok = np.repeat(first, np.diff(matrix.offsets)) + matrix.deps - 1
-    return np.where(_flat_heads(chosen)[tok] == matrix.heads, 1, -1).astype(np.int8)
+    heads = np.fromiter(
+        itertools.chain.from_iterable(t.heads for t in chosen), dtype=np.int64
+    )
+    return np.where(heads[tok] == matrix.heads, 1, -1).astype(np.int8)
 
 
 def trees_from_scores(

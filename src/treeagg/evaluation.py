@@ -9,6 +9,7 @@ consensus trees by micro-averaged UAS over syntactic words.
 
 from __future__ import annotations
 
+import itertools
 import random
 import statistics
 from dataclasses import asdict, dataclass, field
@@ -16,9 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conllu import TreebankFile, check_segmentation
-from .edges import label_matrix, trees_from_scores
-from .trees import DepTree, ParseEnsemble
+from .conllu import TreebankFile, aligned_tokens, check_segmentation
+from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores
+from .trees import DepTree, ParseEnsemble, concat_ranges
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,18 @@ def preprocess(
             f"{len(files)} parsers, need at least {min_parsers}",
         )
         return PreprocessResult(None, None, log)
-    seg_ok = check_segmentation([*files, gold])
-    seg_dropped = seg_ok.count(False)
-    kept: list[int] = []
-    agree_dropped = 0
-    for i, ok in enumerate(seg_ok):
-        if not ok:
-            continue
-        trees = [f.sentences[i].tree for f in files]
-        if all(t == trees[0] for t in trees[1:]):
-            agree_dropped += 1
-            continue
-        kept.append(i)
+    seg_ok = np.flatnonzero(check_segmentation([*files, gold]))
+    seg_dropped = total - len(seg_ok)
+    # the same segmentation, so the same token positions in every file
+    tokens = aligned_tokens(files, seg_ok)
+    ref = files[0].heads[tokens[0]]
+    differ = np.zeros(len(ref), dtype=bool)
+    for f, t in zip(files[1:], tokens[1:]):
+        differ |= f.heads[t] != ref
+    sent = np.repeat(np.arange(len(seg_ok)), files[0].lengths[seg_ok])
+    disputed = np.bincount(sent[differ], minlength=len(seg_ok)) > 0
+    agree_dropped = len(seg_ok) - int(disputed.sum())
+    kept = seg_ok[disputed].tolist()
     if len(kept) < min_sentences:
         log = FilterLog(
             total, seg_dropped, agree_dropped, tuple(kept), len(files),
@@ -90,35 +91,57 @@ def preprocess(
     )
 
 
+def _flat(trees: Sequence[DepTree] | TreebankFile) -> tuple[np.ndarray, np.ndarray]:
+    """Flat heads and per-sentence token counts."""
+    if isinstance(trees, TreebankFile):
+        return trees.heads, trees.lengths
+    q = np.array([len(t) for t in trees], dtype=np.int64)
+    heads = itertools.chain.from_iterable(t.heads for t in trees)
+    return np.fromiter(heads, dtype=np.int64, count=int(q.sum())), q
+
+
+def _uas(
+    pred: np.ndarray,
+    pred_q: np.ndarray,
+    gold: np.ndarray,
+    gold_q: np.ndarray,
+    skip: np.ndarray | None = None,
+) -> float:
+    if len(pred_q) != len(gold_q):
+        raise ValueError(f"{len(pred_q)} predicted trees vs {len(gold_q)} gold")
+    if not len(gold_q):
+        raise ValueError("no sentences to score")
+    bad = np.flatnonzero(pred_q != gold_q)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"sentence {i}: {pred_q[i]} tokens predicted, {gold_q[i]} gold")
+    hit = pred == gold
+    counted = len(gold)
+    if skip is not None:
+        if len(skip) != counted:
+            raise ValueError(f"{len(skip)} exclusion flags for {counted} tokens")
+        hit &= ~skip
+        counted -= int(np.count_nonzero(skip))
+    if counted == 0:
+        raise ValueError("every token excluded")
+    return 100.0 * int(np.count_nonzero(hit)) / counted
+
+
 def uas(
-    pred: Sequence[DepTree],
-    gold: Sequence[DepTree],
+    pred: Sequence[DepTree] | TreebankFile,
+    gold: Sequence[DepTree] | TreebankFile,
     exclude: Sequence[Sequence[bool]] | None = None,
 ) -> float:
     """Micro-averaged unlabeled attachment score, as a percentage.
 
+    ``pred`` and ``gold`` are sequences of trees or treebank files.
     ``exclude`` optionally masks tokens (True = skip), e.g. punctuation.
     Token counts must agree sentence by sentence.
     """
-    if len(pred) != len(gold):
-        raise ValueError(f"{len(pred)} predicted trees vs {len(gold)} gold")
-    if not gold:
-        raise ValueError("no sentences to score")
-    correct = 0
-    counted = 0
-    for i, (p, g) in enumerate(zip(pred, gold)):
-        if len(p) != len(g):
-            raise ValueError(f"sentence {i}: {len(p)} tokens predicted, {len(g)} gold")
-        mask = exclude[i] if exclude is not None else None
-        for d in range(len(g)):
-            if mask is not None and mask[d]:
-                continue
-            counted += 1
-            if p.heads[d] == g.heads[d]:
-                correct += 1
-    if counted == 0:
-        raise ValueError("every token excluded")
-    return 100.0 * correct / counted
+    skip = None
+    if exclude is not None:
+        skip = np.fromiter(itertools.chain.from_iterable(exclude), dtype=bool)
+    return _uas(*_flat(pred), *_flat(gold), skip)
 
 
 @dataclass(frozen=True)
@@ -131,7 +154,7 @@ class RankResult:
 
 def rank_and_select(
     ensemble: ParseEnsemble,
-    gold_trees: Sequence[DepTree],
+    gold_trees: Sequence[DepTree] | TreebankFile,
     sample_size: int = 10,
     top_k: int = 9,
     seed: int = 0,
@@ -143,17 +166,21 @@ def rank_and_select(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    sids = ensemble.sentence_ids
-    if len(gold_trees) != len(sids):
+    gold, gold_q = _flat(gold_trees)
+    n = len(ensemble.sentence_ids)
+    if len(gold_q) != n:
         raise ValueError("gold trees do not align with the ensemble")
-    n = len(sids)
     take = min(sample_size, n)
     positions = sorted(random.Random(seed).sample(range(n), take))
-    sample_gold = [gold_trees[i] for i in positions]
-    table = []
-    for k, pid in enumerate(ensemble.parser_ids):
-        sample_pred = [ensemble.trees[sids[i]][k] for i in positions]
-        table.append((pid, uas(sample_pred, sample_gold)))
+    pos = np.array(positions, dtype=np.int64)
+    q = np.diff(ensemble.offsets)[pos]
+    sample = ensemble.heads[:, concat_ranges(ensemble.offsets[pos], q)]
+    gold_offsets = np.concatenate(([0], np.cumsum(gold_q)))
+    sample_gold = gold[concat_ranges(gold_offsets[pos], gold_q[pos])]
+    table = [
+        (pid, _uas(row, q, sample_gold, gold_q[pos]))
+        for pid, row in zip(ensemble.parser_ids, sample)
+    ]
     warning = None
     if top_k > ensemble.m:
         warning = f"asked for top {top_k} of {ensemble.m} parsers; keeping all"
@@ -163,10 +190,16 @@ def rank_and_select(
 
 
 def vote_mst(
-    ensemble: ParseEnsemble, enforce_single_root: bool = True
+    ensemble: ParseEnsemble,
+    enforce_single_root: bool = True,
+    matrix: EdgeLabelMatrix | None = None,
 ) -> dict[str, DepTree]:
-    """Consensus trees from unweighted vote counts (the MST baseline)."""
-    matrix = label_matrix(ensemble)
+    """Consensus trees from unweighted vote counts (the MST baseline).
+
+    ``matrix`` is the ensemble's label matrix, built here when not given.
+    """
+    if matrix is None:
+        matrix = label_matrix(ensemble)
     votes = (matrix.labels == 1).sum(axis=1).astype(np.float64)
     return trees_from_scores(matrix, votes, ensemble, enforce_single_root)
 

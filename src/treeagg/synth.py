@@ -10,13 +10,14 @@ byte-identical and appending sentences never reshuffles earlier ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
 from .conllu import TreebankFile, build_ensemble
-from .trees import DepTree, ParseEnsemble, Sentence, validate_tree
+from .trees import DepTree, ParseEnsemble, validate_tree
 
 _KEEP = 1.0
 _FILLER = 1e-6
@@ -89,14 +90,29 @@ def _corrupt(gold: DepTree, rate: float, rng: np.random.Generator) -> DepTree:
     return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True)
 
 
-def _sentence(sid: str, tree: DepTree) -> Sentence:
-    q = len(tree)
-    forms = tuple(f"w{d}" for d in range(1, q + 1))
-    lines = (f"# sent_id = {sid}",) + tuple(
-        f"{d}\t{form}\t_\t_\t_\t_\t{h}\t_\t_\t_"
-        for d, (form, h) in enumerate(zip(forms, tree.heads), start=1)
+def _treebank(parser_id: str, sids: list[str], trees: list[DepTree]) -> TreebankFile:
+    """A file of one block per tree: a sent_id comment, then word lines
+    whose FORM is w1, w2, ..."""
+    lines: list[str] = []
+    blocks: list[tuple[int, int]] = []
+    words: list[int] = []
+    for sid, tree in zip(sids, trees):
+        start = len(lines)
+        lines.append(f"# sent_id = {sid}")
+        for d, h in enumerate(tree.heads, start=1):
+            words.append(len(lines))
+            lines.append(f"{d}\tw{d}\t_\t_\t_\t_\t{h}\t_\t_\t_")
+        blocks.append((start, len(lines)))
+    heads = itertools.chain.from_iterable(t.heads for t in trees)
+    return TreebankFile(
+        parser_id,
+        tuple(lines),
+        tuple(sids),
+        np.array(blocks, dtype=np.int64).reshape(-1, 2),
+        np.cumsum([0] + [len(t) for t in trees]),
+        np.fromiter(heads, dtype=np.int64, count=len(words)),
+        np.array(words, dtype=np.int64),
     )
-    return Sentence(sid, lines, tuple(range(1, q + 1)), forms, tree)
 
 
 def generate(config: SynthConfig) -> SynthResult:
@@ -117,15 +133,10 @@ def generate(config: SynthConfig) -> SynthResult:
 
     all_trees = per_parser + [list(per_parser[src]) for src in config.duplicates]
     sids = [f"synth{i + 1:04d}" for i in range(config.n_sentences)]
-    gold_file = TreebankFile(
-        "gold", tuple(_sentence(s, t) for s, t in zip(sids, gold_trees))
-    )
+    gold_file = _treebank("gold", sids, gold_trees)
     width = len(str(config.m))
     files = tuple(
-        TreebankFile(
-            f"parser_{j + 1:0{width}d}",
-            tuple(_sentence(s, t) for s, t in zip(sids, trees)),
-        )
+        _treebank(f"parser_{j + 1:0{width}d}", sids, trees)
         for j, trees in enumerate(all_trees)
     )
     accuracies = tuple(1.0 - r for r in config.rates) + tuple(

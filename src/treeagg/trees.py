@@ -2,12 +2,22 @@
 
 Head conventions follow CoNLL-U: tokens are numbered 1..q, head 0 is the
 artificial root, and ``heads[d - 1]`` is the head of token ``d``.
+
+Many trees are held as one flat head array plus ``offsets``: the heads of
+sentence i are ``heads[offsets[i]:offsets[i + 1]]``. ``check_trees``
+validates every tree of such an array at once; ``validate_tree`` checks one
+head sequence. A ``ParseEnsemble`` stacks m parsers' flat head arrays into
+an (m x tokens) array; ``DepTree`` and ``Sentence`` objects are built from
+the arrays only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 
 class InvalidTreeError(ValueError):
@@ -59,6 +69,33 @@ def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
     return TreeCheck(True)
 
 
+def check_trees(heads: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per sentence, whether its heads form a tree over its tokens rooted at
+    0: the verdict of ``validate_tree`` for every sentence of a flat head
+    array at once.
+
+    The range check is an array compare. A token reaches the root within q
+    steps in a tree, and never on or below a cycle (a self-loop is a cycle
+    of one), so each token's ancestor pointer is doubled (``p = p[p]``)
+    until it has jumped at least as far as the longest sentence is long,
+    and every token must end at the root.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    q = np.diff(offsets)
+    n = len(heads)
+    sent = np.repeat(np.arange(len(q)), q)
+    first = offsets[sent]
+    ok = (heads >= 0) & (heads <= q[sent])
+    # flat index of each token's head; the root, and a token whose head is
+    # out of range, point at the absorbing node n
+    up = np.append(np.where(ok & (heads > 0), first + heads - 1, n), n)
+    for _ in range(int(q.max(initial=0)).bit_length()):
+        up = up[up]
+    ok &= up[:-1] == n
+    return np.bincount(sent[~ok], minlength=len(q)) == 0
+
+
 @dataclass(frozen=True)
 class DepTree:
     """An unlabeled dependency tree stored as its head sequence.
@@ -85,9 +122,8 @@ class Sentence:
     ``lines`` are the block's lines in file order, without line endings:
     comments, word lines, multiword-token ranges and empty nodes. ``words``
     gives the index in ``lines`` of each word line, so word ``k`` (1-based)
-    is ``lines[words[k - 1]]``; ``forms`` are the words' FORM columns. The
-    HEAD columns must agree with ``tree``: writing rewrites only the word
-    lines whose head differs from it.
+    is ``lines[words[k - 1]]``; ``forms`` are the words' FORM columns. A
+    parsed file builds these on demand from its arrays.
     """
 
     sentence_id: str
@@ -104,45 +140,91 @@ class Sentence:
                 f"sentence {self.sentence_id!r}: {len(self.words)} words, "
                 f"{len(self.forms)} forms, tree over {len(self.tree)}"
             )
-        for k, w in enumerate(self.words, start=1):
-            if not self.lines[w].startswith(f"{k}\t"):
-                raise ValueError(
-                    f"sentence {self.sentence_id!r}: word {k} is line {self.lines[w]!r}"
-                )
 
     def __len__(self) -> int:
         return len(self.words)
 
 
-@dataclass(frozen=True)
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each start s and length n, end to end."""
+    stops = np.cumsum(lengths)
+    return np.arange(stops[-1] if len(stops) else 0) - np.repeat(stops - lengths - starts, lengths)
+
+
+def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
+    """A flat per-token array cut into one list per sentence."""
+    flat = values.tolist()
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class ParseEnsemble:
     """Aligned tree outputs of m parsers over a shared sentence set.
 
-    ``trees`` maps sentence id to one tree per parser, in ``parser_ids``
-    order. All parsers must agree on the token count of every sentence;
-    surface-form agreement is the loader's concern.
+    ``heads`` is the (m x tokens) head array, row k for parser
+    ``parser_ids[k]``, and the tokens of sentence ``sentence_ids[i]`` are
+    columns ``offsets[i]:offsets[i + 1]``. All parsers agree on the token
+    count of every sentence; surface-form agreement is the loader's
+    concern. Built from a mapping of sentence id to one tree per parser,
+    or with ``from_heads`` from arrays that already hold valid trees.
     """
 
-    parser_ids: tuple[str, ...]
-    trees: Mapping[str, tuple[DepTree, ...]]
-
-    def __post_init__(self) -> None:
-        m = len(self.parser_ids)
-        if len(set(self.parser_ids)) != m:
-            raise ValueError("duplicate parser ids")
-        for sid, ts in self.trees.items():
+    def __init__(
+        self, parser_ids: Sequence[str], trees: Mapping[str, Sequence[DepTree]]
+    ) -> None:
+        m = len(parser_ids)
+        for sid, ts in trees.items():
             if len(ts) != m:
                 raise ValueError(f"sentence {sid!r}: {len(ts)} trees for {m} parsers")
             if len({len(t) for t in ts}) != 1:
                 raise ValueError(f"sentence {sid!r}: parsers disagree on token count")
+        q = [len(ts[0]) for ts in trees.values()]
+        heads = np.array(
+            [[h for ts in trees.values() for h in ts[k].heads] for k in range(m)],
+            dtype=np.int64,
+        ).reshape(m, sum(q))
+        self._set(parser_ids, tuple(trees), np.cumsum([0, *q]), heads)
+
+    @classmethod
+    def from_heads(
+        cls,
+        parser_ids: Sequence[str],
+        sentence_ids: Sequence[str],
+        offsets: np.ndarray,
+        heads: np.ndarray,
+    ) -> "ParseEnsemble":
+        """Wrap arrays whose rows hold valid trees; they are not rechecked."""
+        ensemble = cls.__new__(cls)
+        ensemble._set(parser_ids, tuple(sentence_ids), offsets, heads)
+        return ensemble
+
+    def _set(self, parser_ids, sentence_ids, offsets, heads) -> None:
+        self.parser_ids = tuple(parser_ids)
+        if len(set(self.parser_ids)) != len(self.parser_ids):
+            raise ValueError("duplicate parser ids")
+        self.sentence_ids = sentence_ids
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.heads = np.asarray(heads, dtype=np.int64)
+        for a in (self.offsets, self.heads):
+            a.setflags(write=False)
 
     @property
     def m(self) -> int:
         return len(self.parser_ids)
 
-    @property
-    def sentence_ids(self) -> tuple[str, ...]:
-        return tuple(self.trees)
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {sid: i for i, sid in enumerate(self.sentence_ids)}
 
     def token_count(self, sentence_id: str) -> int:
-        return len(self.trees[sentence_id][0])
+        i = self._positions[sentence_id]
+        return int(self.offsets[i + 1] - self.offsets[i])
+
+    @cached_property
+    def trees(self) -> Mapping[str, tuple[DepTree, ...]]:
+        """Sentence id to one tree per parser, built on first use."""
+        per_parser = [per_sentence(row, self.offsets) for row in self.heads]
+        return {
+            sid: tuple(DepTree(p[i]) for p in per_parser)
+            for i, sid in enumerate(self.sentence_ids)
+        }

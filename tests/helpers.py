@@ -12,8 +12,17 @@ from hypothesis import strategies as st
 
 from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
 from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
+from treeagg.conllu import (
+    _EMPTY_ID,
+    _RANGE_ID,
+    _SENT_ID,
+    _WORD_ID,
+    HEAD_COLUMN,
+    N_COLUMNS,
+    ConlluError,
+)
 from treeagg.edges import EdgeLabelMatrix, majority_vote
-from treeagg.trees import DepTree, ParseEnsemble
+from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble
 
 
 def random_complete_digraph(q: int, rng: np.random.Generator) -> WeightedTokenGraph:
@@ -114,6 +123,85 @@ def conllu_text(sentences: list[tuple[str, list[str], list[int]]]) -> str:
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
+
+
+def reference_parse_conllu(text: str) -> list[tuple]:
+    """The line-by-line CoNLL-U reader the array scan replaced.
+
+    Returns one (sentence id, block lines, word indices in the block,
+    forms, heads) tuple per sentence, or raises the ``ConlluError`` the
+    first malformed line earns, with its line number.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if text.endswith("\r"):
+            text = text[:-1]
+    lines = text.split("\n")
+
+    sentences: list[tuple] = []
+    seen_ids: set[str] = set()
+    block: list[str] = []
+    words: list[int] = []
+    forms: list[str] = []
+    heads: list[int] = []
+    first_word_line = 0
+
+    def flush(line_no: int) -> None:
+        if not block:
+            return
+        if not words:
+            raise ConlluError(line_no, "sentence block without word lines")
+        sid = ""
+        for line in block:
+            if not line.startswith("#"):
+                break
+            m = _SENT_ID.match(line)
+            if m:
+                sid = m.group(1).strip()
+                break
+        if not sid:
+            sid = f"s{len(sentences) + 1}"
+        if sid in seen_ids:
+            raise ConlluError(line_no, f"duplicate sentence id {sid!r}")
+        seen_ids.add(sid)
+        try:
+            DepTree(heads)
+        except InvalidTreeError as e:
+            raise ConlluError(first_word_line, str(e)) from None
+        sentences.append((sid, tuple(block), tuple(words), tuple(forms), tuple(heads)))
+
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            flush(line_no)
+            block, words, forms, heads = [], [], [], []
+            continue
+        if line.startswith("#"):
+            if block and not block[-1].startswith("#"):
+                raise ConlluError(line_no, "comment after word lines in the same block")
+            block.append(line)
+            continue
+        cols = line.split("\t")
+        if len(cols) != N_COLUMNS:
+            raise ConlluError(line_no, f"expected {N_COLUMNS} columns, found {len(cols)}")
+        ident = cols[0]
+        if ident == str(len(words) + 1):
+            head = cols[HEAD_COLUMN]
+            if not (head.isascii() and head.isdigit()):
+                raise ConlluError(line_no, f"non-integer HEAD {head!r}")
+            if not words:
+                first_word_line = line_no
+            words.append(len(block))
+            forms.append(cols[1])
+            heads.append(int(head))
+        elif _RANGE_ID.fullmatch(ident) or _EMPTY_ID.fullmatch(ident):
+            pass
+        elif _WORD_ID.fullmatch(ident):
+            raise ConlluError(line_no, f"token id {ident} out of sequence")
+        else:
+            raise ConlluError(line_no, f"unrecognized token id {ident!r}")
+        block.append(line)
+    flush(len(lines))
+    return sentences
 
 
 _CHUNK = 1 << 18

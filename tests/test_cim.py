@@ -293,6 +293,14 @@ def test_graph_needs_two_parsers():
         estimate_correlation_graph(EdgeLabelMatrix.from_labels(labels))
 
 
+def test_graph_needs_a_candidate_edge():
+    empty = EdgeLabelMatrix.from_labels(np.zeros((0, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match="at least one candidate edge"):
+        estimate_correlation_graph(empty)
+    with pytest.raises(ValueError, match="at least one candidate edge"):
+        cim_run(empty)
+
+
 # ------------------------------------------------------------- collapse
 
 

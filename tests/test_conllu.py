@@ -15,7 +15,7 @@ from treeagg.conllu import (
 )
 from treeagg.trees import DepTree
 
-from helpers import conllu_text, head_sequences
+from helpers import conllu_text, head_sequences, reference_parse_conllu
 
 # Comments, a multiword range, and an empty node, all of which must
 # survive a parse/write cycle byte for byte.
@@ -288,3 +288,81 @@ def test_write_reproduces_source_and_moves_only_heads(source, data):
                 assert after[offset + w] == "\t".join(cols)
         offset += len(s.lines) + 1
     assert [i for i, (b, a) in enumerate(zip(before, after)) if b != a] == sorted(moved)
+
+
+# ------------------------------------------- the scan against the line loop
+
+_MUTANT_HEADS = ("x", "", "٣", "-1", "0", "1", "2", "3", "7", "00", "0" * 20 + "2", "9" * 20)
+_MUTANT_IDS = (
+    "0", "1", "2", "3", "4", "01", "x", "1a", "1-2", "2.1", "1.", "-1", "١", "10",
+    "9" * 20,
+)
+_INSERTED = (
+    "", " ", "\t", "\x1c", " ", "# sent_id = b0", "# sent_id =  ", "#", "# c",
+    "x", " 1", "1-2" + "\t_" * 9, "1.1" + "\t_" * 9, "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
+)
+
+
+@st.composite
+def mutated_conllu(draw):
+    """Text from ``conllu_files`` with up to three mutations: a new HEAD or
+    ID on a token line, or the same value zero-padded; a column more or
+    less; an inserted, deleted or copied line; a sent_id comment at the
+    start of a block. Between them they earn every ``ConlluError``; many
+    texts stay valid."""
+    blocks, final_blank, crlf = draw(conllu_files())
+    lines = "\n\n".join("\n".join(b) for b, _ in blocks).split("\n")
+    if final_blank:
+        lines.append("")
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ("head", "pad_head", "id", "pad_id", "columns", "insert", "delete", "copy", "sid")
+            )
+        )
+        tokens = [j for j, line in enumerate(lines) if "\t" in line]
+        i = draw(st.sampled_from(tokens if kind in ("head", "pad_head", "id", "pad_id") and tokens
+                                 else range(len(lines))))
+        cols = lines[i].split("\t")
+        if kind == "head" and len(cols) == 10:
+            cols[6] = draw(st.sampled_from(_MUTANT_HEADS))
+        elif kind == "pad_head" and len(cols) == 10:
+            cols[6] = "0" * draw(st.sampled_from((1, 17, 20))) + cols[6]
+        elif kind == "id":
+            cols[0] = draw(st.sampled_from(_MUTANT_IDS))
+        elif kind == "pad_id":
+            cols[0] = "0" + cols[0]
+        elif kind == "columns":
+            cols = cols[:-1] if len(cols) > 1 and draw(st.booleans()) else cols + ["_"]
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(_INSERTED)))
+            continue
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+            continue
+        elif kind == "copy":
+            cols = draw(st.sampled_from(lines)).split("\t")
+        elif kind == "sid":
+            starts = [j for j in range(len(lines)) if j == 0 or not lines[j - 1]]
+            sid = draw(st.sampled_from(("b0", "b1", "s1", "s2", "b1 ", " ")))
+            lines.insert(draw(st.sampled_from(starts)), f"# sent_id = {sid}")
+            continue
+        lines[i] = "\t".join(cols)
+    text = "\n".join(lines) + "\n"
+    return text.replace("\n", "\r\n") if crlf else text
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_conllu())
+def test_scan_agrees_with_the_line_loop(text):
+    try:
+        expected = reference_parse_conllu(text)
+    except ConlluError as e:
+        with pytest.raises(ConlluError) as err:
+            parse_conllu(text)
+        assert (str(err.value), err.value.line_no) == (str(e), e.line_no)
+        return
+    tb = parse_conllu(text)
+    got = [(s.sentence_id, s.lines, s.words, s.forms, s.tree.heads) for s in tb.sentences]
+    assert got == expected
+    assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]

@@ -131,6 +131,31 @@ def test_permuting_rows_permutes_only_the_truths(data):
     assert np.array_equal(b.truths, a.truths[perm])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_duplicating_every_row_keeps_weights_and_iterations(data):
+    m = data.draw(st.integers(2, 6), label="m")
+    n = data.draw(st.integers(1, 40), label="n")
+    votes = data.draw(
+        st.lists(
+            st.lists(st.sampled_from((-1, 1)), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
+        ),
+        label="votes",
+    )
+    labels = np.array(votes, dtype=np.int8)
+    a = crh_run(EdgeLabelMatrix.from_labels(labels))
+    # costs count rows, so they double with the rows; eps is added to the
+    # costs and doubles too, which keeps every cost ratio exact
+    doubled = EdgeLabelMatrix.from_labels(np.repeat(labels, 2, axis=0))
+    b = crh_run(doubled, CrhOptions(eps=2 * CrhOptions().eps))
+    assert np.array_equal(b.weights, a.weights)
+    assert b.iterations == a.iterations
+    assert b.objective == 2 * a.objective
+    assert np.array_equal(b.truths, np.repeat(a.truths, 2))
+
+
 def test_two_parser_symmetry_is_an_exact_tie():
     # with two tree-shaped voters every union row has a +1, so majority
     # init is all +1 and both parsers pay the same cost (a q-edge tree

@@ -3,10 +3,15 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import conllu_text
+from helpers import conllu_text, head_sequences
+from treeagg.arborescence import NoArborescenceError
 from treeagg.conllu import parse_conllu
+from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.evaluation import (
     MethodDiff,
     RankResult,
@@ -203,6 +208,49 @@ def test_two_against_one_yields_the_majority_tree():
     dissent = DepTree((0, 1, 2))
     ens = ParseEnsemble(("a", "b", "c"), {"s1": (majority, majority, dissent)})
     assert vote_mst(ens) == {"s1": majority}
+
+
+@st.composite
+def ensembles(draw):
+    m = draw(st.integers(1, 4))
+    trees = {}
+    for i in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 6))
+        trees[f"s{i}"] = tuple(draw(head_sequences(q)) for _ in range(m))
+    return ParseEnsemble(tuple(f"p{k}" for k in range(m)), trees)
+
+
+def _rows(matrix: EdgeLabelMatrix, order: np.ndarray, offsets: np.ndarray) -> EdgeLabelMatrix:
+    return EdgeLabelMatrix(
+        matrix.sentence_ids, offsets, matrix.heads[order], matrix.deps[order],
+        matrix.labels[order], matrix.parser_ids,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), st.randoms(use_true_random=False))
+def test_vote_mst_ignores_row_order_and_duplication(ens, rnd):
+    # rows may move only within their sentence: offsets tie rows to sentences
+    matrix = label_matrix(ens)
+    bounds = matrix.offsets.tolist()
+    order = []
+    for a, b in zip(bounds, bounds[1:]):
+        rows = list(range(a, b))
+        rnd.shuffle(rows)
+        order += rows
+    shuffled = _rows(matrix, np.array(order), matrix.offsets)
+    doubled = _rows(matrix, np.repeat(np.arange(matrix.n_edges), 2), 2 * matrix.offsets)
+
+    def decode(single_root, matrix=None):
+        try:
+            return vote_mst(ens, single_root, matrix)
+        except NoArborescenceError:  # no candidate tree has a single root
+            return None
+
+    for single_root in (True, False):
+        expected = decode(single_root)
+        for other in (matrix, shuffled, doubled):
+            assert decode(single_root, other) == expected
 
 
 # ------------------------------------------------------------ summaries

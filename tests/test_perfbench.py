@@ -5,14 +5,17 @@ table by name, and the benchmark's workloads and checks read attributes of
 the package (``treeagg.<name>``, or ``T.<name>`` with ``T`` the package), so
 renaming or removing one of them, or a parameter its calls pass, would only
 surface as a crash of a benchmark run. These checks make it fail here
-instead, as does a change to what the tracer reads off a return value.
+instead, as does a change to what the tracer reads off a return value, or
+to the objects the benchmark's output checks read.
 """
 
+import argparse
 import ast
 import functools
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 from pathlib import Path
 
@@ -115,3 +118,34 @@ def test_every_package_call_in_the_benchmark_binds():
             raise AssertionError(f"{where}: {'.'.join(chain)}{signature}: {e}") from e
         called.add(".".join(chain))
     assert {"crh_run", "CrhOptions", "cim_run", "vote_mst", "cli.run"} <= called
+
+
+def test_benchmark_outputs_pass_its_own_checks(tmp_path, monkeypatch):
+    # The untimed checks in run.py's Run.score read the prediction files
+    # through .sentences, .sentence_id, len, .tree.heads and validate_tree;
+    # a representation change that broke them would only lower the
+    # benchmark's success_ratio.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    synth = treeagg.generate(
+        treeagg.SynthConfig(n_sentences=12, tokens=(3, 9), rates=(0.1, 0.2, 0.3, 0.4), seed=4)
+    )
+    (tmp_path / "parsers").mkdir()
+    gold = tmp_path / "gold.conllu"
+    treeagg.save_treebank(synth.gold, gold)
+    for f in synth.files:
+        treeagg.save_treebank(f, tmp_path / "parsers" / f"{f.parser_id}.conllu")
+    parsers = workloads.parser_paths(tmp_path / "parsers")
+    workloads.aggregate(parsers, workloads.METHODS, tmp_path)
+
+    bench = run.Run(argparse.Namespace(workload="cim_mixed", seed=0), tmp_path)
+    units = [
+        workloads.Unit(0, m, tmp_path / f"{m}.conllu", gold, parsers) for m in workloads.METHODS
+    ]
+    scored = bench.score(units)
+    assert bench.failures == []
+    assert set(scored["uas"]) == set(workloads.METHODS)
+    assert all(0 < u <= 100 for u in scored["uas"].values())

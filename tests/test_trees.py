@@ -1,5 +1,6 @@
 """Tree and ensemble domain types."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,12 @@ from treeagg.trees import (
     InvalidTreeError,
     ParseEnsemble,
     Sentence,
+    check_trees,
     find_cycle,
     validate_tree,
 )
 
-from helpers import edges_of, reference_tree_check
+from helpers import edges_of, head_sequences, reference_tree_check
 
 
 def test_validate_tree_accepts_valid_sequences():
@@ -82,12 +84,6 @@ def test_sentence_invariants():
         Sentence("s3", lines, (1, 2), ("a", "b"), DepTree((0,)))
     with pytest.raises(ValueError, match="1 forms"):
         Sentence("s3", lines, (1, 2), ("a",), DepTree((0, 1)))
-    # word k must be the line whose id is k
-    misnumbered = lines[:2] + ("3\tb\t_\t_\t_\t_\t1\t_\t_\t_",)
-    with pytest.raises(ValueError, match="word 2 is line"):
-        Sentence("s4", misnumbered, (1, 2), ("a", "b"), DepTree((0, 1)))
-    with pytest.raises(ValueError, match="word 1 is line"):
-        Sentence("s5", lines, (0, 2), ("a", "b"), DepTree((0, 1)))
 
 
 def _ens(parser_ids, trees):
@@ -106,3 +102,33 @@ def test_ensemble_invariants():
         _ens(["a", "b"], {"s1": (t,)})
     with pytest.raises(ValueError, match="token count"):
         _ens(["a", "b"], {"s1": (t, DepTree((0,)))})
+
+
+@st.composite
+def head_lists(draw):
+    """Head sequences over q tokens: trees, trees with one head redrawn
+    (often a cycle or self-loop), and arbitrary values, some out of range."""
+    q = draw(st.integers(0, 8))
+    if q and draw(st.booleans()):
+        heads = list(draw(head_sequences(q)).heads)
+        if draw(st.booleans()):
+            heads[draw(st.integers(0, q - 1))] = draw(st.integers(-1, q + 1))
+        return heads
+    return draw(st.lists(st.integers(-2, q + 2), min_size=q, max_size=q))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(head_lists(), max_size=6))
+def test_check_trees_agrees_with_validate_tree(seqs):
+    offsets = np.cumsum([0] + [len(h) for h in seqs])
+    heads = np.array([h for hs in seqs for h in hs], dtype=np.int64)
+    expected = [validate_tree(hs, len(hs)).ok for hs in seqs]
+    assert check_trees(heads, offsets).tolist() == expected
+
+
+def test_check_trees_finds_a_long_cycle():
+    # the longest sentence sets the number of pointer doublings
+    chain = [0] + list(range(1, 31))  # 0 <- 1 <- 2 <- ... <- 31
+    ring = list(range(2, 32)) + [1]  # 1 -> 2 -> ... -> 31 -> 1
+    heads = np.array(chain + ring + [0])
+    assert check_trees(heads, np.array([0, 31, 62, 63])).tolist() == [True, False, True]
