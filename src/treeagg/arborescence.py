@@ -74,8 +74,6 @@ def _solve(nodes: list[int], arcs: list[_Arc]) -> list[_Arc]:
     """One Chu-Liu/Edmonds pass from root 0; returns chosen arcs at this level."""
     best: dict[int, _Arc] = {}
     for arc in sorted(arcs, key=lambda a: (a.head, a.dep, -a.weight)):
-        if arc.dep == 0 or arc.head == arc.dep:
-            continue
         cur = best.get(arc.dep)
         if cur is None or arc.weight > cur.weight:
             best[arc.dep] = arc

@@ -162,11 +162,13 @@ def estimate_correlation_graph(
     if m < 2:
         raise ValueError("need at least two parsers")
     _require_edges(matrix)
+    if l1_penalty is None:
+        l1_penalty = default_l1_penalty(m, n)
+    if not 0 <= l1_penalty < np.inf:
+        raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
     labels, first, counts = _vote_patterns(matrix.labels)
     # the majority vote is a function of the row's votes, so one per pattern
     mv = majority_vote(matrix)[first].astype(np.float64)
-    if l1_penalty is None:
-        l1_penalty = default_l1_penalty(m, n)
     excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
     k = len(active)

@@ -133,11 +133,28 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_json(path: str, *keys: str) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``keys``."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return data
+
+
 def _selected_ids(path: str | None) -> list[str] | None:
     if path is None:
         return None
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return list(data["selected"]) if isinstance(data, dict) else list(data)
+    if isinstance(data, dict):
+        if "selected" not in data:
+            raise ValueError(f"{path}: missing key 'selected'")
+        data = data["selected"]
+    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
+        raise ValueError(f"{path}: expected a list of parser ids, got {data!r}")
+    return data
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
@@ -201,7 +218,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         methods["avg_parser"] = sum(per_parser.values()) / len(per_parser)
     filters: dict[str, int] = {}
     if args.filters:
-        raw = json.loads(Path(args.filters).read_text(encoding="utf-8"))
+        raw = _read_json(args.filters, "seg_dropped", "agree_dropped")
         filters = {
             "seg_dropped": int(raw["seg_dropped"]),
             "agree_dropped": int(raw["agree_dropped"]),
@@ -219,12 +236,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     reports = [
-        TreebankReport.from_json(json.loads(Path(p).read_text(encoding="utf-8")))
+        TreebankReport.from_json(_read_json(p, "treebank", "n_sentences", "methods"))
         for p in args.reports
     ]
     groups: dict[str, list[str]] = {"all": [r.treebank for r in reports]}
     if args.groups:
-        raw = json.loads(Path(args.groups).read_text(encoding="utf-8"))
+        raw = _read_json(args.groups)
         groups = {g: list(names) for g, names in raw.items()}
     payload: dict = {"groups": {}, "diffs": {}}
     for group, names in groups.items():

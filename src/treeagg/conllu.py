@@ -11,9 +11,10 @@ line and the file ending in a single newline.
 Parsing scans the whole text at once: numpy finds the newlines and tabs,
 classifies each line by its first byte, reads the ID and HEAD fields of
 word lines as digit fields, and checks every sentence's tree together
-(``trees.check_trees``). When any check fails, the line loop
-``_raise_first_error`` reruns over the text only to raise the first error
-with its line number.
+(``trees.check_trees``). A failed check flags its lines or sentence blocks
+rather than stopping the scan, and the error raised, with its line number,
+is the one a reader going line by line would meet first. Only the line or
+block that earns it is read again, to build its message.
 """
 
 from __future__ import annotations
@@ -155,11 +156,7 @@ def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> 
         if text.endswith("\r"):
             text = text[:-1]
     lines = text.split("\n")
-    scanned = _scan(text, lines)
-    if scanned is None:
-        _raise_first_error(lines)
-        raise AssertionError("the scan rejected text the line check accepts")
-    return TreebankFile(parser_id, tuple(lines), *scanned)
+    return TreebankFile(parser_id, tuple(lines), *_scan(text, lines))
 
 
 def _read_numbers(
@@ -180,8 +177,12 @@ def _read_numbers(
 
 
 def _scan(text: str, lines: list[str]):
-    """(sentence ids, blocks, offsets, heads, words) of a valid file, or
-    ``None`` as soon as a check fails."""
+    """(sentence ids, blocks, offsets, heads, words) of a valid file.
+
+    Otherwise raises the error a reader going line by line meets first:
+    that of the first ``bad`` line, or of the first ``broken`` block, met
+    at the blank line after it (at the last line for the last block).
+    """
     # one "\n" per line, the last one appended, so every line has an end
     raw = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
     ends = np.flatnonzero(raw == _NEWLINE)
@@ -189,47 +190,47 @@ def _scan(text: str, lines: list[str]):
     first = raw[starts]
     blank = first == _NEWLINE
     comment = first == _HASH
-    token = (first >= _ZERO) & (first <= _NINE)
-    for i in np.flatnonzero(~(blank | comment | token)).tolist():
-        if not lines[i].isspace():
-            return None
-        blank[i] = True
+    digit = (first >= _ZERO) & (first <= _NINE)
+    # a line of any other first byte is blank if it is all whitespace, else a
+    # token line that the checks below reject
+    for i in np.flatnonzero(~(blank | comment | digit)).tolist():
+        blank[i] = lines[i].isspace()
     filled = ~blank
-    before = np.concatenate(([False], filled[:-1]))
+    token = filled & ~comment
     # a comment may not follow a token line of its block
-    if (comment & before & ~np.concatenate(([False], comment[:-1]))).any():
-        return None
-    block_start = filled & ~before
+    bad = comment & np.concatenate(([False], token[:-1]))
+    block_start = filled & ~np.concatenate(([False], filled[:-1]))
     block_of = np.cumsum(block_start) - 1
     n_blocks = int(block_start.sum())
+    stops = np.flatnonzero(filled & ~np.concatenate((filled[1:], [False]))) + 1
+    blocks = np.column_stack((np.flatnonzero(block_start), stops))
 
     tok = np.flatnonzero(token)
     tabs = np.flatnonzero(raw == _TAB)
     t0 = np.searchsorted(tabs, starts[tok])
-    if (np.searchsorted(tabs, ends[tok]) - t0 != N_COLUMNS - 1).any():
-        return None
+    ten = np.searchsorted(tabs, ends[tok]) - t0 == N_COLUMNS - 1
+    if not ten.all():
+        bad[tok[~ten]] = True
+        tok, t0 = tok[ten], t0[ten]
     numeric, ident = _read_numbers(raw, starts[tok], tabs[t0])
     for i in tok[~numeric].tolist():
         field = lines[i].partition("\t")[0]
-        if not (_RANGE_ID.fullmatch(field) or _EMPTY_ID.fullmatch(field)):
-            return None
+        bad[i] |= not (_RANGE_ID.fullmatch(field) or _EMPTY_ID.fullmatch(field))
     # every all-digit id is a word line: 1, 2, ... within its block
     words = tok[numeric]
     sent = block_of[words]
     q = np.bincount(sent, minlength=n_blocks)
     offsets = np.concatenate(([0], np.cumsum(q)))
     rank = np.arange(len(words)) - offsets[sent] + 1
-    if (q == 0).any() or (ident[numeric] != rank).any() or (raw[starts[words]] == _ZERO).any():
-        return None
+    bad[words] |= (ident[numeric] != rank) | (raw[starts[words]] == _ZERO)
     head = t0[numeric] + HEAD_COLUMN  # the tab that ends the HEAD field
     digits, heads = _read_numbers(raw, tabs[head - 1] + 1, tabs[head])
     for k in np.flatnonzero(~digits).tolist():
         field = lines[words[k]].split("\t")[HEAD_COLUMN]
-        if not (field.isascii() and field.isdigit()):
-            return None
-        heads[k] = min(int(field), np.iinfo(np.int64).max)
-    if not check_trees(heads, offsets).all():
-        return None
+        if field.isascii() and field.isdigit():
+            heads[k] = min(int(field), np.iinfo(np.int64).max)
+        else:
+            bad[words[k]] = True
 
     found: list[str | None] = [None] * n_blocks
     marks = np.flatnonzero(comment)
@@ -239,75 +240,44 @@ def _scan(text: str, lines: list[str]):
             if m:
                 found[b] = m.group(1).strip()
     ids = tuple(sid or f"s{b + 1}" for b, sid in enumerate(found))
-    if len(set(ids)) != n_blocks:
-        return None
-    stops = np.flatnonzero(filled & ~np.concatenate((filled[1:], [False]))) + 1
-    blocks = np.column_stack((np.flatnonzero(block_start), stops))
-    return ids, blocks, offsets, heads, words
+    broken = (q == 0) | ~check_trees(heads, offsets)
+    if len(set(ids)) < n_blocks:
+        seen: dict[str, int] = {}
+        broken |= [seen.setdefault(sid, b) != b for b, sid in enumerate(ids)]
+    if not (bad.any() or broken.any()):
+        return ids, blocks, offsets, heads, words
+
+    line = int(np.argmax(bad)) + 1 if bad.any() else len(lines) + 1
+    b = int(np.argmax(broken))
+    end = min(int(blocks[b, 1]) + 1, len(lines))
+    if not broken[b] or line <= end:
+        # the id a word line here would have: one more than the words before
+        expected = np.searchsorted(words, line - 1) - offsets[block_of[line - 1]] + 1
+        raise ConlluError(line, _line_error(lines[line - 1], int(expected)))
+    if q[b] == 0:
+        raise ConlluError(end, "sentence block without word lines")
+    if ids.index(ids[b]) < b:
+        raise ConlluError(end, f"duplicate sentence id {ids[b]!r}")
+    w = words[offsets[b] : offsets[b + 1]].tolist()
+    try:
+        DepTree([int(lines[i].split("\t")[HEAD_COLUMN]) for i in w])
+    except InvalidTreeError as e:
+        raise ConlluError(w[0] + 1, str(e)) from None
 
 
-def _raise_first_error(lines: Sequence[str]) -> None:
-    """Walk the lines as a reader would and raise the first error found,
-    with its line number. Parsing runs this only on text its scan rejected."""
-    seen_ids: set[str] = set()
-    n_sentences = 0
-    block: list[str] = []
-    heads: list[int] = []
-    first_word_line = 0
-
-    def flush(line_no: int) -> None:
-        nonlocal n_sentences
-        if not block:
-            return
-        if not heads:
-            raise ConlluError(line_no, "sentence block without word lines")
-        sid = ""
-        for line in block:
-            if not line.startswith("#"):
-                break
-            m = _SENT_ID.match(line)
-            if m:
-                sid = m.group(1).strip()
-                break
-        n_sentences += 1
-        sid = sid or f"s{n_sentences}"
-        if sid in seen_ids:
-            raise ConlluError(line_no, f"duplicate sentence id {sid!r}")
-        seen_ids.add(sid)
-        try:
-            DepTree(heads)
-        except InvalidTreeError as e:
-            raise ConlluError(first_word_line, str(e)) from None
-
-    for line_no, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            flush(line_no)
-            block, heads = [], []
-            continue
-        if line.startswith("#"):
-            if block and not block[-1].startswith("#"):
-                raise ConlluError(line_no, "comment after word lines in the same block")
-            block.append(line)
-            continue
-        cols = line.split("\t")
-        if len(cols) != N_COLUMNS:
-            raise ConlluError(line_no, f"expected {N_COLUMNS} columns, found {len(cols)}")
-        ident = cols[0]
-        if ident == str(len(heads) + 1):
-            head = cols[HEAD_COLUMN]
-            if not (head.isascii() and head.isdigit()):
-                raise ConlluError(line_no, f"non-integer HEAD {head!r}")
-            if not heads:
-                first_word_line = line_no
-            heads.append(int(head))
-        elif _RANGE_ID.fullmatch(ident) or _EMPTY_ID.fullmatch(ident):
-            pass
-        elif _WORD_ID.fullmatch(ident):
-            raise ConlluError(line_no, f"token id {ident} out of sequence")
-        else:
-            raise ConlluError(line_no, f"unrecognized token id {ident!r}")
-        block.append(line)
-    flush(len(lines))
+def _line_error(line: str, expected_id: int) -> str:
+    """Why a reader rejects ``line``, given the id a word line there would
+    have: the checks in the order it makes them."""
+    if line.startswith("#"):
+        return "comment after word lines in the same block"
+    cols = line.split("\t")
+    if len(cols) != N_COLUMNS:
+        return f"expected {N_COLUMNS} columns, found {len(cols)}"
+    if cols[0] == str(expected_id):
+        return f"non-integer HEAD {cols[HEAD_COLUMN]!r}"
+    if _WORD_ID.fullmatch(cols[0]):
+        return f"token id {cols[0]} out of sequence"
+    return f"unrecognized token id {cols[0]!r}"
 
 
 def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFile:

@@ -33,7 +33,7 @@ class CrhOptions:
     def __post_init__(self) -> None:
         if self.distance not in DISTANCE_MODES:
             raise ValueError(f"distance must be one of {DISTANCE_MODES}")
-        if self.max_iterations < 1 or self.eps <= 0:
+        if self.max_iterations < 1 or not 0 < self.eps < np.inf:
             raise ValueError("bad CRH options")
 
 

@@ -293,6 +293,17 @@ def test_graph_needs_two_parsers():
         estimate_correlation_graph(EdgeLabelMatrix.from_labels(labels))
 
 
+def test_graph_rejects_a_negative_or_non_finite_penalty():
+    labels = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, 1]], dtype=np.int8)
+    matrix = EdgeLabelMatrix.from_labels(labels)
+    for penalty in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="l1_penalty must be finite and non-negative"):
+            estimate_correlation_graph(matrix, l1_penalty=penalty)
+        with pytest.raises(ValueError, match="l1_penalty"):
+            cim_run(matrix, CimOptions(l1_penalty=penalty))
+    estimate_correlation_graph(matrix, l1_penalty=0.0)
+
+
 def test_graph_needs_a_candidate_edge():
     empty = EdgeLabelMatrix.from_labels(np.zeros((0, 3), dtype=np.int8))
     with pytest.raises(ValueError, match="at least one candidate edge"):

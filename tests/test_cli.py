@@ -446,6 +446,99 @@ def test_empty_parser_selection_errors(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.fixture
+def corpus(tmp_path, capsys):
+    """A 10-sentence synth corpus of three parsers."""
+    out = tmp_path / "corpus"
+    assert run(
+        [
+            "synth",
+            "--out-dir", str(out),
+            "--sentences", "10",
+            "--tokens", "5:6",
+            "--rates", "0.0,0.1,0.2",
+            "--seed", "2",
+        ]
+    ) == EXIT_OK
+    capsys.readouterr()
+    return out
+
+
+def test_selection_of_the_wrong_shape_errors(tmp_path, corpus, capsys):
+    aggregate = [
+        "aggregate",
+        "--inputs", str(corpus / "parsers"),
+        "--method", "mst",
+        "--out", str(tmp_path / "pred.conllu"),
+        "--selected",
+    ]
+    chosen = write(tmp_path / "chosen.json", json.dumps({"chosen": ["parser_1"]}))
+    assert run([*aggregate, str(chosen)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {chosen}: missing key 'selected'\n"
+    # a lone id is not split into characters
+    one = write(tmp_path / "one.json", json.dumps("parser_1"))
+    assert run([*aggregate, str(one)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {one}: expected a list of parser ids, got 'parser_1'\n"
+    )
+    assert not (tmp_path / "pred.conllu").exists()
+
+
+def test_filters_of_the_wrong_shape_error(tmp_path, corpus, capsys):
+    manifest = corpus / "manifest.json"
+    code = run(
+        [
+            "evaluate",
+            "--gold", str(corpus / "gold.conllu"),
+            "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
+            "--filters", str(manifest),
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {manifest}: missing key 'seg_dropped'\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_reports_of_the_wrong_shape_error(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    partial = write(tmp_path / "partial.json", json.dumps({"treebank": "x"}))
+    assert run(["report", "--reports", str(partial), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {partial}: missing key 'n_sentences'\n"
+    listed = write(tmp_path / "listed.json", "[]")
+    assert run(["report", "--reports", str(listed), "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {listed}: expected a JSON object, got list\n"
+    )
+    report = write(
+        tmp_path / "report.json",
+        json.dumps({"treebank": "x", "n_sentences": 1, "methods": {"cim": 90.0}}),
+    )
+    code = run(["report", "--reports", str(report), "--groups", str(listed), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {listed}: expected a JSON object, got list\n"
+    )
+    assert not out.exists()
+
+
+def test_out_of_range_solver_settings_error(tmp_path, corpus, capsys):
+    aggregate = [
+        "aggregate",
+        "--inputs", str(corpus / "parsers"),
+        "--out", str(tmp_path / "pred.conllu"),
+    ]
+    for flags, message in (
+        (["--method", "cim", "--cim-l1", "-0.1"], "l1_penalty must be finite"),
+        (["--method", "cim", "--cim-l1", "nan"], "l1_penalty must be finite"),
+        (["--method", "crh", "--crh-eps", "nan"], "bad CRH options"),
+        (["--method", "crh", "--crh-eps", "inf"], "bad CRH options"),
+    ):
+        assert run([*aggregate, *flags]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "pred.conllu").exists()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         run(["not-a-command"])

@@ -85,6 +85,12 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ConlluError, match="non-integer HEAD") as err:
             parse_conllu(first + f"2\tb\t_\t_\t_\t_\t{head}\t_\t_\t_\n")
         assert err.value.line_no == 2
+    # a HEAD too long for int64 is shown in full, not clamped
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(first + f"2\tb\t_\t_\t_\t_\t{'9' * 20}\t_\t_\t_\n")
+    assert (err.value.line_no, str(err.value)) == (
+        1, f"line 1: bad head sequence (0, {'9' * 20}): out-of-range"
+    )
     padded = first + "2\tb\t_\t_\t_\t_\t01\t_\t_\t_\n"
     tb = parse_conllu(padded)
     assert tb.trees == (DepTree((0, 1)),)
@@ -98,6 +104,37 @@ def test_parse_rejects_cycles_with_first_word_line():
         parse_conllu(text)
     assert err.value.line_no == 2
     assert "cycle" in str(err.value)
+    # a zero-padded HEAD of 20 digits is shown as its value
+    padded = f"1\ta\t_\t_\t_\t_\t{'0' * 19}2\t_\t_\t_\n2\tb\t_\t_\t_\t_\t1\t_\t_\t_\n"
+    with pytest.raises(ConlluError) as err:
+        parse_conllu(padded)
+    assert str(err.value) == "line 1: bad head sequence (2, 1): cycle"
+
+
+def _word(ident, head, n_columns=10):
+    return "\t".join([str(ident), "a", "_", "_", "_", "_", str(head), "_", "_", "_"][:n_columns])
+
+
+def test_parse_raises_the_error_a_line_reader_meets_first():
+    # a broken block is met at the blank line after it, so its error beats
+    # any error in a later block; a tree error names the block's first word
+    cases = [
+        (["# sent_id = a", _word(1, 2), _word(2, 1), "", _word(1, 0, 9), ""],
+         2, "bad head sequence (2, 1): cycle"),
+        (["# sent_id = a", _word(1, 0), "", "# sent_id = a", _word(1, 0), "", _word("x", 0), ""],
+         6, "duplicate sentence id 'a'"),
+        # the last block of a file without a final newline is met at its last
+        # line, and the bad HEAD there comes first
+        ([_word(1, 2), _word(2, 1), _word(3, "x")], 3, "non-integer HEAD 'x'"),
+        (["# sent_id = a", _word(1, 0), "", "# sent_id = b"],
+         4, "sentence block without word lines"),
+    ]
+    for lines, line_no, message in cases:
+        text = "\n".join(lines)
+        for parse in (parse_conllu, reference_parse_conllu):
+            with pytest.raises(ConlluError) as err:
+                parse(text)
+            assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
 
 
 def test_parse_rejects_duplicate_sentence_ids():

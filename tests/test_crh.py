@@ -215,8 +215,9 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
 def test_options_validation():
     with pytest.raises(ValueError):
         CrhOptions(distance="cosine")
-    with pytest.raises(ValueError):
-        CrhOptions(eps=0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bad CRH options"):
+            CrhOptions(eps=eps)
     with pytest.raises(ValueError):
         CrhOptions(max_iterations=0)
 
