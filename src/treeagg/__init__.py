@@ -52,7 +52,6 @@ from .crh import (
     crh_run,
     crh_trees,
     truth_update,
-    weight_update,
 )
 from .edges import (
     EdgeLabelMatrix,
@@ -137,6 +136,5 @@ __all__ = [
     "uas",
     "validate_tree",
     "vote_mst",
-    "weight_update",
     "write_conllu",
 ]

@@ -1,11 +1,11 @@
 """Maximum spanning arborescence over a sentence's candidate edges.
 
 The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
-the artificial node 0. Ties are broken deterministically: candidate arcs
-are scanned in (head, dependent) order and only strict improvements
-replace the incumbent. Among equal-weight optima the lexicographically
-smallest head sequence wins only while no cycle is contracted; after one,
-the winner depends on which cycle was met first.
+the artificial node 0. Candidate arcs are scanned in (head, dependent)
+order and only strict improvements replace the incumbent. Decoding from
+edge scores (``edges.decode_heads``) calls it only for sentences whose
+best incoming arcs are no tree, or have several roots under the
+single-root rule; ``synth`` calls it to repair corrupted trees.
 """
 
 from __future__ import annotations
@@ -129,18 +129,12 @@ def max_arborescence(
 ) -> DepTree:
     """Maximum-weight spanning arborescence rooted at node 0.
 
-    Ties are broken deterministically by scanning arcs in (head,
-    dependent) order and keeping the incumbent unless strictly beaten;
-    with a unique optimum the result is exact, and with all-equal
-    weights on a complete graph it is the lexicographically smallest
-    head sequence. Once the best incoming arcs form a cycle, the choice
-    among equal-weight optima is stable but depends on which cycle is
-    contracted first, so it need not be the smallest.
-
-    With ``enforce_single_root`` the tree uses exactly one arc out of
-    the root, found by re-solving once per candidate root arc with the
-    other root arcs removed and keeping the best solution (equal totals
-    resolved toward the smaller head sequence).
+    While no cycle is contracted, equal-weight optima resolve to the
+    lexicographically smallest head sequence; after one, the choice is
+    stable but depends on which cycle was met first. With
+    ``enforce_single_root`` the tree has one arc out of the root: the graph
+    is re-solved once per root arc with the other root arcs removed, and
+    the best total wins, equal totals going to the smaller head sequence.
     """
     arcs = [_Arc(h, d, w, None) for h, d, w in graph.arcs]
     nodes = list(range(graph.q + 1))

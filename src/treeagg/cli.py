@@ -25,7 +25,7 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -133,15 +133,20 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_json(path: str, *keys: str) -> dict:
-    """The JSON object in ``path``, which must hold every key in ``keys``."""
+def _read_json(path: str, *keys: str, build: Callable[[dict], Any] = dict) -> Any:
+    """``build`` applied to the JSON object in ``path``, which must hold
+    every key in ``keys``; a value ``build`` cannot convert is an error
+    that names the file."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
     for key in keys:
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
-    return data
+    try:
+        return build(data)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _selected_ids(path: str | None) -> list[str] | None:
@@ -218,11 +223,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         methods["avg_parser"] = sum(per_parser.values()) / len(per_parser)
     filters: dict[str, int] = {}
     if args.filters:
-        raw = _read_json(args.filters, "seg_dropped", "agree_dropped")
-        filters = {
-            "seg_dropped": int(raw["seg_dropped"]),
-            "agree_dropped": int(raw["agree_dropped"]),
-        }
+        keys = ("seg_dropped", "agree_dropped")
+        filters = _read_json(args.filters, *keys, build=lambda d: {k: int(d[k]) for k in keys})
     report = TreebankReport(
         treebank=args.treebank or Path(args.gold).stem,
         n_sentences=len(gold),
@@ -236,13 +238,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     reports = [
-        TreebankReport.from_json(_read_json(p, "treebank", "n_sentences", "methods"))
+        _read_json(p, "treebank", "n_sentences", "methods", build=TreebankReport.from_json)
         for p in args.reports
     ]
     groups: dict[str, list[str]] = {"all": [r.treebank for r in reports]}
     if args.groups:
-        raw = _read_json(args.groups)
-        groups = {g: list(names) for g, names in raw.items()}
+        groups = _read_json(args.groups, build=lambda d: {g: list(v) for g, v in d.items()})
     payload: dict = {"groups": {}, "diffs": {}}
     for group, names in groups.items():
         members = [r for r in reports if r.treebank in set(names)]

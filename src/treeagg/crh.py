@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, tree_labels, trees_from_scores
+from .edges import EdgeLabelMatrix, decode_heads, tree_labels, trees_from_scores
 from .trees import DepTree, ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
@@ -49,39 +49,15 @@ class CrhState:
     objective_history: tuple[float, ...] = ()
 
 
-def _costs_edge(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
-    return (matrix.labels != truths[:, None]).sum(axis=0).astype(np.float64)
-
-
-def _weights(costs: np.ndarray) -> np.ndarray:
-    return -np.log(costs / costs.sum())
-
-
-def weight_update(
-    truths: np.ndarray, matrix: EdgeLabelMatrix, eps: float = 1e-8
-) -> np.ndarray:
-    """Closed-form weights from per-parser 0/1 edge costs.
-
-    Costs are smoothed by ``eps`` so perfect parsers keep finite weight;
-    the result always satisfies sum(exp(-w)) == 1.
-    """
-    return _weights(_costs_edge(truths, matrix) + eps)
-
-
 def truth_update(weights: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
     """Weighted per-edge majority vote; exact ties break toward +1."""
     score = matrix.labels.astype(np.float64) @ weights
     return np.where(score >= 0, 1, -1).astype(np.int8)
 
 
-def _weighted_vote_trees(
-    weights: np.ndarray,
-    matrix: EdgeLabelMatrix,
-    ensemble: ParseEnsemble,
-    enforce_single_root: bool,
-) -> dict[str, DepTree]:
-    votes = (matrix.labels == 1).astype(np.float64) @ weights
-    return trees_from_scores(matrix, votes, ensemble, enforce_single_root)
+def _votes(weights: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
+    """Per edge, the weight mass of the parsers that vote for it."""
+    return (matrix.labels == 1).astype(np.float64) @ weights
 
 
 def _uas_costs(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
@@ -115,13 +91,13 @@ def crh_run(
         """The truth step for ``weights``, and the costs of its truths."""
         if uas_mode:
             assert ensemble is not None
-            trees = _weighted_vote_trees(
-                weights, matrix, ensemble, opts.enforce_single_root
+            heads, offsets = decode_heads(
+                matrix, _votes(weights, matrix), ensemble, opts.enforce_single_root
             )
-            truths = tree_labels(matrix, trees)
+            truths = tree_labels(matrix, heads, offsets)
             return truths, _uas_costs(truths, matrix) + opts.eps
         truths = truth_update(weights, matrix)
-        return truths, _costs_edge(truths, matrix) + opts.eps
+        return truths, (matrix.labels != truths[:, None]).sum(axis=0) + opts.eps
 
     # start from the unweighted vote: the majority vote, or in uas mode
     # the unweighted vote trees
@@ -133,7 +109,7 @@ def crh_run(
     converged = False
     iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
-        weights = _weights(costs)
+        weights = -np.log(costs / costs.sum())
         new_truths, costs = step(weights)
         new_objective = float(weights @ costs)
         history.append(new_objective)
@@ -160,6 +136,5 @@ def crh_trees(
     Edge scores are weight mass on +1 votes normalized by total weight, so
     they live in [0, 1] like the probabilistic aggregators' scores.
     """
-    votes = (matrix.labels == 1).astype(np.float64) @ state.weights
-    scores = votes / state.weights.sum()
+    scores = _votes(state.weights, matrix) / state.weights.sum()
     return trees_from_scores(matrix, scores, ensemble, enforce_single_root)

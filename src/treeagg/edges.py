@@ -6,18 +6,21 @@ the edge and -1 otherwise, so every aggregation method downstream works on
 one {-1, +1} matrix regardless of where the labels came from. The matrix is
 held as parallel arrays: rows of sentence i are ``offsets[i]:offsets[i+1]``
 and row r is the edge ``heads[r] -> deps[r]``.
+
+Decoding gives every dependent of every sentence its best-scoring head in
+one pass; only the sentences whose best heads are no tree (or, under the
+single-root rule, have several roots) reach the Chu-Liu/Edmonds solver.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
-from .trees import DepTree, ParseEnsemble
+from .trees import DepTree, ParseEnsemble, check_trees, per_sentence
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,26 +62,6 @@ class EdgeLabelMatrix:
     @property
     def m(self) -> int:
         return len(self.parser_ids)
-
-    @classmethod
-    def from_labels(
-        cls, labels: np.ndarray, parser_ids: Sequence[str] | None = None
-    ) -> "EdgeLabelMatrix":
-        """Wrap a bare label array; rows get placeholder one-edge sentences.
-
-        Intended for estimation work on synthetic label data where no real
-        sentences exist; such a matrix cannot drive tree extraction.
-        """
-        labels = np.asarray(labels, dtype=np.int8)
-        n, m = labels.shape
-        ids = tuple(parser_ids) if parser_ids is not None else tuple(
-            f"p{k + 1}" for k in range(m)
-        )
-        sids = tuple(f"r{i}" for i in range(n))
-        return cls(
-            sids, np.arange(n + 1), np.zeros(n, np.int64), np.ones(n, np.int64),
-            labels, ids,
-        )
 
 
 def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
@@ -123,17 +106,56 @@ def sentence_rows(matrix: EdgeLabelMatrix) -> Iterator[tuple[str, slice]]:
 
 
 def tree_labels(
-    matrix: EdgeLabelMatrix, trees: Mapping[str, DepTree]
+    matrix: EdgeLabelMatrix, heads: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """+1 where the row's sentence tree contains the row's edge, else -1."""
-    chosen = [trees[sid] for sid in matrix.sentence_ids]
-    q = np.array([len(t) for t in chosen], dtype=np.int64)
-    first = np.cumsum(q) - q
-    tok = np.repeat(first, np.diff(matrix.offsets)) + matrix.deps - 1
-    heads = np.fromiter(
-        itertools.chain.from_iterable(t.heads for t in chosen), dtype=np.int64
-    )
+    """+1 where the row's sentence tree contains the row's edge, else -1;
+    sentence i's tree is ``heads[offsets[i]:offsets[i + 1]]``."""
+    tok = np.repeat(offsets[:-1], np.diff(matrix.offsets)) + matrix.deps - 1
     return np.where(heads[tok] == matrix.heads, 1, -1).astype(np.int8)
+
+
+def decode_heads(
+    matrix: EdgeLabelMatrix,
+    scores: np.ndarray,
+    ensemble: ParseEnsemble,
+    enforce_single_root: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat heads of a maximum spanning arborescence per sentence of
+    ``matrix`` under per-row ``scores``, and their token offsets; token
+    counts come from ``ensemble`` by sentence id.
+
+    A dependent's best head has the highest score, then the smallest head,
+    as the solver scans. Where those heads form a tree the solver returns
+    them: any other root's tree scores each dependent no higher, so its
+    float total is no larger, and an equal total from equal scores has
+    larger heads. A rival ties otherwise only where rounding absorbs its
+    lower score (1 beside 1e16): the solver then keeps the rival's smaller
+    heads, and this the best heads, whose exact total is larger. Integer
+    votes (mst) sum exactly, so they cannot tie this way.
+    """
+    q = np.array([ensemble.token_count(sid) for sid in matrix.sentence_ids], np.int64)
+    offsets = np.concatenate(([0], np.cumsum(q)))
+    w = np.asarray(scores, dtype=np.float64)
+    h, d = matrix.heads, matrix.deps
+    sent = np.repeat(np.arange(len(q)), np.diff(matrix.offsets))
+    # rows the graph would refuse send their sentence to it, which raises
+    valid = (h >= 0) & (h <= q[sent]) & (d >= 1) & (d <= q[sent]) & (h != d) & np.isfinite(w)
+    rows, tok = np.flatnonzero(valid), offsets[sent] + d - 1
+    order = rows[np.lexsort((h[rows], -w[rows], tok[rows]))]
+    tokens, best = np.unique(tok[order], return_index=True)  # first row per token
+    heads = np.full(offsets[-1], -1, dtype=np.int64)  # -1: no candidate arc
+    heads[tokens] = h[order[best]]
+    accepted = (q > 0) & check_trees(heads, offsets)
+    accepted &= np.bincount(sent[~valid], minlength=len(q)) == 0
+    if enforce_single_root:
+        roots = np.repeat(np.arange(len(q)), q)[heads == 0]
+        accepted &= np.bincount(roots, minlength=len(q)) == 1
+    for i in np.flatnonzero(~accepted).tolist():
+        r = slice(matrix.offsets[i], matrix.offsets[i + 1])
+        arcs = tuple(zip(h[r].tolist(), d[r].tolist(), w[r].tolist()))
+        tree = max_arborescence(WeightedTokenGraph(int(q[i]), arcs), enforce_single_root)
+        heads[offsets[i] : offsets[i + 1]] = tree.heads
+    return heads, offsets
 
 
 def trees_from_scores(
@@ -142,16 +164,12 @@ def trees_from_scores(
     ensemble: ParseEnsemble,
     enforce_single_root: bool = True,
 ) -> dict[str, DepTree]:
-    """Decode one tree per sentence from per-edge scores."""
-    heads = matrix.heads.tolist()
-    deps = matrix.deps.tolist()
-    weights = np.asarray(scores).tolist()
-    out: dict[str, DepTree] = {}
-    for sid, rows in sentence_rows(matrix):
-        arcs = tuple(zip(heads[rows], deps[rows], weights[rows]))
-        graph = WeightedTokenGraph(ensemble.token_count(sid), arcs)
-        out[sid] = max_arborescence(graph, enforce_single_root)
-    return out
+    """Decode one tree per sentence from per-edge scores (``decode_heads``)."""
+    heads, offsets = decode_heads(matrix, scores, ensemble, enforce_single_root)
+    return {
+        sid: DepTree.from_checked(t)
+        for sid, t in zip(matrix.sentence_ids, per_sentence(heads, offsets))
+    }
 
 
 def iter_dump_lines(matrix: EdgeLabelMatrix) -> Iterator[str]:

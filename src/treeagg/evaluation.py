@@ -256,12 +256,17 @@ class TreebankReport:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TreebankReport":
+        """Read back ``to_json``'s dict; a value that does not convert
+        raises ``ValueError`` or ``TypeError``."""
+        methods, filters = data["methods"], data.get("filters", {})
+        if not (isinstance(methods, Mapping) and isinstance(filters, Mapping)):
+            raise TypeError("'methods' and 'filters' must be objects")
         return cls(
             treebank=data["treebank"],
             n_sentences=int(data["n_sentences"]),
-            methods={k: float(v) for k, v in data["methods"].items()},
+            methods={k: float(v) for k, v in methods.items()},
             selected_parsers=tuple(data.get("selected_parsers", ())),
-            filters={k: int(v) for k, v in data.get("filters", {}).items()},
+            filters={k: int(v) for k, v in filters.items()},
         )
 
 

@@ -111,6 +111,13 @@ class DepTree:
         if not check.ok:
             raise InvalidTreeError(f"bad head sequence {self.heads!r}: {check.reason}")
 
+    @classmethod
+    def from_checked(cls, heads: Sequence[int]) -> "DepTree":
+        """Wrap Python ints already known to form a tree; not rechecked."""
+        tree = cls.__new__(cls)
+        object.__setattr__(tree, "heads", tuple(heads))
+        return tree
+
     def __len__(self) -> int:
         return len(self.heads)
 

@@ -62,6 +62,20 @@ def ci_label_matrix(
     return labels, truth
 
 
+def placeholder_matrix(
+    labels: np.ndarray, parser_ids: Sequence[str] | None = None
+) -> EdgeLabelMatrix:
+    """Wrap a bare label array for estimation work; row i is the edge
+    0 -> 1 of a placeholder sentence ``r{i}``, so no trees come of it."""
+    labels = np.asarray(labels, dtype=np.int8)
+    n, m = labels.shape
+    ids = tuple(parser_ids) if parser_ids is not None else tuple(f"p{k + 1}" for k in range(m))
+    return EdgeLabelMatrix(
+        tuple(f"r{i}" for i in range(n)), np.arange(n + 1),
+        np.zeros(n, np.int64), np.ones(n, np.int64), labels, ids,
+    )
+
+
 def random_vote_matrix(
     n: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -340,6 +354,15 @@ def reference_uas_costs(
             match = (np.asarray(tree.heads) == agg).mean()
             costs[k] += 1.0 - match
     return costs
+
+
+def weight_update(
+    truths: np.ndarray, matrix: EdgeLabelMatrix, eps: float = 1e-8
+) -> np.ndarray:
+    """crh's closed-form weights from per-parser 0/1 edge costs against
+    ``truths``, smoothed by ``eps``: ``w_k = -log(cost_k / sum costs)``."""
+    costs = (matrix.labels != truths[:, None]).sum(axis=0) + eps
+    return -np.log(costs / costs.sum())
 
 
 def edges_of(tree: DepTree) -> list[tuple[int, int]]:

@@ -17,16 +17,18 @@ from helpers import (
     ci_label_matrix,
     conllu_text,
     joint_prob_oracle,
+    placeholder_matrix,
     random_complete_digraph,
     random_vote_matrix,
     spearman,
+    weight_update,
 )
 from treeagg.arborescence import max_arborescence, tree_weight
 from treeagg.cim import IsingParams, _canonical_value_grad, fit_canonical_params, infer_scores
 from treeagg.cli import EXIT_REJECTED, run
 from treeagg.conllu import parse_conllu, write_conllu
-from treeagg.crh import crh_run, truth_update, weight_update
-from treeagg.edges import EdgeLabelMatrix, majority_vote
+from treeagg.crh import crh_run, truth_update
+from treeagg.edges import majority_vote
 from treeagg.evaluation import preprocess, summarize
 
 
@@ -60,7 +62,7 @@ def test_criterion_2_inference_matches_enumeration(acceptance_log):
     for m in (2, 3, 4):
         votes = list(itertools.product((-1, 1), repeat=m))
         labels = np.array(votes, dtype=np.int8)
-        matrix = EdgeLabelMatrix.from_labels(labels)
+        matrix = placeholder_matrix(labels)
         for _ in range(50):
             theta00 = float(rng.normal())
             theta0 = tuple(rng.normal(size=m))
@@ -112,7 +114,7 @@ def test_criterion_3_fit_gradients_and_stationarity(acceptance_log):
         mu00 = float(cond.mean())
         mu0 = tuple((labels * cond[:, None]).mean(axis=0))
         fit = fit_canonical_params(
-            IsingParams(mu00, (0.0,) * m, mu0), EdgeLabelMatrix.from_labels(labels)
+            IsingParams(mu00, (0.0,) * m, mu0), placeholder_matrix(labels)
         )
         all_converged = all_converged and fit.converged
         worst_grad = max(worst_grad, fit.grad_norm)
@@ -135,12 +137,12 @@ def test_criterion_4_triplet_recovery(acceptance_log):
     rng = np.random.default_rng(42)
     accuracies = rng.uniform(0.65, 0.95, size=9)
     labels, _ = ci_label_matrix(accuracies, 20000, rng)
-    params = estimate_mean_params(EdgeLabelMatrix.from_labels(labels))
+    params = estimate_mean_params(placeholder_matrix(labels))
     devs = np.abs(np.array(params.mu0_plus) - (2.0 * accuracies - 1.0))
 
     rng0 = np.random.default_rng(0)
     worked, _ = ci_label_matrix([0.9, 0.8, 0.7], 100000, rng0)
-    worked_params = estimate_mean_params(EdgeLabelMatrix.from_labels(worked))
+    worked_params = estimate_mean_params(placeholder_matrix(worked))
     worked_dev = abs(abs(worked_params.mu0_plus[0]) - 0.8)
 
     ok = devs.max() < 0.05 and worked_dev < 0.02
@@ -161,7 +163,7 @@ def test_criterion_5_crh_properties(acceptance_log, corpus):
     for t in range(100):
         n = int(rng.integers(40, 200))
         m = int(rng.integers(3, 9))
-        matrix = EdgeLabelMatrix.from_labels(random_vote_matrix(n, m, rng))
+        matrix = placeholder_matrix(random_vote_matrix(n, m, rng))
         state = crh_run(matrix)
         hist = state.objective_history
         descent_violations += sum(
@@ -177,7 +179,7 @@ def test_criterion_5_crh_properties(acceptance_log, corpus):
     equal = np.ones((40, 4), dtype=np.int8)
     for k in range(4):  # disjoint two-row error blocks: equal costs
         equal[2 * k : 2 * k + 2, k] = -1
-    w_eq = weight_update(np.ones(40, dtype=np.int8), EdgeLabelMatrix.from_labels(equal))
+    w_eq = weight_update(np.ones(40, dtype=np.int8), placeholder_matrix(equal))
     sym_dev = float(np.abs(w_eq - np.log(4.0)).max())
 
     rank_corr = spearman(list(corpus.crh_state.weights), list(corpus.synth.accuracies))

@@ -35,11 +35,16 @@ from treeagg.cim import (
 )
 from treeagg.conllu import build_ensemble
 from treeagg.crh import CrhOptions, crh_run
-from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote
+from treeagg.edges import label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree, ParseEnsemble
 
-from helpers import joint_prob_oracle, reference_correlation_graph, reference_l1_logistic
+from helpers import (
+    joint_prob_oracle,
+    placeholder_matrix,
+    reference_correlation_graph,
+    reference_l1_logistic,
+)
 
 
 @st.composite
@@ -196,7 +201,7 @@ def test_independent_columns_give_empty_graph():
     rng = np.random.default_rng(11)
     labels = np.where(rng.random((10000, 4)) < 0.5, 1, -1).astype(np.int8)
     graph = estimate_correlation_graph(
-        EdgeLabelMatrix.from_labels(labels), l1_penalty=0.5
+        placeholder_matrix(labels), l1_penalty=0.5
     )
     assert graph.edges == frozenset()
     assert graph.excluded == ()
@@ -208,7 +213,7 @@ def test_duplicated_column_is_the_only_edge():
     _ = rng.random((20000, 2)), rng.random(20000)  # stream position
     labels, _ = ci_columns([0.9, 0.8, 0.75, 0.7], 8000, rng)
     labels = np.column_stack([labels, labels[:, 1]]).astype(np.int8)
-    matrix = EdgeLabelMatrix.from_labels(labels)
+    matrix = placeholder_matrix(labels)
     graph = estimate_correlation_graph(matrix)
     assert graph.edges == frozenset({(1, 4)})
     assert graph.strengths[(1, 4)] > 1.0  # far above the default threshold
@@ -237,7 +242,7 @@ def test_edge_requires_both_directions():
     truth = np.where(rng.random(6000) < 0.5, 1, -1).astype(np.int8)
     a = np.where(rng.random(6000) < 0.8, truth, -truth)
     c = np.where(rng.random(6000) < 0.75, truth, -truth)
-    matrix = EdgeLabelMatrix.from_labels(
+    matrix = placeholder_matrix(
         np.column_stack([a, a.copy(), c]).astype(np.int8)
     )
     assert estimate_correlation_graph(matrix).edges == frozenset({(0, 1)})
@@ -252,7 +257,7 @@ def test_constant_column_is_excluded():
             np.where(rng.random(500) < 0.5, 1, -1),
         ]
     ).astype(np.int8)
-    graph = estimate_correlation_graph(EdgeLabelMatrix.from_labels(labels))
+    graph = estimate_correlation_graph(placeholder_matrix(labels))
     assert graph.excluded == (0,)
     assert all(0 not in edge for edge in graph.edges)
 
@@ -262,7 +267,7 @@ def test_constant_column_is_excluded():
 def test_graph_ignores_row_order_and_duplication(votes, rnd):
     def graph(labels):
         return estimate_correlation_graph(
-            EdgeLabelMatrix.from_labels(labels), l1_penalty=0.02
+            placeholder_matrix(labels), l1_penalty=0.02
         )
 
     base = graph(votes)
@@ -277,7 +282,7 @@ def test_graph_ignores_row_order_and_duplication(votes, rnd):
 @settings(max_examples=60, deadline=None)
 @given(vote_arrays(), st.sampled_from((0.005, 0.02, 0.1, None)))
 def test_batched_graph_equals_per_column_fits(votes, penalty):
-    matrix = EdgeLabelMatrix.from_labels(votes)
+    matrix = placeholder_matrix(votes)
     if penalty is None:
         penalty = default_l1_penalty(matrix.m, matrix.n_edges)
     graph = estimate_correlation_graph(matrix, l1_penalty=penalty)
@@ -290,12 +295,12 @@ def test_batched_graph_equals_per_column_fits(votes, penalty):
 def test_graph_needs_two_parsers():
     labels = np.array([[1], [-1], [1]], dtype=np.int8)
     with pytest.raises(ValueError, match="at least two parsers"):
-        estimate_correlation_graph(EdgeLabelMatrix.from_labels(labels))
+        estimate_correlation_graph(placeholder_matrix(labels))
 
 
 def test_graph_rejects_a_negative_or_non_finite_penalty():
     labels = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, 1]], dtype=np.int8)
-    matrix = EdgeLabelMatrix.from_labels(labels)
+    matrix = placeholder_matrix(labels)
     for penalty in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="l1_penalty must be finite and non-negative"):
             estimate_correlation_graph(matrix, l1_penalty=penalty)
@@ -305,7 +310,7 @@ def test_graph_rejects_a_negative_or_non_finite_penalty():
 
 
 def test_graph_needs_a_candidate_edge():
-    empty = EdgeLabelMatrix.from_labels(np.zeros((0, 3), dtype=np.int8))
+    empty = placeholder_matrix(np.zeros((0, 3), dtype=np.int8))
     with pytest.raises(ValueError, match="at least one candidate edge"):
         estimate_correlation_graph(empty)
     with pytest.raises(ValueError, match="at least one candidate edge"):
@@ -329,7 +334,7 @@ HAND_LABELS = np.array(
 
 
 def test_collapse_component_by_rowwise_majority():
-    matrix = EdgeLabelMatrix.from_labels(
+    matrix = placeholder_matrix(
         HAND_LABELS.copy(), parser_ids=("a", "b", "c", "d", "e")
     )
     graph = CorrelationGraph(
@@ -352,7 +357,7 @@ def test_collapse_component_by_rowwise_majority():
 
 def test_collapse_without_edges_is_identity():
     rng = np.random.default_rng(4)
-    matrix = EdgeLabelMatrix.from_labels(
+    matrix = placeholder_matrix(
         np.where(rng.random((30, 3)) < 0.5, 1, -1).astype(np.int8)
     )
     graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
@@ -399,7 +404,7 @@ def test_mean_recovery_survives_class_imbalance():
     truth = np.where(rng.random(n) < 0.7, 1, -1).astype(np.int8)
     accuracies = [0.9, 0.85, 0.8, 0.72, 0.65]
     labels, _ = ci_columns(accuracies, n, rng, truth=truth)
-    params = estimate_mean_params(EdgeLabelMatrix.from_labels(labels))
+    params = estimate_mean_params(placeholder_matrix(labels))
     assert not params.triplet_fallback
     target = 2.0 * np.array(accuracies) - 1.0
     assert np.abs(np.array(params.mu0_plus) - target).max() < 0.03
@@ -410,7 +415,7 @@ def test_two_parsers_fall_back_to_vote_products():
     rng = np.random.default_rng(17)
     _ = rng.random(50000)
     labels, _ = ci_columns([0.85, 0.7], 4000, rng)
-    params = estimate_mean_params(EdgeLabelMatrix.from_labels(labels))
+    params = estimate_mean_params(placeholder_matrix(labels))
     assert params.triplet_fallback  # no third column, no triplets
     assert all(0.0 < v < 1.0 for v in params.mu0_plus)
 
@@ -419,7 +424,7 @@ def test_perfect_agreement_is_clamped():
     rng = np.random.default_rng(17)
     truth = np.where(rng.random(4000) < 0.5, 1, -1).astype(np.int8)
     labels = np.column_stack([truth, truth, truth]).astype(np.int8)
-    params = estimate_mean_params(EdgeLabelMatrix.from_labels(labels))
+    params = estimate_mean_params(placeholder_matrix(labels))
     assert not params.triplet_fallback
     assert params.mu0_plus == pytest.approx((0.999, 0.999, 0.999))
 
@@ -432,7 +437,7 @@ def test_zero_moments_fit_to_zero_parameters():
     labels = np.where(rng.random((50, 3)) < 0.5, 1, -1).astype(np.int8)
     fit = fit_canonical_params(
         IsingParams(0.0, (0.0,) * 3, (0.0,) * 3),
-        EdgeLabelMatrix.from_labels(labels),
+        placeholder_matrix(labels),
     )
     assert fit.converged
     assert fit.iterations == 0
@@ -458,7 +463,7 @@ def test_fit_satisfies_its_moment_conditions():
     labels = np.where(rng.random((64, 3)) < 0.5, 1, -1).astype(np.int8)
     fit = fit_canonical_params(
         IsingParams(mu00, (0.0,) * 3, tuple(mu0)),
-        EdgeLabelMatrix.from_labels(labels),
+        placeholder_matrix(labels),
     )
     assert fit.converged
     assert fit.grad_norm <= 1e-6
@@ -472,7 +477,7 @@ def test_fit_ends_on_unachievable_moments():
     # objective is unbounded below and the expanding step overflows
     fit = fit_canonical_params(
         IsingParams(0.9, (0.0,), (0.9,)),
-        EdgeLabelMatrix.from_labels(np.array([[1], [-1]], dtype=np.int8)),
+        placeholder_matrix(np.array([[1], [-1]], dtype=np.int8)),
     )
     assert fit.converged is False
     assert fit.iterations <= 1  # the first step already proves divergence
@@ -500,7 +505,7 @@ def test_score_matches_hand_sigmoid():
     params = IsingParams(
         0.0, (0.0,), (0.0,), theta00=0.1, theta0_plus=(0.2,)
     )
-    row = EdgeLabelMatrix.from_labels(np.array([[1]], dtype=np.int8))
+    row = placeholder_matrix(np.array([[1]], dtype=np.int8))
     # sigmoid(2 * 0.1 + 2 * 0.2)
     assert infer_scores(params, row)[0] == pytest.approx(0.6456563062257954)
 
@@ -511,7 +516,7 @@ def test_zero_parameters_score_one_half():
     params = IsingParams(
         0.0, (0.0,) * 2, (0.0,) * 2, theta00=0.0, theta0_plus=(0.0, 0.0)
     )
-    assert infer_scores(params, EdgeLabelMatrix.from_labels(labels)) == pytest.approx(
+    assert infer_scores(params, placeholder_matrix(labels)) == pytest.approx(
         np.full(20, 0.5)
     )
 
@@ -520,14 +525,14 @@ def test_positive_weight_makes_scores_monotone_in_the_vote():
     params = IsingParams(
         0.0, (0.0,) * 2, (0.0,) * 2, theta00=0.05, theta0_plus=(0.7, 0.3)
     )
-    lo = EdgeLabelMatrix.from_labels(np.array([[-1, 1]], dtype=np.int8))
-    hi = EdgeLabelMatrix.from_labels(np.array([[1, 1]], dtype=np.int8))
+    lo = placeholder_matrix(np.array([[-1, 1]], dtype=np.int8))
+    hi = placeholder_matrix(np.array([[1, 1]], dtype=np.int8))
     assert infer_scores(params, lo)[0] < infer_scores(params, hi)[0]
 
 
 def test_unfitted_parameters_refuse_to_score():
     params = IsingParams(0.0, (0.0,), (0.5,))
-    row = EdgeLabelMatrix.from_labels(np.array([[1]], dtype=np.int8))
+    row = placeholder_matrix(np.array([[1]], dtype=np.int8))
     with pytest.raises(ValueError, match="not fitted"):
         infer_scores(params, row)
 
@@ -568,7 +573,7 @@ def test_conditional_ignores_parser_only_terms():
     for votes in itertools.product((-1, 1), repeat=3):
         num = joint_prob_oracle(theta00, theta0, theta_p, theta_pp, 1, votes)
         den = num + joint_prob_oracle(theta00, theta0, theta_p, theta_pp, -1, votes)
-        row = EdgeLabelMatrix.from_labels(np.array([votes], dtype=np.int8))
+        row = placeholder_matrix(np.array([votes], dtype=np.int8))
         assert infer_scores(params, row)[0] == pytest.approx(num / den, abs=1e-12)
 
 
@@ -658,9 +663,9 @@ def test_scores_are_equivariant_under_column_permutation():
     for j in range(4):
         labels[rng.random(500) < 0.6, j] = 1
     perm = [2, 0, 3, 1]
-    base = cim_run(EdgeLabelMatrix.from_labels(labels), CimOptions(collapse=False))
+    base = cim_run(placeholder_matrix(labels), CimOptions(collapse=False))
     moved = cim_run(
-        EdgeLabelMatrix.from_labels(labels[:, perm]), CimOptions(collapse=False)
+        placeholder_matrix(labels[:, perm]), CimOptions(collapse=False)
     )
     assert np.abs(base.scores - moved.scores).max() < 1e-9
     for i, j in enumerate(perm):
@@ -674,8 +679,8 @@ def test_scores_are_equivariant_under_column_permutation():
 def test_scores_permute_with_the_rows(votes, rnd):
     order = list(range(len(votes)))
     rnd.shuffle(order)
-    base = cim_run(EdgeLabelMatrix.from_labels(votes))
-    moved = cim_run(EdgeLabelMatrix.from_labels(votes[order]))
+    base = cim_run(placeholder_matrix(votes))
+    moved = cim_run(placeholder_matrix(votes[order]))
     assert moved.params.plugin == base.params.plugin
     # the moment fit runs on the sorted vote patterns, so the row order
     # cannot move its rounding, converged or not
@@ -728,7 +733,7 @@ def test_solvers_end_within_their_caps_on_degenerate_matrices(kind, m, monkeypat
         return result
 
     monkeypatch.setattr(cim, "fit_l1_logistic", recorded_l1)
-    matrix = EdgeLabelMatrix.from_labels(_degenerate(kind, m))
+    matrix = placeholder_matrix(_degenerate(kind, m))
     graph = estimate_correlation_graph(matrix)
     fit = fit_canonical_params(estimate_mean_params(matrix), matrix)
     assert fit.iterations <= _FIT_MAX_ITERATIONS

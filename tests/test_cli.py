@@ -500,6 +500,50 @@ def test_filters_of_the_wrong_shape_error(tmp_path, corpus, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_filters_with_a_value_of_the_wrong_type_error(tmp_path, corpus, capsys):
+    filters = write(
+        tmp_path / "filters.json", json.dumps({"seg_dropped": "x", "agree_dropped": 0})
+    )
+    code = run(
+        [
+            "evaluate",
+            "--gold", str(corpus / "gold.conllu"),
+            "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
+            "--filters", str(filters),
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {filters}: invalid literal")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_reports_with_values_of_the_wrong_type_error(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    for name, fields, message in (
+        ("listed", {"methods": [90]}, "'methods' and 'filters' must be objects"),
+        ("nulled", {"methods": {"cim": None}}, "float() argument must be"),
+        ("lettered", {"methods": {}, "n_sentences": "x"}, "invalid literal for int()"),
+    ):
+        report = write(
+            tmp_path / f"{name}.json",
+            json.dumps({"treebank": "x", "n_sentences": 1, **fields}),
+        )
+        assert run(["report", "--reports", str(report), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {report}: {message}")
+    groups = write(tmp_path / "groups.json", json.dumps({"all": 5}))
+    report = write(
+        tmp_path / "report.json",
+        json.dumps({"treebank": "x", "n_sentences": 1, "methods": {}}),
+    )
+    code = run(
+        ["report", "--reports", str(report), "--groups", str(groups), "--out", str(out)]
+    )
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {groups}: 'int' object is not iterable\n"
+    assert not out.exists()
+
+
 def test_reports_of_the_wrong_shape_error(tmp_path, capsys):
     out = tmp_path / "summary.json"
     partial = write(tmp_path / "partial.json", json.dumps({"treebank": "x"}))

@@ -345,8 +345,8 @@ def mutated_conllu(draw):
     """Text from ``conllu_files`` with up to three mutations: a new HEAD or
     ID on a token line, or the same value zero-padded; a column more or
     less; an inserted, deleted or copied line; a sent_id comment at the
-    start of a block. Between them they earn every ``ConlluError``; many
-    texts stay valid."""
+    start of a block. The final newline is dropped at random. Between them
+    they earn every ``ConlluError``; many texts stay valid."""
     blocks, final_blank, crlf = draw(conllu_files())
     lines = "\n\n".join("\n".join(b) for b, _ in blocks).split("\n")
     if final_blank:
@@ -385,7 +385,7 @@ def mutated_conllu(draw):
             lines.insert(draw(st.sampled_from(starts)), f"# sent_id = {sid}")
             continue
         lines[i] = "\t".join(cols)
-    text = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + draw(st.sampled_from(("\n", "")))
     return text.replace("\n", "\r\n") if crlf else text
 
 

@@ -11,16 +11,21 @@ from treeagg.crh import (
     CrhOptions,
     CrhState,
     _uas_costs,
-    _weighted_vote_trees,
+    _votes,
     crh_run,
     crh_trees,
     truth_update,
-    weight_update,
 )
-from treeagg.edges import EdgeLabelMatrix, label_matrix, majority_vote, tree_labels
+from treeagg.edges import (
+    decode_heads,
+    label_matrix,
+    majority_vote,
+    tree_labels,
+    trees_from_scores,
+)
 from treeagg.synth import SynthConfig, generate
 
-from helpers import random_vote_matrix, reference_uas_costs
+from helpers import placeholder_matrix, random_vote_matrix, reference_uas_costs, weight_update
 
 
 def matrix_with_costs(errors_per_parser, n=40):
@@ -34,7 +39,7 @@ def matrix_with_costs(errors_per_parser, n=40):
     for k, c in enumerate(errors_per_parser):
         labels[start : start + c, k] = -1
         start += c
-    return EdgeLabelMatrix.from_labels(labels)
+    return placeholder_matrix(labels)
 
 
 def test_weight_update_closed_forms():
@@ -61,7 +66,7 @@ def test_truth_update_hand_cases():
     labels = np.array(
         [[1, 1, 1], [1, -1, -1], [1, 1, -1]], dtype=np.int8
     )
-    matrix = EdgeLabelMatrix.from_labels(labels)
+    matrix = placeholder_matrix(labels)
     # unanimous row stays +1; [+1,-1,-1] under weights [2,1,1] is a 2 vs 2
     # tie resolved to +1; [+1,+1,-1] under [1,1,3] is 2 vs 3
     assert truth_update(np.array([2.0, 1.0, 1.0]), matrix).tolist() == [1, 1, 1]
@@ -72,7 +77,7 @@ def test_identical_parsers_converge_immediately():
     rng = np.random.default_rng(0)
     col = np.where(rng.random(30) < 0.6, 1, -1).astype(np.int8)
     col[0] = 1
-    matrix = EdgeLabelMatrix.from_labels(np.column_stack([col, col, col]))
+    matrix = placeholder_matrix(np.column_stack([col, col, col]))
     state = crh_run(matrix)
     assert state.converged
     assert state.iterations == 1
@@ -81,7 +86,7 @@ def test_identical_parsers_converge_immediately():
 
 
 def test_single_parser_is_rejected():
-    matrix = EdgeLabelMatrix.from_labels(np.ones((5, 1), dtype=np.int8))
+    matrix = placeholder_matrix(np.ones((5, 1), dtype=np.int8))
     with pytest.raises(ValueError, match="at least two"):
         crh_run(matrix)
 
@@ -90,7 +95,7 @@ def test_objective_monotone_and_weights_normalized():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n, m = int(rng.integers(10, 80)), int(rng.integers(2, 7))
-        matrix = EdgeLabelMatrix.from_labels(random_vote_matrix(n, m, rng))
+        matrix = placeholder_matrix(random_vote_matrix(n, m, rng))
         state = crh_run(matrix)
         hist = state.objective_history
         assert all(b - a <= 1e-9 for a, b in zip(hist, hist[1:]))
@@ -102,8 +107,8 @@ def test_permuting_columns_permutes_weights():
     rng = np.random.default_rng(8)
     labels = random_vote_matrix(60, 4, rng)
     perm = [2, 0, 3, 1]
-    a = crh_run(EdgeLabelMatrix.from_labels(labels))
-    b = crh_run(EdgeLabelMatrix.from_labels(labels[:, perm]))
+    a = crh_run(placeholder_matrix(labels))
+    b = crh_run(placeholder_matrix(labels[:, perm]))
     assert np.allclose(b.weights, a.weights[perm])
     assert (a.truths == b.truths).all()
 
@@ -123,8 +128,8 @@ def test_permuting_rows_permutes_only_the_truths(data):
     )
     perm = data.draw(st.permutations(range(n)), label="perm")
     labels = np.array(votes, dtype=np.int8)
-    a = crh_run(EdgeLabelMatrix.from_labels(labels))
-    b = crh_run(EdgeLabelMatrix.from_labels(labels[perm]))
+    a = crh_run(placeholder_matrix(labels))
+    b = crh_run(placeholder_matrix(labels[perm]))
     assert np.array_equal(b.weights, a.weights)
     assert b.iterations == a.iterations
     assert b.objective_history == a.objective_history
@@ -145,10 +150,10 @@ def test_duplicating_every_row_keeps_weights_and_iterations(data):
         label="votes",
     )
     labels = np.array(votes, dtype=np.int8)
-    a = crh_run(EdgeLabelMatrix.from_labels(labels))
+    a = crh_run(placeholder_matrix(labels))
     # costs count rows, so they double with the rows; eps is added to the
     # costs and doubles too, which keeps every cost ratio exact
-    doubled = EdgeLabelMatrix.from_labels(np.repeat(labels, 2, axis=0))
+    doubled = placeholder_matrix(np.repeat(labels, 2, axis=0))
     b = crh_run(doubled, CrhOptions(eps=2 * CrhOptions().eps))
     assert np.array_equal(b.weights, a.weights)
     assert b.iterations == a.iterations
@@ -206,8 +211,10 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
     )
     matrix = label_matrix(res.ensemble)
     weights = rng.uniform(0.1, 3.0, m)
-    trees = _weighted_vote_trees(weights, matrix, res.ensemble, single_root)
-    costs = _uas_costs(tree_labels(matrix, trees), matrix)
+    votes = _votes(weights, matrix)
+    heads, offsets = decode_heads(matrix, votes, res.ensemble, single_root)
+    costs = _uas_costs(tree_labels(matrix, heads, offsets), matrix)
+    trees = trees_from_scores(matrix, votes, res.ensemble, single_root)
     # bit for bit: the same sums, accumulated in sentence order
     assert costs.tobytes() == reference_uas_costs(res.ensemble, trees).tobytes()
 

@@ -1,10 +1,15 @@
-"""Edge-level reduction: candidate unions, vote matrix, majority labels."""
+"""Edge-level reduction: candidate unions, vote matrix, majority labels,
+and decoding trees from edge scores."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeagg import edges
+from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
 from treeagg.edges import (
     EdgeLabelMatrix,
     iter_dump_lines,
@@ -14,11 +19,12 @@ from treeagg.edges import (
     tree_labels,
     trees_from_scores,
 )
-from treeagg.trees import DepTree, ParseEnsemble
+from treeagg.trees import DepTree, ParseEnsemble, validate_tree
 
 from helpers import (
     edges_of,
     head_sequences,
+    placeholder_matrix,
     reference_dump_lines,
     reference_label_matrix,
 )
@@ -116,7 +122,7 @@ def test_matrix_validation():
 
 def test_from_labels_placeholders():
     labels = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    matrix = EdgeLabelMatrix.from_labels(labels)
+    matrix = placeholder_matrix(labels)
     assert matrix.parser_ids == ("p1", "p2")
     assert matrix.n_edges == 2
     assert matrix.sentence_ids == ("r0", "r1")
@@ -128,10 +134,10 @@ def test_majority_vote_breaks_ties_up():
     labels = np.array(
         [[1, 1, -1], [1, -1, -1], [1, 1, 1]], dtype=np.int8
     )
-    mv = majority_vote(EdgeLabelMatrix.from_labels(labels))
+    mv = majority_vote(placeholder_matrix(labels))
     assert mv.tolist() == [1, -1, 1]
     even = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    assert majority_vote(EdgeLabelMatrix.from_labels(even)).tolist() == [1, 1]
+    assert majority_vote(placeholder_matrix(even)).tolist() == [1, 1]
 
 
 def test_sentence_rows_yields_contiguous_slices():
@@ -156,6 +162,131 @@ def test_trees_from_scores_separable_case():
     )
     out = trees_from_scores(matrix, scores, ens)
     assert out == {"s1": gold}
+
+
+def scored_matrix(sentences):
+    """A one-parser matrix over ``{sid: {(head, dep): score}}`` with its
+    scores, and an ensemble giving each sentence its token count (the
+    largest dependent), listed in the reverse order."""
+    sids = list(sentences)
+    rows = [(h, d, w) for sid in sids for (h, d), w in sorted(sentences[sid].items())]
+    heads, deps, scores = (np.array(c) for c in zip(*rows))
+    sizes = [len(sentences[sid]) for sid in sids]
+    matrix = EdgeLabelMatrix(
+        tuple(sids), np.cumsum([0, *sizes]), heads, deps,
+        np.ones((len(rows), 1), np.int8), ("p",),
+    )
+    chains = {
+        sid: (DepTree(tuple(range(max(d for _, d in sentences[sid])))),)
+        for sid in reversed(sids)
+    }
+    return matrix, scores.astype(np.float64), ParseEnsemble(("p",), chains)
+
+
+def solver_decode(matrix, scores, ensemble, single_root):
+    """One ``max_arborescence`` per sentence: the decode without a fast path."""
+    out = {}
+    for sid, r in sentence_rows(matrix):
+        arcs = zip(matrix.heads[r].tolist(), matrix.deps[r].tolist(), scores[r].tolist())
+        graph = WeightedTokenGraph(ensemble.token_count(sid), tuple(arcs))
+        out[sid] = max_arborescence(graph, single_root)
+    return out
+
+
+def decode_spying(matrix, scores, ensemble, single_root):
+    """``trees_from_scores``, and the arcs of each graph it sent to the solver."""
+    solved = []
+
+    def spy(graph, enforce_single_root):
+        solved.append(graph.arcs)
+        return max_arborescence(graph, enforce_single_root)
+
+    with mock.patch.object(edges, "max_arborescence", spy):
+        return trees_from_scores(matrix, scores, ensemble, single_root), solved
+
+
+def test_greedy_heads_with_two_roots_or_a_cycle_reach_the_solver():
+    two_roots = {(0, 1): 3.0, (0, 2): 3.0, (1, 2): 1.0}
+    cycle = {(0, 1): 1.0, (2, 1): 3.0, (0, 2): 1.0, (1, 2): 3.0}
+    matrix, scores, ens = scored_matrix({"roots": two_roots, "cycle": cycle})
+    for single_root, n_solved in ((True, 2), (False, 1)):
+        got, solved = decode_spying(matrix, scores, ens, single_root)
+        assert got == solver_decode(matrix, scores, ens, single_root)
+        assert len(solved) == n_solved
+    assert got["roots"].heads == (0, 0)  # accepted once two roots are allowed
+
+
+def test_a_float_tie_decodes_to_the_exact_maximum():
+    # The greedy heads (2, 0) score 1 + 1e16 exactly; rooting at token 1
+    # instead gives (0, 1) at 0.5 + 1e16. Both totals round to 1e16, and the
+    # solver keeps the smaller heads; the decode keeps the larger exact total.
+    scores = {(0, 1): 0.5, (2, 1): 1.0, (0, 2): 1e16, (1, 2): 1e16}
+    matrix, w, ens = scored_matrix({"s": scores})
+    assert 1.0 + 1e16 == 0.5 + 1e16
+    assert solver_decode(matrix, w, ens, True)["s"].heads == (0, 1)
+    got, solved = decode_spying(matrix, w, ens, True)
+    assert got["s"].heads == (2, 0) and solved == []
+    # with token 1's arcs tied exactly, both keep the smaller heads
+    matrix, w, ens = scored_matrix({"s": {**scores, (0, 1): 1.0}})
+    assert trees_from_scores(matrix, w, ens)["s"].heads == (0, 1)
+    assert solver_decode(matrix, w, ens, True)["s"].heads == (0, 1)
+
+
+def test_decode_refuses_what_the_graph_refuses():
+    matrix, w, ens = scored_matrix({"s": {(0, 1): 1.0, (1, 2): 1.0}})
+    with pytest.raises(ValueError, match="non-finite"):
+        trees_from_scores(matrix, np.array([1.0, np.nan]), ens)
+    # token 3 of the ensemble's sentence has no candidate arc
+    ens3 = ParseEnsemble(("p",), {"s": (DepTree((0, 1, 2)),)})
+    with pytest.raises(NoArborescenceError):
+        trees_from_scores(matrix, w, ens3)
+    no_words = ParseEnsemble(("p",), {"s": (DepTree(()),)})
+    for single_root in (True, False):
+        with pytest.raises(ValueError, match="at least one token"):
+            trees_from_scores(label_matrix(no_words), np.zeros(0), no_words, single_root)
+    empty = label_matrix(ParseEnsemble(("p",), {}))
+    assert trees_from_scores(empty, np.zeros(0), ens) == {}
+
+
+@st.composite
+def tied_scores(draw):
+    """Up to four sentences of 1-6 tokens: a random arc set over the chain
+    0 -> 1 -> ... -> q, so a single-rooted tree exists, with integer scores
+    0..3, so ties are everywhere."""
+    out = {}
+    for s in range(draw(st.integers(1, 4))):
+        q = draw(st.integers(1, 6))
+        pairs = [(h, d) for d in range(1, q + 1) for h in range(q + 1) if h != d]
+        arcs = set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+        arcs |= {(d - 1, d) for d in range(1, q + 1)}
+        out[f"s{s}"] = {a: float(draw(st.integers(0, 3))) for a in sorted(arcs)}
+    return out
+
+
+def greedy_is_accepted(arcs, single_root):
+    """Whether each dependent's best head (highest score, then smallest
+    head) forms a tree, with one root arc under ``single_root``."""
+    q = max(d for _, d in arcs)
+    best = {}
+    for (h, d), w in sorted(arcs.items()):
+        if d not in best or w > arcs[(best[d], d)]:
+            best[d] = h
+    heads = [best[d] for d in range(1, q + 1)]
+    return validate_tree(heads, q).ok and (not single_root or heads.count(0) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_scores(), st.booleans())
+def test_fast_path_equals_the_solver(sentences, single_root):
+    matrix, scores, ens = scored_matrix(sentences)
+    got, solved = decode_spying(matrix, scores, ens, single_root)
+    assert got == solver_decode(matrix, scores, ens, single_root)
+    rejected = [
+        tuple((h, d, w) for (h, d), w in sorted(arcs.items()))
+        for sid, arcs in sentences.items()
+        if not greedy_is_accepted(arcs, single_root)
+    ]
+    assert solved == rejected
 
 
 def test_dump_lines_format():
@@ -201,8 +332,8 @@ def test_each_parser_votes_once_per_token(ens):
         assert plus.tolist() == [ens.token_count(sid)] * ens.m
     # a parser's column is the labelling of its own trees
     for k in range(ens.m):
-        own = {sid: ts[k] for sid, ts in ens.trees.items()}
-        assert np.array_equal(tree_labels(matrix, own), matrix.labels[:, k])
+        own = tree_labels(matrix, ens.heads[k], ens.offsets)
+        assert np.array_equal(own, matrix.labels[:, k])
 
 
 @settings(max_examples=200, deadline=None)
