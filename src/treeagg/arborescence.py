@@ -3,7 +3,7 @@
 The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
 the artificial node 0. Candidate arcs are scanned in (head, dependent)
 order and only strict improvements replace the incumbent. Decoding from
-edge scores (``edges.decode_heads``) calls it only for sentences whose
+edge scores (``edges.trees_from_scores``) calls it only for sentences whose
 best incoming arcs are no tree, or have several roots under the
 single-root rule; ``synth`` calls it to repair corrupted trees.
 """

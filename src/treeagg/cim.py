@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores
-from .trees import DepTree, ParseEnsemble
+from .trees import ParseEnsemble
 
 _L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
 _FIT_TOL = 1e-6  # fit_canonical_params' gradient-norm tolerance
@@ -546,6 +546,7 @@ def cim_trees(
     matrix: EdgeLabelMatrix,
     ensemble: ParseEnsemble,
     enforce_single_root: bool = True,
-) -> dict[str, DepTree]:
-    """Decode consensus trees from posterior edge scores."""
+) -> np.ndarray:
+    """Decode consensus trees from posterior edge scores, as flat heads
+    over ``ensemble.offsets``."""
     return trees_from_scores(matrix, scores, ensemble, enforce_single_root)

@@ -44,6 +44,7 @@ from .evaluation import (
     method_diffs,
     preprocess,
     rank_and_select,
+    string_list,
     summarize,
     uas,
     vote_mst,
@@ -172,7 +173,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         )
     single_root = not args.no_single_root
     if args.method == "mst":
-        trees = vote_mst(ensemble, single_root, matrix)
+        heads = vote_mst(ensemble, single_root, matrix)
     elif args.method == "crh":
         opts = crh_mod.CrhOptions(
             distance=args.crh_distance,
@@ -181,7 +182,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             enforce_single_root=single_root,
         )
         state = crh_mod.crh_run(matrix, opts, ensemble)
-        trees = crh_mod.crh_trees(state, matrix, ensemble, single_root)
+        heads = crh_mod.crh_trees(state, matrix, ensemble, single_root)
     else:
         opts = cim_mod.CimOptions(
             l1_penalty=args.cim_l1,
@@ -190,10 +191,10 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             triplet_min=args.cim_triplet_min,
         )
         result = cim_mod.cim_run(matrix, opts)
-        trees = cim_mod.cim_trees(result.scores, matrix, ensemble, single_root)
+        heads = cim_mod.cim_trees(result.scores, matrix, ensemble, single_root)
         if args.diagnostics:
             _write_json(args.diagnostics, result.diagnostics())
-    save_treebank(files[0], args.out, trees)
+    save_treebank(files[0], args.out, heads)
     return EXIT_OK
 
 
@@ -241,9 +242,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _read_json(p, "treebank", "n_sentences", "methods", build=TreebankReport.from_json)
         for p in args.reports
     ]
-    groups: dict[str, list[str]] = {"all": [r.treebank for r in reports]}
+    groups: dict[str, Sequence[str]] = {"all": [r.treebank for r in reports]}
     if args.groups:
-        groups = _read_json(args.groups, build=lambda d: {g: list(v) for g, v in d.items()})
+        groups = _read_json(
+            args.groups, build=lambda d: {g: string_list(v, f"group {g!r}") for g, v in d.items()}
+        )
     payload: dict = {"groups": {}, "diffs": {}}
     for group, names in groups.items():
         members = [r for r in reports if r.treebank in set(names)]

@@ -3,10 +3,12 @@
 A parsed file is a set of arrays over its verbatim lines. Parsing reads
 only the ID and HEAD columns of word lines; comments, multiword-token
 ranges, empty nodes and the other columns pass through untouched
-(``TreebankFile.column`` reads one on request), and writing rewrites only
-the HEAD column of the word lines whose head changed. Input may use LF or
-CRLF line endings; output is LF, with each sentence followed by one empty
-line and the file ending in a single newline.
+(``TreebankFile.column`` reads one on request). Writing takes a flat head
+array laid out like the file's own ``heads``, such as an aggregator's
+decoded trees, and rewrites only the HEAD column of the word lines whose
+head changed. Input may use LF or CRLF line endings; output is LF, with
+each sentence followed by one empty line and the file ending in a single
+newline.
 
 Parsing scans the whole text at once: numpy finds the newlines and tabs,
 classifies each line by its first byte, reads the ID and HEAD fields of
@@ -22,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -286,37 +288,36 @@ def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFil
         return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
 
 
-def write_conllu(
-    treebank: TreebankFile, predicted: Mapping[str, DepTree] | None = None
-) -> str:
-    """Serialize a treebank, substituting trees from ``predicted`` by id.
+def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str:
+    """Serialize a treebank, with ``heads`` in place of its own HEAD column.
 
-    Sentences absent from ``predicted`` keep their own trees. Each sentence
-    is written as its verbatim lines followed by one empty line, and only
-    the HEAD column of a word line whose head changed is rewritten, so the
-    output ends with a single newline. A parsed file is written back byte
-    for byte, except that CRLF endings become LF, blank lines that are
-    whitespace or repeated become one empty line, and the blank line that
-    ends a file in the UD layout is not reproduced.
+    ``heads`` is an integer array shaped like ``treebank.heads`` that holds
+    a tree per sentence, such as the decoded consensus of an ensemble built
+    from this file; anything else raises ``ValueError``, so every written
+    file parses back. Each sentence is written as its verbatim lines
+    followed by one empty line, and only the HEAD column of a word line
+    whose head changed is rewritten, so the output ends with a single
+    newline. A parsed file is written back byte for byte, except that CRLF
+    endings become LF, blank lines that are whitespace or repeated become
+    one empty line, and the blank line that ends a file in the UD layout is
+    not reproduced.
     """
     lines: Sequence[str] = treebank.lines
-    if predicted is not None:
-        new = treebank.heads.copy()
-        bounds = treebank.offsets.tolist()
-        for sid, a, b in zip(treebank.sentence_ids, bounds, bounds[1:]):
-            tree = predicted.get(sid)
-            if tree is None:
-                continue
-            if len(tree) != b - a:
-                raise ValueError(
-                    f"sentence {sid!r}: predicted tree over "
-                    f"{len(tree)} tokens, sentence has {b - a}"
-                )
-            new[a:b] = tree.heads
-        moved = np.flatnonzero(new != treebank.heads)
+    if heads is not None:
+        heads = np.asarray(heads)
+        if heads.shape != treebank.heads.shape or heads.dtype.kind not in "iu":
+            raise ValueError(
+                f"heads of shape {heads.shape} and type {heads.dtype}, "
+                f"want integers of shape {treebank.heads.shape}"
+            )
+        trees = check_trees(heads, treebank.offsets)
+        if not trees.all():
+            sid = treebank.sentence_ids[int(np.argmin(trees))]
+            raise ValueError(f"sentence {sid!r}: heads do not form a tree")
+        moved = np.flatnonzero(heads != treebank.heads)
         if moved.size:
             lines = list(lines)
-            for w, h in zip(treebank.words[moved].tolist(), new[moved].tolist()):
+            for w, h in zip(treebank.words[moved].tolist(), heads[moved].tolist()):
                 cols = lines[w].split("\t")
                 cols[HEAD_COLUMN] = str(h)
                 lines[w] = "\t".join(cols)
@@ -328,11 +329,9 @@ def write_conllu(
 
 
 def save_treebank(
-    treebank: TreebankFile,
-    path: str | Path,
-    predicted: Mapping[str, DepTree] | None = None,
+    treebank: TreebankFile, path: str | Path, heads: np.ndarray | None = None
 ) -> None:
-    Path(path).write_text(write_conllu(treebank, predicted), encoding="utf-8")
+    Path(path).write_text(write_conllu(treebank, heads), encoding="utf-8")
 
 
 def aligned_tokens(
@@ -389,8 +388,8 @@ def build_ensemble(files: Sequence[TreebankFile]) -> ParseEnsemble:
         if differ.size:
             sid = ref.sentence_ids[differ[0]]
             raise ValueError(f"sentence {sid!r}: parsers disagree on token count")
-    return ParseEnsemble.from_heads(
-        [f.parser_id for f in files],
+    return ParseEnsemble(
+        tuple(f.parser_id for f in files),
         ref.sentence_ids,
         ref.offsets,
         np.stack([f.heads for f in files]),

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, decode_heads, tree_labels, trees_from_scores
-from .trees import DepTree, ParseEnsemble
+from .edges import EdgeLabelMatrix, tree_labels, trees_from_scores
+from .trees import ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
 _TOL = 1e-9  # crh_run stops once the objective drops by less than this
@@ -91,10 +91,10 @@ def crh_run(
         """The truth step for ``weights``, and the costs of its truths."""
         if uas_mode:
             assert ensemble is not None
-            heads, offsets = decode_heads(
+            heads = trees_from_scores(
                 matrix, _votes(weights, matrix), ensemble, opts.enforce_single_root
             )
-            truths = tree_labels(matrix, heads, offsets)
+            truths = tree_labels(matrix, heads, ensemble.offsets)
             return truths, _uas_costs(truths, matrix) + opts.eps
         truths = truth_update(weights, matrix)
         return truths, (matrix.labels != truths[:, None]).sum(axis=0) + opts.eps
@@ -130,8 +130,9 @@ def crh_trees(
     matrix: EdgeLabelMatrix,
     ensemble: ParseEnsemble,
     enforce_single_root: bool = True,
-) -> dict[str, DepTree]:
-    """Decode consensus trees from converged weights.
+) -> np.ndarray:
+    """Decode consensus trees from converged weights, as flat heads over
+    ``ensemble.offsets``.
 
     Edge scores are weight mass on +1 votes normalized by total weight, so
     they live in [0, 1] like the probabilistic aggregators' scores.

@@ -10,6 +10,9 @@ and row r is the edge ``heads[r] -> deps[r]``.
 Decoding gives every dependent of every sentence its best-scoring head in
 one pass; only the sentences whose best heads are no tree (or, under the
 single-root rule, have several roots) reach the Chu-Liu/Edmonds solver.
+The decoded trees are one flat head array over the ensemble's
+``offsets``, the layout of a parser file's ``heads``, so they are written
+out as they are (``conllu.write_conllu``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
-from .trees import DepTree, ParseEnsemble, check_trees, per_sentence
+from .trees import ParseEnsemble, check_trees
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +117,15 @@ def tree_labels(
     return np.where(heads[tok] == matrix.heads, 1, -1).astype(np.int8)
 
 
-def decode_heads(
+def trees_from_scores(
     matrix: EdgeLabelMatrix,
     scores: np.ndarray,
     ensemble: ParseEnsemble,
     enforce_single_root: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat heads of a maximum spanning arborescence per sentence of
-    ``matrix`` under per-row ``scores``, and their token offsets; token
-    counts come from ``ensemble`` by sentence id.
+) -> np.ndarray:
+    """Flat heads over ``ensemble.offsets`` of a maximum spanning
+    arborescence per sentence under per-row ``scores``. ``matrix`` must
+    hold the ensemble's sentences in its order.
 
     A dependent's best head has the highest score, then the smallest head,
     as the solver scans. Where those heads form a tree the solver returns
@@ -133,8 +136,10 @@ def decode_heads(
     heads, and this the best heads, whose exact total is larger. Integer
     votes (mst) sum exactly, so they cannot tie this way.
     """
-    q = np.array([ensemble.token_count(sid) for sid in matrix.sentence_ids], np.int64)
-    offsets = np.concatenate(([0], np.cumsum(q)))
+    if matrix.sentence_ids != ensemble.sentence_ids:
+        raise ValueError("the matrix and the ensemble hold different sentences")
+    offsets = ensemble.offsets
+    q = np.diff(offsets)
     w = np.asarray(scores, dtype=np.float64)
     h, d = matrix.heads, matrix.deps
     sent = np.repeat(np.arange(len(q)), np.diff(matrix.offsets))
@@ -155,21 +160,7 @@ def decode_heads(
         arcs = tuple(zip(h[r].tolist(), d[r].tolist(), w[r].tolist()))
         tree = max_arborescence(WeightedTokenGraph(int(q[i]), arcs), enforce_single_root)
         heads[offsets[i] : offsets[i + 1]] = tree.heads
-    return heads, offsets
-
-
-def trees_from_scores(
-    matrix: EdgeLabelMatrix,
-    scores: np.ndarray,
-    ensemble: ParseEnsemble,
-    enforce_single_root: bool = True,
-) -> dict[str, DepTree]:
-    """Decode one tree per sentence from per-edge scores (``decode_heads``)."""
-    heads, offsets = decode_heads(matrix, scores, ensemble, enforce_single_root)
-    return {
-        sid: DepTree.from_checked(t)
-        for sid, t in zip(matrix.sentence_ids, per_sentence(heads, offsets))
-    }
+    return heads
 
 
 def iter_dump_lines(matrix: EdgeLabelMatrix) -> Iterator[str]:

@@ -193,8 +193,9 @@ def vote_mst(
     ensemble: ParseEnsemble,
     enforce_single_root: bool = True,
     matrix: EdgeLabelMatrix | None = None,
-) -> dict[str, DepTree]:
-    """Consensus trees from unweighted vote counts (the MST baseline).
+) -> np.ndarray:
+    """Consensus trees from unweighted vote counts (the MST baseline), as
+    flat heads over ``ensemble.offsets``.
 
     ``matrix`` is the ensemble's label matrix, built here when not given.
     """
@@ -258,16 +259,25 @@ class TreebankReport:
     def from_json(cls, data: Mapping) -> "TreebankReport":
         """Read back ``to_json``'s dict; a value that does not convert
         raises ``ValueError`` or ``TypeError``."""
-        methods, filters = data["methods"], data.get("filters", {})
+        treebank, methods, filters = data["treebank"], data["methods"], data.get("filters", {})
+        if not isinstance(treebank, str):
+            raise TypeError(f"'treebank' must be a string, got {treebank!r}")
         if not (isinstance(methods, Mapping) and isinstance(filters, Mapping)):
             raise TypeError("'methods' and 'filters' must be objects")
         return cls(
-            treebank=data["treebank"],
+            treebank=treebank,
             n_sentences=int(data["n_sentences"]),
             methods={k: float(v) for k, v in methods.items()},
-            selected_parsers=tuple(data.get("selected_parsers", ())),
+            selected_parsers=string_list(data.get("selected_parsers", []), "'selected_parsers'"),
             filters={k: int(v) for k, v in filters.items()},
         )
+
+
+def string_list(value: object, name: str) -> tuple[str, ...]:
+    """``value``, a JSON list of strings, as a tuple; else a ``TypeError``."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)

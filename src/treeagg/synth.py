@@ -10,13 +10,12 @@ byte-identical and appending sentences never reshuffles earlier ones.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
-from .conllu import TreebankFile, build_ensemble
+from .conllu import TreebankFile, build_ensemble, parse_conllu
 from .trees import DepTree, ParseEnsemble, validate_tree
 
 _KEEP = 1.0
@@ -94,25 +93,11 @@ def _treebank(parser_id: str, sids: list[str], trees: list[DepTree]) -> Treebank
     """A file of one block per tree: a sent_id comment, then word lines
     whose FORM is w1, w2, ..."""
     lines: list[str] = []
-    blocks: list[tuple[int, int]] = []
-    words: list[int] = []
     for sid, tree in zip(sids, trees):
-        start = len(lines)
         lines.append(f"# sent_id = {sid}")
-        for d, h in enumerate(tree.heads, start=1):
-            words.append(len(lines))
-            lines.append(f"{d}\tw{d}\t_\t_\t_\t_\t{h}\t_\t_\t_")
-        blocks.append((start, len(lines)))
-    heads = itertools.chain.from_iterable(t.heads for t in trees)
-    return TreebankFile(
-        parser_id,
-        tuple(lines),
-        tuple(sids),
-        np.array(blocks, dtype=np.int64).reshape(-1, 2),
-        np.cumsum([0] + [len(t) for t in trees]),
-        np.fromiter(heads, dtype=np.int64, count=len(words)),
-        np.array(words, dtype=np.int64),
-    )
+        lines.extend(f"{d}\tw{d}\t_\t_\t_\t_\t{h}\t_\t_\t_" for d, h in enumerate(tree.heads, 1))
+        lines.append("")
+    return parse_conllu("\n".join(lines), parser_id)
 
 
 def generate(config: SynthConfig) -> SynthResult:

@@ -7,15 +7,16 @@ Many trees are held as one flat head array plus ``offsets``: the heads of
 sentence i are ``heads[offsets[i]:offsets[i + 1]]``. ``check_trees``
 validates every tree of such an array at once; ``validate_tree`` checks one
 head sequence. A ``ParseEnsemble`` stacks m parsers' flat head arrays into
-an (m x tokens) array; ``DepTree`` and ``Sentence`` objects are built from
-the arrays only when asked for.
+an (m x tokens) array, and the aggregators decode one flat head array over
+its ``offsets``. A ``DepTree`` is a single validated tree, for the
+arborescence solver and the synthetic generator; ``TreebankFile`` builds
+``DepTree`` and ``Sentence`` objects from its arrays only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,13 +112,6 @@ class DepTree:
         if not check.ok:
             raise InvalidTreeError(f"bad head sequence {self.heads!r}: {check.reason}")
 
-    @classmethod
-    def from_checked(cls, heads: Sequence[int]) -> "DepTree":
-        """Wrap Python ints already known to form a tree; not rechecked."""
-        tree = cls.__new__(cls)
-        object.__setattr__(tree, "heads", tuple(heads))
-        return tree
-
     def __len__(self) -> int:
         return len(self.heads)
 
@@ -165,73 +159,29 @@ def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+@dataclass(frozen=True, eq=False)
 class ParseEnsemble:
     """Aligned tree outputs of m parsers over a shared sentence set.
 
     ``heads`` is the (m x tokens) head array, row k for parser
     ``parser_ids[k]``, and the tokens of sentence ``sentence_ids[i]`` are
-    columns ``offsets[i]:offsets[i + 1]``. All parsers agree on the token
-    count of every sentence; surface-form agreement is the loader's
-    concern. Built from a mapping of sentence id to one tree per parser,
-    or with ``from_heads`` from arrays that already hold valid trees.
+    columns ``offsets[i]:offsets[i + 1]``. Every row holds valid trees and
+    all parsers agree on the token count of every sentence; building from
+    files (``conllu.build_ensemble``) checks the counts, and parsing
+    checked the trees.
     """
 
-    def __init__(
-        self, parser_ids: Sequence[str], trees: Mapping[str, Sequence[DepTree]]
-    ) -> None:
-        m = len(parser_ids)
-        for sid, ts in trees.items():
-            if len(ts) != m:
-                raise ValueError(f"sentence {sid!r}: {len(ts)} trees for {m} parsers")
-            if len({len(t) for t in ts}) != 1:
-                raise ValueError(f"sentence {sid!r}: parsers disagree on token count")
-        q = [len(ts[0]) for ts in trees.values()]
-        heads = np.array(
-            [[h for ts in trees.values() for h in ts[k].heads] for k in range(m)],
-            dtype=np.int64,
-        ).reshape(m, sum(q))
-        self._set(parser_ids, tuple(trees), np.cumsum([0, *q]), heads)
+    parser_ids: tuple[str, ...]
+    sentence_ids: tuple[str, ...]
+    offsets: np.ndarray
+    heads: np.ndarray
 
-    @classmethod
-    def from_heads(
-        cls,
-        parser_ids: Sequence[str],
-        sentence_ids: Sequence[str],
-        offsets: np.ndarray,
-        heads: np.ndarray,
-    ) -> "ParseEnsemble":
-        """Wrap arrays whose rows hold valid trees; they are not rechecked."""
-        ensemble = cls.__new__(cls)
-        ensemble._set(parser_ids, tuple(sentence_ids), offsets, heads)
-        return ensemble
-
-    def _set(self, parser_ids, sentence_ids, offsets, heads) -> None:
-        self.parser_ids = tuple(parser_ids)
+    def __post_init__(self) -> None:
         if len(set(self.parser_ids)) != len(self.parser_ids):
             raise ValueError("duplicate parser ids")
-        self.sentence_ids = sentence_ids
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.heads = np.asarray(heads, dtype=np.int64)
         for a in (self.offsets, self.heads):
             a.setflags(write=False)
 
     @property
     def m(self) -> int:
         return len(self.parser_ids)
-
-    @cached_property
-    def _positions(self) -> dict[str, int]:
-        return {sid: i for i, sid in enumerate(self.sentence_ids)}
-
-    def token_count(self, sentence_id: str) -> int:
-        i = self._positions[sentence_id]
-        return int(self.offsets[i + 1] - self.offsets[i])
-
-    @cached_property
-    def trees(self) -> Mapping[str, tuple[DepTree, ...]]:
-        """Sentence id to one tree per parser, built on first use."""
-        per_parser = [per_sentence(row, self.offsets) for row in self.heads]
-        return {
-            sid: tuple(DepTree(p[i]) for p in per_parser)
-            for i, sid in enumerate(self.sentence_ids)
-        }

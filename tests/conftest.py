@@ -15,6 +15,8 @@ from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.evaluation import uas, vote_mst
 from treeagg.synth import SynthConfig, SynthResult, generate
 
+from helpers import trees_by_id
+
 
 @dataclass(frozen=True)
 class CorpusRuns:
@@ -45,9 +47,8 @@ class CorpusRuns:
         return sum(self.per_parser_uas) / len(self.per_parser_uas)
 
 
-def _uas_of(trees, synth: SynthResult) -> float:
-    sids = synth.ensemble.sentence_ids
-    return uas([trees[s] for s in sids], list(synth.gold.trees))
+def _uas_of(heads, synth: SynthResult) -> float:
+    return uas(list(trees_by_id(heads, synth.ensemble).values()), list(synth.gold.trees))
 
 
 @pytest.fixture(scope="session")
@@ -67,13 +68,7 @@ def corpus() -> CorpusRuns:
     )
     synth = generate(config)
     matrix = label_matrix(synth.ensemble)
-    sids = synth.ensemble.sentence_ids
-    gold = list(synth.gold.trees)
-
-    per_parser = tuple(
-        uas([synth.ensemble.trees[s][k] for s in sids], gold)
-        for k in range(synth.ensemble.m)
-    )
+    per_parser = tuple(_uas_of(row, synth) for row in synth.ensemble.heads)
     mst_uas = _uas_of(vote_mst(synth.ensemble), synth)
     crh_state = crh_run(matrix)
     crh_uas = _uas_of(crh_trees(crh_state, matrix, synth.ensemble), synth)

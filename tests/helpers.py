@@ -22,7 +22,33 @@ from treeagg.conllu import (
     ConlluError,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
-from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble
+from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, per_sentence
+
+
+def ensemble_of(
+    parser_ids: Sequence[str], trees: Mapping[str, Sequence[DepTree]]
+) -> ParseEnsemble:
+    """An ensemble from one tree per parser for each sentence id, in the
+    mapping's order; every sentence needs one tree per parser, all over
+    the same number of tokens."""
+    m = len(parser_ids)
+    for sid, ts in trees.items():
+        if len(ts) != m:
+            raise ValueError(f"sentence {sid!r}: {len(ts)} trees for {m} parsers")
+        if len({len(t) for t in ts}) != 1:
+            raise ValueError(f"sentence {sid!r}: parsers disagree on token count")
+    q = [len(ts[0]) for ts in trees.values()]
+    heads = np.array(
+        [[h for ts in trees.values() for h in ts[k].heads] for k in range(m)],
+        dtype=np.int64,
+    ).reshape(m, sum(q))
+    return ParseEnsemble(tuple(parser_ids), tuple(trees), np.cumsum([0, *q]), heads)
+
+
+def trees_by_id(heads: np.ndarray, ensemble: ParseEnsemble) -> dict[str, DepTree]:
+    """Flat heads over the ensemble's offsets, such as a decode's output
+    or one parser's row, cut into one tree per sentence id."""
+    return dict(zip(ensemble.sentence_ids, map(DepTree, per_sentence(heads, ensemble.offsets))))
 
 
 def random_complete_digraph(q: int, rng: np.random.Generator) -> WeightedTokenGraph:
@@ -348,10 +374,9 @@ def reference_uas_costs(
     """crh's uas-distance costs recounted from the trees: each parser's
     sum over sentences of 1 - UAS against ``aggregated``."""
     costs = np.zeros(ensemble.m)
-    for sid in ensemble.sentence_ids:
-        agg = np.asarray(aggregated[sid].heads)
-        for k, tree in enumerate(ensemble.trees[sid]):
-            match = (np.asarray(tree.heads) == agg).mean()
+    for k, row in enumerate(ensemble.heads):
+        for sid, tree in trees_by_id(row, ensemble).items():
+            match = (np.asarray(tree.heads) == np.asarray(aggregated[sid].heads)).mean()
             costs[k] += 1.0 - match
     return costs
 
@@ -380,8 +405,9 @@ def reference_label_matrix(ensemble: ParseEnsemble):
     rows: list[tuple[str, int, int]] = []
     votes: list[list[int]] = []
     spans: list[tuple[str, int, int]] = []
+    per_parser = [trees_by_id(row, ensemble) for row in ensemble.heads]
     for sid in ensemble.sentence_ids:
-        edge_sets = [set(edges_of(t)) for t in ensemble.trees[sid]]
+        edge_sets = [set(edges_of(p[sid])) for p in per_parser]
         union = sorted(set().union(*edge_sets))
         if union:
             spans.append((sid, len(rows), len(rows) + len(union)))

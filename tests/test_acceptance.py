@@ -370,9 +370,8 @@ def test_criterion_10_io_fidelity(acceptance_log):
     treebank = parse_conllu(ROUNDTRIP_FIXTURE, "demo")
     identical = write_conllu(treebank) == ROUNDTRIP_FIXTURE
 
-    from treeagg.trees import DepTree
-
-    predicted = {"rt1": DepTree((2, 0, 2, 3))}
+    predicted = treebank.heads.copy()
+    predicted[:4] = (2, 0, 2, 3)  # rt1's four words; rt2 keeps its head
     changed = write_conllu(treebank, predicted)
     changed_fields = set()
     for before, after in zip(

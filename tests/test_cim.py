@@ -37,13 +37,15 @@ from treeagg.conllu import build_ensemble
 from treeagg.crh import CrhOptions, crh_run
 from treeagg.edges import label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
-from treeagg.trees import DepTree, ParseEnsemble
+from treeagg.trees import DepTree
 
 from helpers import (
+    ensemble_of,
     joint_prob_oracle,
     placeholder_matrix,
     reference_correlation_graph,
     reference_l1_logistic,
+    trees_by_id,
 )
 
 
@@ -690,10 +692,10 @@ def test_scores_permute_with_the_rows(votes, rnd):
 def test_trees_follow_separable_scores():
     a = DepTree((0, 1, 2))
     b = DepTree((0, 1, 1))
-    ens = ParseEnsemble(("a", "b"), {"s1": (a, b)})
+    ens = ensemble_of(("a", "b"), {"s1": (a, b)})
     matrix = label_matrix(ens)
     scores = np.where(matrix.labels[:, 0] == 1, 0.9, 0.1)
-    trees = cim_trees(scores, matrix, ens)
+    trees = trees_by_id(cim_trees(scores, matrix, ens), ens)
     assert trees == {"s1": a}
 
 

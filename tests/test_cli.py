@@ -540,8 +540,62 @@ def test_reports_with_values_of_the_wrong_type_error(tmp_path, capsys):
         ["report", "--reports", str(report), "--groups", str(groups), "--out", str(out)]
     )
     assert code == EXIT_ERROR
-    assert capsys.readouterr().err == f"error: {groups}: 'int' object is not iterable\n"
+    assert capsys.readouterr().err == (
+        f"error: {groups}: group 'all' must be a list of strings, got 5\n"
+    )
     assert not out.exists()
+
+
+def test_a_group_that_is_no_list_of_names_errors(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    report = write(
+        tmp_path / "report.json",
+        json.dumps({"treebank": "tb01", "n_sentences": 1, "methods": {"cim": 90.0}}),
+    )
+    for value in ("tb01", ["tb01", 1]):
+        groups = write(tmp_path / "groups.json", json.dumps({"h": value}))
+        code = run(
+            ["report", "--reports", str(report), "--groups", str(groups), "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {groups}: group 'h' must be a list of strings, got {value!r}\n"
+        )
+        assert not out.exists()
+
+
+def test_a_report_with_a_treebank_that_is_no_string_errors(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    named = write(
+        tmp_path / "named.json",
+        json.dumps({"treebank": "x", "n_sentences": 1, "methods": {"cim": 90.0}}),
+    )
+    numbered = write(
+        tmp_path / "numbered.json",
+        json.dumps({"treebank": 5, "n_sentences": 1, "methods": {"cim": 80.0}}),
+    )
+    code = run(["report", "--reports", str(named), str(numbered), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {numbered}: 'treebank' must be a string, got 5\n"
+    )
+    assert not out.exists()
+
+
+def test_a_report_whose_selected_parsers_are_no_list_of_ids_errors(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    for value in ("p1", [1]):
+        report = write(
+            tmp_path / "report.json",
+            json.dumps(
+                {"treebank": "x", "n_sentences": 1, "methods": {}, "selected_parsers": value}
+            ),
+        )
+        assert run(["report", "--reports", str(report), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {report}: 'selected_parsers' must be a list of strings, got {value!r}\n"
+        )
+        assert not out.exists()
 
 
 def test_reports_of_the_wrong_shape_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """CoNLL-U parsing, serialization, and cross-file checks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,8 +95,8 @@ def test_parse_errors_carry_line_numbers():
     padded = first + "2\tb\t_\t_\t_\t_\t01\t_\t_\t_\n"
     tb = parse_conllu(padded)
     assert tb.trees == (DepTree((0, 1)),)
-    assert write_conllu(tb, {"s1": DepTree((0, 1))}) == padded
-    assert write_conllu(tb, {"s1": DepTree((2, 0))}).split("\n")[1].split("\t")[6] == "0"
+    assert write_conllu(tb, np.array([0, 1])) == padded
+    assert write_conllu(tb, np.array([2, 0])).split("\n")[1].split("\t")[6] == "0"
 
 
 def test_parse_rejects_cycles_with_first_word_line():
@@ -198,7 +199,9 @@ def test_roundtrip_is_byte_identical():
 
 def test_write_substitutes_only_head_fields():
     tb = parse_conllu(FULL_FIXTURE)
-    out = write_conllu(tb, {"rt1": DepTree((0, 1, 2))})
+    heads = tb.heads.copy()
+    heads[:3] = (0, 1, 2)  # rt1's words; rt2 keeps its own head
+    out = write_conllu(tb, heads)
     original = FULL_FIXTURE.split("\n")
     changed = out.split("\n")
     assert len(original) == len(changed)
@@ -208,14 +211,24 @@ def test_write_substitutes_only_head_fields():
         cols_b, cols_a = before.split("\t"), after.split("\t")
         diff = [i for i in range(10) if cols_b[i] != cols_a[i]]
         assert diff == [6]
-    # unmentioned sentences keep their trees
+    # a sentence left at its own heads keeps its lines
     assert changed[-3] == original[-3]
 
 
 def test_write_rejects_token_count_mismatch():
     tb = parse_conllu(conllu_text([("s1", ["a", "b"], [0, 1])]))
-    with pytest.raises(ValueError, match="predicted tree over"):
-        write_conllu(tb, {"s1": DepTree((0,))})
+    for heads in ([0], [0, 1, 1], [[0, 1]], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="want integers of shape"):
+            write_conllu(tb, np.asarray(heads))
+
+
+def test_write_rejects_heads_that_are_no_tree():
+    tb = parse_conllu(conllu_text([("s1", ["a"], [0]), ("s2", ["a", "b"], [0, 1])]))
+    for heads in ([0, 2, 1], [0, 0, 3], [0, 1, 2], [1, 0, 1], [-1, 0, 1]):
+        with pytest.raises(ValueError, match="heads do not form a tree") as err:
+            write_conllu(tb, np.array(heads))
+        assert ("'s1'" in str(err.value)) == (heads[0] != 0)
+    assert write_conllu(tb, np.array([0, 2, 0])).count("\t0\t") == 2
 
 
 def test_load_and_save(tmp_path):
@@ -255,12 +268,18 @@ def test_build_ensemble_aligns_by_position():
     assert ens.parser_ids == ("a", "b")
     # ids come from the first file; the second file's ids are ignored
     assert ens.sentence_ids == ("s1", "s2")
-    assert ens.trees["s2"] == (DepTree((0, 1)), DepTree((2, 0)))
+    assert ens.offsets.tolist() == [0, 1, 3]
+    assert ens.heads.tolist() == [[0, 0, 1], [0, 2, 0]]
     short = parse_conllu(conllu_text([("s1", ["x"], [0])]), "c")
     with pytest.raises(ValueError, match="has 1 sentences"):
         build_ensemble([a, short])
     with pytest.raises(ValueError, match="no parser files"):
         build_ensemble([])
+    with pytest.raises(ValueError, match="duplicate parser ids"):
+        build_ensemble([a, b, a])
+    longer = parse_conllu(conllu_text([("s1", ["x"], [0]), ("s2", ["y"], [0])]), "d")
+    with pytest.raises(ValueError, match="sentence 's2': parsers disagree on token count"):
+        build_ensemble([a, longer])
 
 
 # ------------------------------------------------ properties
@@ -311,8 +330,9 @@ def test_write_reproduces_source_and_moves_only_heads(source, data):
     predicted = {
         s.sentence_id: data.draw(head_sequences(len(s))) for s in tb.sentences
     }
+    heads = np.array([h for tree in predicted.values() for h in tree.heads])
     before = expected.split("\n")
-    after = write_conllu(tb, predicted).split("\n")
+    after = write_conllu(tb, heads).split("\n")
     assert len(after) == len(before)
     moved = set()
     offset = 0

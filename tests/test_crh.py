@@ -17,7 +17,6 @@ from treeagg.crh import (
     truth_update,
 )
 from treeagg.edges import (
-    decode_heads,
     label_matrix,
     majority_vote,
     tree_labels,
@@ -25,7 +24,13 @@ from treeagg.edges import (
 )
 from treeagg.synth import SynthConfig, generate
 
-from helpers import placeholder_matrix, random_vote_matrix, reference_uas_costs, weight_update
+from helpers import (
+    placeholder_matrix,
+    random_vote_matrix,
+    reference_uas_costs,
+    trees_by_id,
+    weight_update,
+)
 
 
 def matrix_with_costs(errors_per_parser, n=40):
@@ -212,9 +217,9 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
     matrix = label_matrix(res.ensemble)
     weights = rng.uniform(0.1, 3.0, m)
     votes = _votes(weights, matrix)
-    heads, offsets = decode_heads(matrix, votes, res.ensemble, single_root)
-    costs = _uas_costs(tree_labels(matrix, heads, offsets), matrix)
-    trees = trees_from_scores(matrix, votes, res.ensemble, single_root)
+    heads = trees_from_scores(matrix, votes, res.ensemble, single_root)
+    costs = _uas_costs(tree_labels(matrix, heads, res.ensemble.offsets), matrix)
+    trees = trees_by_id(heads, res.ensemble)
     # bit for bit: the same sums, accumulated in sentence order
     assert costs.tobytes() == reference_uas_costs(res.ensemble, trees).tobytes()
 
@@ -242,15 +247,13 @@ def test_crh_trees_follows_dominant_weights():
         iterations=1,
         converged=True,
     )
-    trees = crh_trees(state, matrix, res.ensemble)
-    for sid in res.ensemble.sentence_ids:
-        assert trees[sid] == res.ensemble.trees[sid][0]
+    trees = trees_by_id(crh_trees(state, matrix, res.ensemble), res.ensemble)
+    assert trees == trees_by_id(res.ensemble.heads[0], res.ensemble)
 
 
 def test_identical_parsers_reproduce_their_tree():
     res = generate(SynthConfig(n_sentences=20, tokens=(6, 6), rates=(0.0, 0.0), seed=4))
     matrix = label_matrix(res.ensemble)
     state = crh_run(matrix)
-    trees = crh_trees(state, matrix, res.ensemble)
-    for sid in res.ensemble.sentence_ids:
-        assert trees[sid] == res.ensemble.trees[sid][0]
+    trees = trees_by_id(crh_trees(state, matrix, res.ensemble), res.ensemble)
+    assert trees == trees_by_id(res.ensemble.heads[0], res.ensemble)

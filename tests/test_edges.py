@@ -19,14 +19,16 @@ from treeagg.edges import (
     tree_labels,
     trees_from_scores,
 )
-from treeagg.trees import DepTree, ParseEnsemble, validate_tree
+from treeagg.trees import DepTree, validate_tree
 
 from helpers import (
     edges_of,
+    ensemble_of,
     head_sequences,
     placeholder_matrix,
     reference_dump_lines,
     reference_label_matrix,
+    trees_by_id,
 )
 
 
@@ -34,7 +36,7 @@ def two_parser_ensemble():
     # parsers agree on tokens 1 and 2, disagree on token 3's head
     a = DepTree((0, 1, 2))
     b = DepTree((0, 1, 1))
-    return ParseEnsemble(("a", "b"), {"s1": (a, b)})
+    return ensemble_of(("a", "b"), {"s1": (a, b)})
 
 
 def row_edges(matrix):
@@ -43,7 +45,7 @@ def row_edges(matrix):
 
 def test_union_of_identical_trees_has_tree_size():
     t = DepTree((0, 1, 1))
-    ens = ParseEnsemble(("a", "b"), {"s1": (t, t)})
+    ens = ensemble_of(("a", "b"), {"s1": (t, t)})
     matrix = label_matrix(ens)
     assert matrix.sentence_ids == ("s1",)
     assert matrix.offsets.tolist() == [0, 3]
@@ -73,9 +75,9 @@ def test_every_parser_tree_is_reconstructible_from_plus_ones():
         chosen = [
             e for e, lab in zip(row_edges(matrix), matrix.labels[:, k]) if lab == 1
         ]
-        assert sorted(chosen) == sorted(edges_of(ens.trees["s1"][k]))
+        assert sorted(chosen) == sorted(edges_of(trees_by_id(ens.heads[k], ens)["s1"]))
         # exactly q votes per (sentence, parser)
-        assert len(chosen) == ens.token_count("s1")
+        assert len(chosen) == ens.offsets[1] - ens.offsets[0]
 
 
 def test_every_row_has_a_proposer():
@@ -143,7 +145,7 @@ def test_majority_vote_breaks_ties_up():
 def test_sentence_rows_yields_contiguous_slices():
     t = DepTree((0, 1))
     u = DepTree((2, 0))
-    ens = ParseEnsemble(("a", "b"), {"s1": (t, u), "s2": (t, t)})
+    ens = ensemble_of(("a", "b"), {"s1": (t, u), "s2": (t, t)})
     matrix = label_matrix(ens)
     spans = list(sentence_rows(matrix))
     assert [sid for sid, _ in spans] == ["s1", "s2"]
@@ -161,13 +163,14 @@ def test_trees_from_scores_separable_case():
         [0.9 if e in gold_edges else 0.1 for e in row_edges(matrix)]
     )
     out = trees_from_scores(matrix, scores, ens)
-    assert out == {"s1": gold}
+    assert out.tolist() == list(gold.heads)
+    assert trees_by_id(out, ens) == {"s1": gold}
 
 
 def scored_matrix(sentences):
     """A one-parser matrix over ``{sid: {(head, dep): score}}`` with its
-    scores, and an ensemble giving each sentence its token count (the
-    largest dependent), listed in the reverse order."""
+    scores, and an ensemble of the same sentences in the same order giving
+    each its token count (the largest dependent)."""
     sids = list(sentences)
     rows = [(h, d, w) for sid in sids for (h, d), w in sorted(sentences[sid].items())]
     heads, deps, scores = (np.array(c) for c in zip(*rows))
@@ -178,23 +181,25 @@ def scored_matrix(sentences):
     )
     chains = {
         sid: (DepTree(tuple(range(max(d for _, d in sentences[sid])))),)
-        for sid in reversed(sids)
+        for sid in sids
     }
-    return matrix, scores.astype(np.float64), ParseEnsemble(("p",), chains)
+    return matrix, scores.astype(np.float64), ensemble_of(("p",), chains)
 
 
 def solver_decode(matrix, scores, ensemble, single_root):
     """One ``max_arborescence`` per sentence: the decode without a fast path."""
     out = {}
-    for sid, r in sentence_rows(matrix):
+    q = np.diff(ensemble.offsets).tolist()
+    for i, (sid, r) in enumerate(sentence_rows(matrix)):
         arcs = zip(matrix.heads[r].tolist(), matrix.deps[r].tolist(), scores[r].tolist())
-        graph = WeightedTokenGraph(ensemble.token_count(sid), tuple(arcs))
+        graph = WeightedTokenGraph(q[i], tuple(arcs))
         out[sid] = max_arborescence(graph, single_root)
     return out
 
 
 def decode_spying(matrix, scores, ensemble, single_root):
-    """``trees_from_scores``, and the arcs of each graph it sent to the solver."""
+    """``trees_from_scores`` cut into trees by sentence id, and the arcs of
+    each graph it sent to the solver."""
     solved = []
 
     def spy(graph, enforce_single_root):
@@ -202,7 +207,8 @@ def decode_spying(matrix, scores, ensemble, single_root):
         return max_arborescence(graph, enforce_single_root)
 
     with mock.patch.object(edges, "max_arborescence", spy):
-        return trees_from_scores(matrix, scores, ensemble, single_root), solved
+        heads = trees_from_scores(matrix, scores, ensemble, single_root)
+    return trees_by_id(heads, ensemble), solved
 
 
 def test_greedy_heads_with_two_roots_or_a_cycle_reach_the_solver():
@@ -228,7 +234,7 @@ def test_a_float_tie_decodes_to_the_exact_maximum():
     assert got["s"].heads == (2, 0) and solved == []
     # with token 1's arcs tied exactly, both keep the smaller heads
     matrix, w, ens = scored_matrix({"s": {**scores, (0, 1): 1.0}})
-    assert trees_from_scores(matrix, w, ens)["s"].heads == (0, 1)
+    assert trees_from_scores(matrix, w, ens).tolist() == [0, 1]
     assert solver_decode(matrix, w, ens, True)["s"].heads == (0, 1)
 
 
@@ -237,15 +243,31 @@ def test_decode_refuses_what_the_graph_refuses():
     with pytest.raises(ValueError, match="non-finite"):
         trees_from_scores(matrix, np.array([1.0, np.nan]), ens)
     # token 3 of the ensemble's sentence has no candidate arc
-    ens3 = ParseEnsemble(("p",), {"s": (DepTree((0, 1, 2)),)})
+    ens3 = ensemble_of(("p",), {"s": (DepTree((0, 1, 2)),)})
     with pytest.raises(NoArborescenceError):
         trees_from_scores(matrix, w, ens3)
-    no_words = ParseEnsemble(("p",), {"s": (DepTree(()),)})
+    no_words = ensemble_of(("p",), {"s": (DepTree(()),)})
     for single_root in (True, False):
         with pytest.raises(ValueError, match="at least one token"):
             trees_from_scores(label_matrix(no_words), np.zeros(0), no_words, single_root)
-    empty = label_matrix(ParseEnsemble(("p",), {}))
-    assert trees_from_scores(empty, np.zeros(0), ens) == {}
+    empty = ensemble_of(("p",), {})
+    out = trees_from_scores(label_matrix(empty), np.zeros(0), empty)
+    assert out.dtype == np.int64 and out.shape == (0,)
+
+
+def test_decode_refuses_a_matrix_of_other_sentences():
+    sentences = {"s": {(0, 1): 1.0}, "t": {(0, 1): 1.0, (1, 2): 1.0}}
+    matrix, w, ens = scored_matrix(sentences)
+    assert trees_from_scores(matrix, w, ens).tolist() == [0, 0, 1]
+    chains = {"t": (DepTree((0, 1)),), "s": (DepTree((0,)),)}
+    others = (
+        ensemble_of(("p",), chains),  # the same sentences in another order
+        ensemble_of(("p",), {"s": chains["s"]}),  # a sentence missing
+        ensemble_of(("p",), {"s": chains["s"], "u": chains["t"]}),  # other ids
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="different sentences"):
+            trees_from_scores(matrix, w, other)
 
 
 @st.composite
@@ -308,7 +330,7 @@ def ensembles(draw):
     for s in range(draw(st.integers(1, 4))):
         q = draw(st.integers(1, 8))
         trees[f"s{s}"] = tuple(draw(head_sequences(q)) for _ in range(m))
-    return ParseEnsemble(tuple(f"p{k}" for k in range(m)), trees)
+    return ensemble_of(tuple(f"p{k}" for k in range(m)), trees)
 
 
 @settings(max_examples=200, deadline=None)
@@ -327,9 +349,10 @@ def test_matrix_equals_set_based_reference(ens):
 @given(ensembles())
 def test_each_parser_votes_once_per_token(ens):
     matrix = label_matrix(ens)
-    for sid, rows in sentence_rows(matrix):
+    q = np.diff(ens.offsets).tolist()
+    for i, (_, rows) in enumerate(sentence_rows(matrix)):
         plus = (matrix.labels[rows] == 1).sum(axis=0)
-        assert plus.tolist() == [ens.token_count(sid)] * ens.m
+        assert plus.tolist() == [q[i]] * ens.m
     # a parser's column is the labelling of its own trees
     for k in range(ens.m):
         own = tree_labels(matrix, ens.heads[k], ens.offsets)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conllu_text, head_sequences
+from helpers import conllu_text, ensemble_of, head_sequences, trees_by_id
 from treeagg.arborescence import NoArborescenceError
 from treeagg.conllu import parse_conllu
 from treeagg.edges import EdgeLabelMatrix, label_matrix
@@ -24,7 +24,7 @@ from treeagg.evaluation import (
     uas,
     vote_mst,
 )
-from treeagg.trees import DepTree, ParseEnsemble
+from treeagg.trees import DepTree
 
 
 # ------------------------------------------------------------------ uas
@@ -148,7 +148,7 @@ def ranked_ensemble(n=20):
         b = g if i % 2 == 0 else wrong
         trees[f"s{i + 1}"] = (g, b, wrong)
         gold.append(g)
-    return ParseEnsemble(("exact", "half", "off"), trees), gold
+    return ensemble_of(("exact", "half", "off"), trees), gold
 
 
 def test_rank_orders_by_sample_uas():
@@ -176,7 +176,7 @@ def test_rank_is_deterministic_per_seed():
 def test_rank_ties_keep_ensemble_order():
     g = DepTree((0, 1))
     trees = {f"s{i}": (g, g, g) for i in range(12)}
-    ens = ParseEnsemble(("later_file", "earlier_score", "also_tied"), trees)
+    ens = ensemble_of(("later_file", "earlier_score", "also_tied"), trees)
     result = rank_and_select(ens, [g] * 12, sample_size=4, top_k=2, seed=3)
     assert result.selected == ("later_file", "earlier_score")
 
@@ -199,15 +199,15 @@ def test_rank_requires_aligned_gold():
 
 def test_single_parser_vote_is_identity():
     t1, t2 = DepTree((0, 1, 1)), DepTree((2, 0, 2))
-    ens = ParseEnsemble(("only",), {"s1": (t1,), "s2": (t2,)})
-    assert vote_mst(ens) == {"s1": t1, "s2": t2}
+    ens = ensemble_of(("only",), {"s1": (t1,), "s2": (t2,)})
+    assert trees_by_id(vote_mst(ens), ens) == {"s1": t1, "s2": t2}
 
 
 def test_two_against_one_yields_the_majority_tree():
     majority = DepTree((0, 1, 1))
     dissent = DepTree((0, 1, 2))
-    ens = ParseEnsemble(("a", "b", "c"), {"s1": (majority, majority, dissent)})
-    assert vote_mst(ens) == {"s1": majority}
+    ens = ensemble_of(("a", "b", "c"), {"s1": (majority, majority, dissent)})
+    assert trees_by_id(vote_mst(ens), ens) == {"s1": majority}
 
 
 @st.composite
@@ -217,7 +217,7 @@ def ensembles(draw):
     for i in range(draw(st.integers(1, 4))):
         q = draw(st.integers(1, 6))
         trees[f"s{i}"] = tuple(draw(head_sequences(q)) for _ in range(m))
-    return ParseEnsemble(tuple(f"p{k}" for k in range(m)), trees)
+    return ensemble_of(tuple(f"p{k}" for k in range(m)), trees)
 
 
 def _rows(matrix: EdgeLabelMatrix, order: np.ndarray, offsets: np.ndarray) -> EdgeLabelMatrix:
@@ -243,7 +243,7 @@ def test_vote_mst_ignores_row_order_and_duplication(ens, rnd):
 
     def decode(single_root, matrix=None):
         try:
-            return vote_mst(ens, single_root, matrix)
+            return vote_mst(ens, single_root, matrix).tolist()
         except NoArborescenceError:  # no candidate tree has a single root
             return None
 

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import treeagg
 import treeagg.cim
+import treeagg.crh
 import treeagg.cli  # noqa: F401  (the workloads call treeagg.cli.run)
 from treeagg.cim import _L1_MAX_ITERATIONS
 
@@ -64,6 +65,23 @@ def test_tracer_counts_one_batched_l1_solve_per_cim_run():
     assert counts["cim.fit_l1_logistic.calls"] == 1
     assert 0 < counts["cim.l1_iterations"] <= _L1_MAX_ITERATIONS
     assert counts["cim.l1_converged"] <= counts["cim.fit_l1_logistic.calls"]
+
+
+def test_tracer_sees_every_decode_of_crh_uas_mode():
+    # each uas-mode step decodes its truth trees through trees_from_scores,
+    # so edges.decode_s covers them: the start, then one per iteration
+    synth = treeagg.generate(
+        treeagg.SynthConfig(n_sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
+    )
+    matrix = treeagg.label_matrix(synth.ensemble)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        state = treeagg.crh.crh_run(matrix, treeagg.CrhOptions(distance="uas"), synth.ensemble)
+    finally:
+        tracer.uninstall()
+    assert state.iterations >= 1
+    assert tracer.counts["edges.trees_from_scores.calls"] == state.iterations + 1
 
 
 def test_every_name_the_benchmark_reads_resolves():

@@ -15,7 +15,7 @@ from treeagg.trees import (
     validate_tree,
 )
 
-from helpers import edges_of, head_sequences, reference_tree_check
+from helpers import edges_of, ensemble_of, head_sequences, reference_tree_check
 
 
 def test_validate_tree_accepts_valid_sequences():
@@ -86,22 +86,23 @@ def test_sentence_invariants():
         Sentence("s3", lines, (1, 2), ("a",), DepTree((0, 1)))
 
 
-def _ens(parser_ids, trees):
-    return ParseEnsemble(tuple(parser_ids), trees)
-
-
 def test_ensemble_invariants():
     t = DepTree((0, 1))
-    ens = _ens(["a", "b"], {"s1": (t, t)})
+    ens = ensemble_of(["a", "b"], {"s1": (t, t)})
     assert ens.m == 2
+    assert ens.parser_ids == ("a", "b")
     assert ens.sentence_ids == ("s1",)
-    assert ens.token_count("s1") == 2
+    assert np.diff(ens.offsets).tolist() == [2]
+    assert ens.heads.tolist() == [[0, 1], [0, 1]]
+    for a in (ens.offsets, ens.heads):
+        with pytest.raises(ValueError):
+            a[0] = 1  # read-only
     with pytest.raises(ValueError, match="duplicate parser ids"):
-        _ens(["a", "a"], {"s1": (t, t)})
+        ParseEnsemble(("a", "a"), ("s1",), np.array([0, 2]), np.zeros((2, 2), np.int64))
     with pytest.raises(ValueError, match="trees for"):
-        _ens(["a", "b"], {"s1": (t,)})
+        ensemble_of(["a", "b"], {"s1": (t,)})
     with pytest.raises(ValueError, match="token count"):
-        _ens(["a", "b"], {"s1": (t, DepTree((0,)))})
+        ensemble_of(["a", "b"], {"s1": (t, DepTree((0,)))})
 
 
 @st.composite
