@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -50,7 +51,6 @@ from .evaluation import (
     vote_mst,
 )
 from .synth import SynthConfig, generate
-from .trees import per_sentence
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -202,9 +202,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.selected and not args.inputs:
         raise ValueError("--selected needs --inputs")
     gold = load_treebank(args.gold)
-    exclude = None
-    if args.exclude_punct:
-        exclude = per_sentence(np.array(gold.column(3)) == "PUNCT", gold.offsets)
+    exclude = np.array(gold.column(3)) == "PUNCT" if args.exclude_punct else None
     methods: dict[str, float] = {}
     for spec in args.pred:
         name, _, path = spec.partition("=")
@@ -238,18 +236,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    reports = [
-        _read_json(p, "treebank", "n_sentences", "methods", build=TreebankReport.from_json)
-        for p in args.reports
-    ]
-    groups: dict[str, Sequence[str]] = {"all": [r.treebank for r in reports]}
+    reports: dict[str, TreebankReport] = {}
+    for path in args.reports:
+        r = _read_json(path, "treebank", "n_sentences", "methods", build=TreebankReport.from_json)
+        if r.treebank in reports:
+            raise ValueError(f"{path}: repeats treebank {r.treebank!r} of an earlier report")
+        reports[r.treebank] = r
+    groups: dict[str, Sequence[str]] = {"all": list(reports)}
     if args.groups:
         groups = _read_json(
             args.groups, build=lambda d: {g: string_list(v, f"group {g!r}") for g, v in d.items()}
         )
     payload: dict = {"groups": {}, "diffs": {}}
     for group, names in groups.items():
-        members = [r for r in reports if r.treebank in set(names)]
+        wanted = set(names)
+        members = [r for r in reports.values() if r.treebank in wanted]
         if not members:
             continue
         per_method: dict[str, list[float]] = {}
@@ -260,34 +261,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             method: summarize(vals, group).rounded()
             for method, vals in sorted(per_method.items())
         }
-        scored = [r for r in members if args.primary in r.methods]
-        baselines = sorted(
-            {m for r in scored for m in r.methods} - {args.primary}
-        )
-        group_diffs: dict[str, dict] = {}
-        for b in baselines:
-            # method_diffs is strict, so hand it only the treebanks scored on
-            # both methods and only those two columns.
-            subset = [
-                TreebankReport(
-                    r.treebank,
-                    r.n_sentences,
-                    {args.primary: r.methods[args.primary], b: r.methods[b]},
-                )
-                for r in scored
-                if b in r.methods
-            ]
-            if not subset:
-                continue
-            d = method_diffs(subset, args.primary)[b]
-            group_diffs[b] = {
-                "diffs": {t: round(v, 2) for t, v in d.diffs.items()},
-                "positive": d.positive,
-                "negative": d.negative,
-                "zero": d.zero,
+        diffs = method_diffs(members, args.primary)
+        if diffs:
+            payload["diffs"][group] = {
+                b: {**asdict(d), "diffs": {t: round(v, 2) for t, v in d.diffs.items()}}
+                for b, d in diffs.items()
             }
-        if group_diffs:
-            payload["diffs"][group] = group_diffs
     _write_json(args.out, payload)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -137,22 +137,16 @@ class TreebankFile:
         )
 
 
-def parse_conllu(source: str | IO[str] | Iterable[str], parser_id: str = "") -> TreebankFile:
+def parse_conllu(source: str | IO[str], parser_id: str = "") -> TreebankFile:
     """Parse CoNLL-U text into a :class:`TreebankFile`.
 
-    ``source`` is a string, a readable file, or an iterable of lines with or
-    without their line endings. Errors carry line numbers. Word lines must
-    have ten tab-separated columns, consecutive integer ids from 1, and an
-    integer HEAD; the head sequence of every sentence must form a valid
-    rooted tree. Range ids ("2-3") and empty-node ids ("2.1") are kept
-    verbatim and never parsed.
+    ``source`` is a string or a readable file. Errors carry line numbers.
+    Word lines must have ten tab-separated columns, consecutive integer ids
+    from 1, and an integer HEAD; the head sequence of every sentence must
+    form a valid rooted tree. Range ids ("2-3") and empty-node ids ("2.1")
+    are kept verbatim and never parsed.
     """
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = "\n".join(line[:-1] if line.endswith("\n") else line for line in source)
+    text = source if isinstance(source, str) else source.read()
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if text.endswith("\r"):

@@ -9,7 +9,6 @@ consensus trees by micro-averaged UAS over syntactic words.
 
 from __future__ import annotations
 
-import itertools
 import random
 import statistics
 from dataclasses import asdict, dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 
 from .conllu import TreebankFile, aligned_tokens, check_segmentation
 from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores
-from .trees import DepTree, ParseEnsemble, concat_ranges
+from .trees import ParseEnsemble, concat_ranges
 
 
 @dataclass(frozen=True)
@@ -91,15 +90,6 @@ def preprocess(
     )
 
 
-def _flat(trees: Sequence[DepTree] | TreebankFile) -> tuple[np.ndarray, np.ndarray]:
-    """Flat heads and per-sentence token counts."""
-    if isinstance(trees, TreebankFile):
-        return trees.heads, trees.lengths
-    q = np.array([len(t) for t in trees], dtype=np.int64)
-    heads = itertools.chain.from_iterable(t.heads for t in trees)
-    return np.fromiter(heads, dtype=np.int64, count=int(q.sum())), q
-
-
 def _uas(
     pred: np.ndarray,
     pred_q: np.ndarray,
@@ -118,8 +108,9 @@ def _uas(
     hit = pred == gold
     counted = len(gold)
     if skip is not None:
-        if len(skip) != counted:
-            raise ValueError(f"{len(skip)} exclusion flags for {counted} tokens")
+        skip = np.asarray(skip, dtype=bool)
+        if skip.shape != (counted,):
+            raise ValueError(f"exclusion mask of shape {skip.shape} for {counted} tokens")
         hit &= ~skip
         counted -= int(np.count_nonzero(skip))
     if counted == 0:
@@ -128,20 +119,16 @@ def _uas(
 
 
 def uas(
-    pred: Sequence[DepTree] | TreebankFile,
-    gold: Sequence[DepTree] | TreebankFile,
-    exclude: Sequence[Sequence[bool]] | None = None,
+    pred: TreebankFile, gold: TreebankFile, exclude: np.ndarray | None = None
 ) -> float:
-    """Micro-averaged unlabeled attachment score, as a percentage.
+    """Micro-averaged unlabeled attachment score of ``pred`` against
+    ``gold``, as a percentage.
 
-    ``pred`` and ``gold`` are sequences of trees or treebank files.
-    ``exclude`` optionally masks tokens (True = skip), e.g. punctuation.
-    Token counts must agree sentence by sentence.
+    ``exclude`` optionally masks tokens, one flag per token of ``gold``
+    (True = skip), e.g. punctuation. Token counts must agree sentence by
+    sentence.
     """
-    skip = None
-    if exclude is not None:
-        skip = np.fromiter(itertools.chain.from_iterable(exclude), dtype=bool)
-    return _uas(*_flat(pred), *_flat(gold), skip)
+    return _uas(pred.heads, pred.lengths, gold.heads, gold.lengths, exclude)
 
 
 @dataclass(frozen=True)
@@ -154,19 +141,21 @@ class RankResult:
 
 def rank_and_select(
     ensemble: ParseEnsemble,
-    gold_trees: Sequence[DepTree] | TreebankFile,
+    gold_trees: TreebankFile,
     sample_size: int = 10,
     top_k: int = 9,
     seed: int = 0,
 ) -> RankResult:
-    """Rank parsers by UAS on a seeded sentence sample; keep the top k.
+    """Rank parsers by UAS against the gold file on a seeded sentence
+    sample; keep the top k.
 
+    ``gold_trees`` holds the ensemble's sentences in the ensemble's order.
     Sampling is uniform without replacement over the (already filtered)
     sentences; ranking ties keep ensemble order (stable sort).
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    gold, gold_q = _flat(gold_trees)
+    gold, gold_q = gold_trees.heads, gold_trees.lengths
     n = len(ensemble.sentence_ids)
     if len(gold_q) != n:
         raise ValueError("gold trees do not align with the ensemble")
@@ -293,23 +282,14 @@ def method_diffs(
 ) -> dict[str, MethodDiff]:
     """Per-treebank UAS differences, primary method minus each baseline.
 
-    Every report must score the primary method, and each baseline must be
-    scored on exactly the treebanks the primary is.
+    Each baseline is compared over the treebanks that score both it and
+    the primary; a report without the primary compares nothing. Diffs are
+    keyed by treebank name, so names should be unique.
     """
-    if not reports:
-        raise ValueError("no reports")
-    for r in reports:
-        if primary not in r.methods:
-            raise ValueError(f"treebank {r.treebank!r} lacks method {primary!r}")
-    baselines = sorted(
-        {m for r in reports for m in r.methods} - {primary}
-    )
+    scored = [r for r in reports if primary in r.methods]
     out: dict[str, MethodDiff] = {}
-    for b in baselines:
-        missing = [r.treebank for r in reports if b not in r.methods]
-        if missing:
-            raise ValueError(f"method {b!r} missing on treebanks {missing}")
-        diffs = {r.treebank: r.methods[primary] - r.methods[b] for r in reports}
+    for b in sorted({m for r in scored for m in r.methods} - {primary}):
+        diffs = {r.treebank: r.methods[primary] - r.methods[b] for r in scored if b in r.methods}
         vals = list(diffs.values())
         out[b] = MethodDiff(
             diffs,

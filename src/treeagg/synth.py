@@ -16,7 +16,7 @@ import numpy as np
 
 from .arborescence import WeightedTokenGraph, max_arborescence
 from .conllu import TreebankFile, build_ensemble, parse_conllu
-from .trees import DepTree, ParseEnsemble, validate_tree
+from .trees import ParseEnsemble, validate_tree
 
 _KEEP = 1.0
 _FILLER = 1e-6
@@ -52,9 +52,9 @@ class SynthResult:
     accuracies: tuple[float, ...]
 
 
-def _random_single_root_tree(q: int, rng: np.random.Generator) -> DepTree:
+def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:
     if q == 1:
-        return DepTree((0,))
+        return (0,)
     for _ in range(100_000):
         heads = []
         for d in range(1, q + 1):
@@ -63,21 +63,21 @@ def _random_single_root_tree(q: int, rng: np.random.Generator) -> DepTree:
                 h += 1
             heads.append(h)
         if heads.count(0) == 1 and validate_tree(heads, q).ok:
-            return DepTree(tuple(heads))
+            return tuple(heads)
     raise RuntimeError("tree sampling failed to converge")
 
 
-def _corrupt(gold: DepTree, rate: float, rng: np.random.Generator) -> DepTree:
+def _corrupt(gold: tuple[int, ...], rate: float, rng: np.random.Generator) -> tuple[int, ...]:
     q = len(gold)
-    prefs = list(gold.heads)
+    prefs = list(gold)
     for d in range(1, q + 1):
         if rng.random() >= rate:
             continue
-        options = [h for h in range(q + 1) if h != d and h != gold.heads[d - 1]]
+        options = [h for h in range(q + 1) if h != d and h != gold[d - 1]]
         if options:
             prefs[d - 1] = options[int(rng.integers(len(options)))]
     if prefs.count(0) == 1 and validate_tree(prefs, q).ok:
-        return DepTree(tuple(prefs))
+        return tuple(prefs)
     # Invalid preference: repair by spanning the complete graph with the
     # preferred heads strongly favored.
     arcs = tuple(
@@ -86,16 +86,16 @@ def _corrupt(gold: DepTree, rate: float, rng: np.random.Generator) -> DepTree:
         for h in range(q + 1)
         if h != d
     )
-    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True)
+    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True).heads
 
 
-def _treebank(parser_id: str, sids: list[str], trees: list[DepTree]) -> TreebankFile:
+def _treebank(parser_id: str, sids: list[str], trees: list[tuple[int, ...]]) -> TreebankFile:
     """A file of one block per tree: a sent_id comment, then word lines
     whose FORM is w1, w2, ..."""
     lines: list[str] = []
-    for sid, tree in zip(sids, trees):
+    for sid, heads in zip(sids, trees):
         lines.append(f"# sent_id = {sid}")
-        lines.extend(f"{d}\tw{d}\t_\t_\t_\t_\t{h}\t_\t_\t_" for d, h in enumerate(tree.heads, 1))
+        lines.extend(f"{d}\tw{d}\t_\t_\t_\t_\t{h}\t_\t_\t_" for d, h in enumerate(heads, 1))
         lines.append("")
     return parse_conllu("\n".join(lines), parser_id)
 
@@ -103,8 +103,8 @@ def _treebank(parser_id: str, sids: list[str], trees: list[DepTree]) -> Treebank
 def generate(config: SynthConfig) -> SynthResult:
     """Build gold plus parser treebanks under the configured noise."""
     base = len(config.rates)
-    per_parser: list[list[DepTree]] = [[] for _ in range(base)]
-    gold_trees: list[DepTree] = []
+    per_parser: list[list[tuple[int, ...]]] = [[] for _ in range(base)]
+    gold_trees: list[tuple[int, ...]] = []
     for i in range(config.n_sentences):
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(i,))

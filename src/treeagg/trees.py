@@ -8,9 +8,9 @@ sentence i are ``heads[offsets[i]:offsets[i + 1]]``. ``check_trees``
 validates every tree of such an array at once; ``validate_tree`` checks one
 head sequence. A ``ParseEnsemble`` stacks m parsers' flat head arrays into
 an (m x tokens) array, and the aggregators decode one flat head array over
-its ``offsets``. A ``DepTree`` is a single validated tree, for the
-arborescence solver and the synthetic generator; ``TreebankFile`` builds
-``DepTree`` and ``Sentence`` objects from its arrays only when asked for.
+its ``offsets``. A ``DepTree`` is a single validated tree, the
+arborescence solver's result; ``TreebankFile`` builds ``DepTree`` and
+``Sentence`` objects from its arrays only when asked for.
 """
 
 from __future__ import annotations

@@ -9,13 +9,11 @@ import numpy as np
 import pytest
 
 from treeagg.cim import CimResult, cim_run, cim_trees
-from treeagg.conllu import build_ensemble
+from treeagg.conllu import build_ensemble, parse_conllu, write_conllu
 from treeagg.crh import CrhState, crh_run, crh_trees
 from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.evaluation import uas, vote_mst
 from treeagg.synth import SynthConfig, SynthResult, generate
-
-from helpers import trees_by_id
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,9 @@ class CorpusRuns:
 
 
 def _uas_of(heads, synth: SynthResult) -> float:
-    return uas(list(trees_by_id(heads, synth.ensemble).values()), list(synth.gold.trees))
+    """UAS of flat heads over the ensemble's offsets, written into a parser
+    file's lines and parsed back."""
+    return uas(parse_conllu(write_conllu(synth.files[0], heads)), synth.gold)
 
 
 @pytest.fixture(scope="session")

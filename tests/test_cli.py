@@ -1,6 +1,9 @@
 """End-to-end command line runs, in process via cli.run."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -641,3 +644,79 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         run(["not-a-command"])
     assert excinfo.value.code == 2
+
+
+def test_report_on_partial_inputs(tmp_path):
+    """Each baseline is compared over the treebanks scoring both it and the
+    primary; a treebank without the primary counts in the summaries only,
+    and a group member with no report is skipped."""
+    scores = {
+        "tb01": {"cim": 90.0, "mst": 85.0, "crh": 88.0},
+        "tb02": {"cim": 80.0, "crh": 82.5},  # no mst baseline
+        "tb03": {"mst": 70.0, "crh": 75.0},  # no cim primary
+        "tb04": {"cim": 60.0, "mst": 60.0, "crh": 50.25},
+    }
+    reports = [
+        str(write(tmp_path / f"{tb}.json", json.dumps(
+            {"treebank": tb, "n_sentences": 10, "methods": methods}
+        )))
+        for tb, methods in scores.items()
+    ]
+    groups = write(tmp_path / "groups.json", json.dumps(
+        {"a": ["tb01", "tb02", "tb09"], "b": ["tb03"], "c": ["tb09"]}
+    ))
+    out = tmp_path / "summary.json"
+
+    def summary(*flags: str) -> dict:
+        assert run(["report", "--reports", *reports, "--out", str(out), *flags]) == EXIT_OK
+        return json.loads(out.read_text())
+
+    def diff(diffs: dict, positive: int, negative: int, zero: int) -> dict:
+        return {"diffs": diffs, "positive": positive, "negative": negative, "zero": zero}
+
+    cim = summary()
+    assert {m: s["n"] for m, s in cim["groups"]["all"].items()} == {"cim": 3, "crh": 4, "mst": 3}
+    assert cim["diffs"] == {"all": {
+        "crh": diff({"tb01": 2.0, "tb02": -2.5, "tb04": 9.75}, 2, 1, 0),
+        "mst": diff({"tb01": 5.0, "tb04": 0.0}, 1, 0, 1),
+    }}
+    crh = summary("--primary", "crh")
+    assert crh["groups"] == cim["groups"]
+    assert crh["diffs"] == {"all": {
+        "cim": diff({"tb01": -2.0, "tb02": 2.5, "tb04": -9.75}, 1, 2, 0),
+        "mst": diff({"tb01": 3.0, "tb03": 5.0, "tb04": -9.75}, 2, 1, 0),
+    }}
+    grouped = summary("--groups", str(groups))
+    assert set(grouped["groups"]) == {"a", "b"}
+    assert {m: s["n"] for m, s in grouped["groups"]["a"].items()} == {"cim": 2, "crh": 2, "mst": 1}
+    assert {m: s["n"] for m, s in grouped["groups"]["b"].items()} == {"crh": 1, "mst": 1}
+    assert grouped["diffs"] == {"a": {
+        "crh": diff({"tb01": 2.0, "tb02": -2.5}, 1, 1, 0),
+        "mst": diff({"tb01": 5.0}, 1, 0, 0),
+    }}
+
+
+def test_report_rejects_a_repeated_treebank(tmp_path, capsys):
+    first, second = (
+        write(tmp_path / f"{name}.json", json.dumps(
+            {"treebank": "tb01", "n_sentences": 10, "methods": {"cim": 90.0, "mst": value}}
+        ))
+        for name, value in (("first", 85.0), ("second", 95.0))
+    )
+    out = tmp_path / "summary.json"
+    code = run(["report", "--reports", str(first), str(second), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {second}: repeats treebank 'tb01' of an earlier report\n"
+    )
+    assert not out.exists()
+
+
+def test_python_m_treeagg_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "treeagg", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: treeagg")

@@ -1,5 +1,7 @@
 """CoNLL-U parsing, serialization, and cross-file checks."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,17 +163,13 @@ def test_crlf_input_parses_like_lf():
     assert write_conllu(parse_conllu(crlf)) == write_conllu(parse_conllu(text))
 
 
-def test_parse_accepts_line_iterables_with_or_without_endings():
+def test_parse_accepts_strings_and_readable_files():
     expected = parse_conllu(FULL_FIXTURE)
     crlf = FULL_FIXTURE.replace("\n", "\r\n")
-    for lines in (
-        FULL_FIXTURE.splitlines(),
-        FULL_FIXTURE.splitlines(keepends=True),
-        crlf.splitlines(keepends=True),
-        crlf.split("\n"),
-    ):
-        assert parse_conllu(lines) == expected
-        assert write_conllu(parse_conllu(lines)) == FULL_FIXTURE
+    for source in (crlf, io.StringIO(FULL_FIXTURE), io.StringIO(crlf, newline="")):
+        tb = parse_conllu(source)
+        assert tb == expected
+        assert write_conllu(tb) == FULL_FIXTURE
 
 
 def test_write_ends_every_sentence_with_one_empty_line():

@@ -30,45 +30,55 @@ from treeagg.trees import DepTree
 # ------------------------------------------------------------------ uas
 
 
-def test_uas_counts_matching_heads():
-    assert uas([DepTree((0, 1, 1))], [DepTree((0, 1, 1))]) == 100.0
-    # two of three heads agree
-    assert uas([DepTree((0, 1, 2))], [DepTree((0, 1, 1))]) == pytest.approx(200.0 / 3)
-
-
-def test_uas_micro_averages_over_sentences():
-    pred = [DepTree((0, 1)), DepTree((0, 1, 2))]
-    gold = [DepTree((0, 0)), DepTree((0, 1, 2))]
-    # 1 of 2 plus 3 of 3
-    assert uas(pred, gold) == pytest.approx(80.0)
-
-
-def test_uas_exclude_mask_skips_tokens():
-    pred = [DepTree((0, 1, 2))]
-    gold = [DepTree((0, 1, 1))]
-    assert uas(pred, gold, exclude=[[False, False, True]]) == 100.0
-    with pytest.raises(ValueError, match="every token excluded"):
-        uas(pred, gold, exclude=[[True, True, True]])
-
-
-def test_uas_input_validation():
-    with pytest.raises(ValueError, match="predicted trees vs"):
-        uas([DepTree((0,))], [])
-    with pytest.raises(ValueError, match="no sentences"):
-        uas([], [])
-    with pytest.raises(ValueError, match="tokens predicted"):
-        uas([DepTree((0,))], [DepTree((0, 1))])
-
-
-# ----------------------------------------------------------- preprocess
-
-
 def build_file(heads_per_sentence, parser_id):
     sentences = []
     for i, heads in enumerate(heads_per_sentence):
         forms = [f"w{j + 1}" for j in range(len(heads))]
         sentences.append((f"s{i + 1}", forms, heads))
     return parse_conllu(conllu_text(sentences), parser_id)
+
+
+def test_uas_counts_matching_heads():
+    gold = build_file([[0, 1, 1]], "gold")
+    assert uas(build_file([[0, 1, 1]], "p"), gold) == 100.0
+    # two of three heads agree
+    assert uas(build_file([[0, 1, 2]], "p"), gold) == pytest.approx(200.0 / 3)
+
+
+def test_uas_micro_averages_over_sentences():
+    pred = build_file([[0, 1], [0, 1, 2]], "p")
+    gold = build_file([[0, 0], [0, 1, 2]], "gold")
+    # 1 of 2 plus 3 of 3
+    assert uas(pred, gold) == pytest.approx(80.0)
+
+
+def test_uas_exclude_mask_skips_tokens():
+    pred = build_file([[0, 1, 2], [0]], "p")
+    gold = build_file([[0, 1, 1], [0]], "gold")
+    # one flat flag per gold token, across sentences
+    assert uas(pred, gold, exclude=np.array([False, False, True, False])) == 100.0
+    assert uas(pred, gold, exclude=np.array([False, False, False, True])) == pytest.approx(
+        200.0 / 3
+    )
+    with pytest.raises(ValueError, match="every token excluded"):
+        uas(pred, gold, exclude=np.ones(4, dtype=bool))
+    # one flag per gold token, not one list of flags per sentence
+    with pytest.raises(ValueError, match="exclusion mask of shape"):
+        uas(pred, gold, exclude=np.zeros((1, 4), dtype=bool))
+    with pytest.raises(ValueError, match="exclusion mask of shape"):
+        uas(pred, gold, exclude=np.zeros(3, dtype=bool))
+
+
+def test_uas_input_validation():
+    with pytest.raises(ValueError, match="predicted trees vs"):
+        uas(build_file([[0]], "p"), build_file([], "gold"))
+    with pytest.raises(ValueError, match="no sentences"):
+        uas(build_file([], "p"), build_file([], "gold"))
+    with pytest.raises(ValueError, match="tokens predicted"):
+        uas(build_file([[0]], "p"), build_file([[0, 1]], "gold"))
+
+
+# ----------------------------------------------------------- preprocess
 
 
 def sixty_sentence_fixture():
@@ -147,8 +157,8 @@ def ranked_ensemble(n=20):
         wrong = DepTree((0, 0))
         b = g if i % 2 == 0 else wrong
         trees[f"s{i + 1}"] = (g, b, wrong)
-        gold.append(g)
-    return ensemble_of(("exact", "half", "off"), trees), gold
+        gold.append(g.heads)
+    return ensemble_of(("exact", "half", "off"), trees), build_file(gold, "gold")
 
 
 def test_rank_orders_by_sample_uas():
@@ -177,7 +187,8 @@ def test_rank_ties_keep_ensemble_order():
     g = DepTree((0, 1))
     trees = {f"s{i}": (g, g, g) for i in range(12)}
     ens = ensemble_of(("later_file", "earlier_score", "also_tied"), trees)
-    result = rank_and_select(ens, [g] * 12, sample_size=4, top_k=2, seed=3)
+    gold = build_file([g.heads] * 12, "gold")
+    result = rank_and_select(ens, gold, sample_size=4, top_k=2, seed=3)
     assert result.selected == ("later_file", "earlier_score")
 
 
@@ -191,7 +202,7 @@ def test_rank_warns_when_asking_for_too_many():
 def test_rank_requires_aligned_gold():
     ens, gold = ranked_ensemble()
     with pytest.raises(ValueError, match="do not align"):
-        rank_and_select(ens, gold[:-1])
+        rank_and_select(ens, gold.subset(range(len(gold) - 1)))
 
 
 # ------------------------------------------------------------- vote_mst
@@ -327,15 +338,23 @@ def test_method_diffs_identical_methods_are_all_zero():
     assert diff == MethodDiff({"t1": 0.0, "t2": 0.0}, 0, 0, 2)
 
 
-def test_method_diffs_strictness():
-    with pytest.raises(ValueError, match="no reports"):
-        method_diffs([])
-    with pytest.raises(ValueError, match="lacks method"):
-        method_diffs([TreebankReport("t1", 10, {"mst": 88.0})])
-    with pytest.raises(ValueError, match="missing on treebanks"):
-        method_diffs(
-            [
-                TreebankReport("t1", 10, {"cim": 90.0, "mst": 88.0}),
-                TreebankReport("t2", 10, {"cim": 90.0}),
-            ]
-        )
+def test_method_diffs_compare_over_treebanks_scoring_both():
+    reports = [
+        TreebankReport("t1", 10, {"cim": 90.0, "mst": 88.0, "crh": 91.0}),
+        TreebankReport("t2", 10, {"cim": 90.0, "crh": 90.0}),  # no mst
+        TreebankReport("t3", 10, {"mst": 70.0, "crh": 75.0, "avg": 60.0}),  # no cim
+    ]
+    diffs = method_diffs(reports)
+    # avg is scored only where the primary is not, so it is no baseline
+    assert diffs == {
+        "crh": MethodDiff({"t1": -1.0, "t2": 0.0}, 0, 1, 1),
+        "mst": MethodDiff({"t1": 2.0}, 1, 0, 0),
+    }
+    assert method_diffs(reports, "mst") == {
+        "avg": MethodDiff({"t3": 10.0}, 1, 0, 0),
+        "cim": MethodDiff({"t1": -2.0}, 0, 1, 0),
+        "crh": MethodDiff({"t1": -3.0, "t3": -5.0}, 0, 2, 0),
+    }
+    # nothing scores the primary, so nothing is compared
+    assert method_diffs(reports, "absent") == {}
+    assert method_diffs([]) == {}
