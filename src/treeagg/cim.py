@@ -61,15 +61,16 @@ def fit_l1_logistic(
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """k L1-penalized logistic regressions at once, by proximal gradient (FISTA).
 
-    ``features`` is (k, n, p) and ``targets`` (k, n), in {-1, +1}; each
-    problem minimizes mean log-loss plus ``penalty * ||w||_1`` with an
-    unpenalized intercept, with its own step (its inverse Lipschitz bound)
-    and the shared momentum sequence. A problem freezes, with its iterate,
+    ``features`` is (k, n, p) and ``targets`` (k, n), in {-1, +1}; each problem
+    minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
+    intercept, with its own step (its inverse Lipschitz bound) and its own
+    momentum, reset to 1 when a step turns back against the last (the gradient
+    restart of O'Donoghue & Candès 2015). A problem freezes, with its iterate,
     once the KKT residual of the nonsmooth optimality conditions is within
-    ``tol``. Returns intercepts (k,), coefficients (k, p), the iterations
-    the loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and
-    whether all froze. ``counts`` gives each row a multiplicity (``None``:
-    one each), so distinct rows with their counts fit as the full matrix.
+    ``tol``. Returns intercepts (k,), coefficients (k, p), the iterations the
+    loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and whether all
+    froze. ``counts`` gives each row a multiplicity (``None``: one each), so
+    distinct rows with their counts fit as the full matrix.
     """
     k, n, p = features.shape
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
@@ -87,12 +88,13 @@ def fit_l1_logistic(
     fitted = np.zeros((k, p + 1))
     w = z = np.zeros((k, p + 1))
     gz = (offset @ np.swapaxes(XT, 1, 2))[:, 0] / total
-    momentum, it = 1.0, 0
+    momentum, it = np.ones((k, 1)), 0
     while live.size and it < _L1_MAX_ITERATIONS:
         it += 1
         w_next = z - step * gz
         w_next -= np.clip(w_next, -radius, radius)  # soft threshold
-        m_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+        momentum[((z - w_next) * (w_next - w)).sum(axis=1) > 0] = 1.0  # gradient restart
+        m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
         z = w_next + ((momentum - 1.0) / m_next) * (w_next - w)
         w, momentum = w_next, m_next
         # the gradients at w (for the KKT check) and at z (for the next step)
@@ -105,8 +107,8 @@ def fit_l1_logistic(
         done = kkt.max(axis=1) <= tol
         if done.any():
             fitted[live[done]] = w[done]
-            live, XT, offset, step, radius, w, z, gz = (
-                a[~done] for a in (live, XT, offset, step, radius, w, z, gz)
+            live, XT, offset, step, radius, w, z, gz, momentum = (
+                a[~done] for a in (live, XT, offset, step, radius, w, z, gz, momentum)
             )
     fitted[live] = w
     return fitted[:, 0], fitted[:, 1:], it, live.size == 0
@@ -135,6 +137,8 @@ class CorrelationGraph:
     edges: frozenset[tuple[int, int]]
     strengths: Mapping[tuple[int, int], float]
     excluded: tuple[int, ...] = ()
+    iterations: int = 0  # the batched l1 solve's; 0 and True when none ran
+    converged: bool = True
 
 
 def estimate_correlation_graph(
@@ -183,7 +187,9 @@ def estimate_correlation_graph(
         strength = float(min(coefs[a, b - 1], coefs[b, a]))
         if strength > coef_threshold:
             strengths[(active[a], active[b])] = strength
-    return CorrelationGraph(matrix.parser_ids, frozenset(strengths), strengths, excluded)
+    return CorrelationGraph(
+        matrix.parser_ids, frozenset(strengths), strengths, excluded, *fit[2:]
+    )
 
 
 @dataclass(frozen=True)
@@ -506,6 +512,9 @@ class CimResult:
                 zip(self.reduced.parser_ids, self.params.theta0_plus or ())
             ),
             "triplet_fallback": self.params.triplet_fallback,
+            "correlation_fit": {
+                "iterations": self.graph.iterations, "converged": self.graph.converged
+            },
             "fit": {
                 "grad_norm": self.params.grad_norm,
                 "iterations": self.params.iterations,

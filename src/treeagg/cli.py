@@ -247,6 +247,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         groups = _read_json(
             args.groups, build=lambda d: {g: string_list(v, f"group {g!r}") for g, v in d.items()}
         )
+    if not any(args.primary in r.methods for r in reports.values()):
+        raise ValueError(f"--primary {args.primary!r} is scored by no report")
     payload: dict = {"groups": {}, "diffs": {}}
     for group, names in groups.items():
         wanted = set(names)
@@ -398,3 +400,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

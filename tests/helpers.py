@@ -464,6 +464,8 @@ def reference_l1_logistic(
     for it in range(1, _L1_MAX_ITERATIONS + 1):
         w_next = z - step * grad(z)
         w_next[1:] = np.sign(w_next[1:]) * np.maximum(np.abs(w_next[1:]) - step * penalty, 0.0)
+        if (z - w_next) @ (w_next - w) > 0:
+            momentum = 1.0  # gradient restart
         m_next = (1.0 + math.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
         z = w_next + ((momentum - 1.0) / m_next) * (w_next - w)
         w, momentum = w_next, m_next

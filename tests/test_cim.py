@@ -196,6 +196,30 @@ def test_batch_runs_until_its_last_problem_freezes():
         assert np.abs(coefs[j] - w).max() <= 1e-12
 
 
+def test_restart_pays_on_a_near_duplicate_column():
+    # neighbourhood selection as cim runs it, with one column a 3%-noise copy
+    # of another: every column regressed on the others plus the majority vote
+    rng = np.random.default_rng(7)
+    truth = np.where(rng.random(400) < 0.6, 1, -1)
+    cols = [np.where(rng.random(400) < a, truth, -truth) for a in (0.9, 0.85, 0.8, 0.75, 0.7)]
+    copy = np.where(rng.random(400) < 0.03, -cols[0], cols[0])
+    votes = np.column_stack([*cols, copy]).astype(np.int8)
+    mv = np.where(votes.sum(axis=1) > 0, 1, -1)
+    designs = [np.column_stack([np.delete(votes, j, axis=1), mv]) for j in range(6)]
+    penalty = default_l1_penalty(6, 400)
+    intercepts, coefs, iterations, converged = fit_l1_logistic(
+        np.stack(designs), votes.T, penalty
+    )
+    reference = [reference_l1_logistic(X, votes[:, j], penalty) for j, X in enumerate(designs)]
+    assert converged and all(ok for _, _, _, ok in reference)
+    assert iterations == max(it for _, _, it, _ in reference)
+    for j, (b, w, _, _) in enumerate(reference):
+        assert abs(intercepts[j] - b) <= 1e-12
+        assert np.abs(coefs[j] - w).max() <= 1e-12
+    # 112 with the restart; FISTA without it needs 407
+    assert iterations <= 160
+
+
 # ---------------------------------------------------- correlation graph
 
 
@@ -652,11 +676,17 @@ def test_diagnostics_expose_every_stage():
         "theta00",
         "theta0_plus",
         "triplet_fallback",
+        "correlation_fit",
         "fit",
     ):
         assert key in diag
     assert set(diag["fit"]) == {"grad_norm", "iterations", "converged", "plugin"}
     assert set(diag["mu0_plus"]) == set(out.reduced.parser_ids)
+    # the batched l1 solve ran and froze every problem
+    assert diag["correlation_fit"] == {"iterations": out.graph.iterations, "converged": True}
+    assert 0 < out.graph.iterations <= _L1_MAX_ITERATIONS
+    plain = cim_run(label_matrix(result.ensemble), CimOptions(collapse=False))
+    assert plain.diagnostics()["correlation_fit"] == {"iterations": 0, "converged": True}
 
 
 def test_scores_are_equivariant_under_column_permutation():

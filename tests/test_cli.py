@@ -124,6 +124,7 @@ def test_full_pipeline(tmp_path):
     assert all(len(line.split("\t")) == 3 + 9 for line in matrix_lines)
     diag = json.loads((tmp_path / "diag.json").read_text())
     assert set(diag["fit"]) == {"grad_norm", "iterations", "converged", "plugin"}
+    assert set(diag["correlation_fit"]) == {"iterations", "converged"}
     assert len(diag["theta0_plus"]) == len(diag["components"])
 
     report_path = tmp_path / "report.json"
@@ -712,11 +713,33 @@ def test_report_rejects_a_repeated_treebank(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_python_m_treeagg_runs_the_cli():
+def test_report_rejects_a_primary_no_report_scores(tmp_path, capsys):
+    # a primary only some reports score stays valid (test_report_on_partial_inputs)
+    report = write(tmp_path / "tb01.json", json.dumps(
+        {"treebank": "tb01", "n_sentences": 10, "methods": {"cim": 90.0, "mst": 85.0}}
+    ))
+    out = tmp_path / "summary.json"
+    code = run(["report", "--reports", str(report), "--primary", "cmi", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --primary 'cmi' is scored by no report\n"
+    assert not out.exists()
+
+
+def python_m_help(module: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "treeagg", "--help"], env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-m", module, "--help"], env=env, capture_output=True, text=True
     )
+
+
+def test_python_m_treeagg_runs_the_cli():
+    done = python_m_help("treeagg")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: treeagg")
+
+
+def test_python_m_treeagg_cli_runs_the_cli():
+    done = python_m_help("treeagg.cli")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: treeagg")
