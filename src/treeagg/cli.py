@@ -32,13 +32,7 @@ import numpy as np
 
 from . import cim as cim_mod
 from . import crh as crh_mod
-from .conllu import (
-    ConlluError,
-    TreebankFile,
-    build_ensemble,
-    load_treebank,
-    save_treebank,
-)
+from .conllu import TreebankFile, build_ensemble, load_treebank, save_treebank
 from .edges import iter_dump_lines, label_matrix
 from .evaluation import (
     TreebankReport,
@@ -393,7 +387,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConlluError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # a ConlluError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

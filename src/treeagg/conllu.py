@@ -1,22 +1,22 @@
 """CoNLL-U reading and writing.
 
-A parsed file is a set of arrays over its verbatim lines. Parsing reads
-only the ID and HEAD columns of word lines; comments, multiword-token
-ranges, empty nodes and the other columns pass through untouched
-(``TreebankFile.column`` reads one on request). Writing takes a flat head
-array laid out like the file's own ``heads``, such as an aggregator's
-decoded trees, and rewrites only the HEAD column of the word lines whose
-head changed. Input may use LF or CRLF line endings; output is LF, with
-each sentence followed by one empty line and the file ending in a single
-newline.
+A parsed file is a set of arrays over its verbatim lines and their UTF-8
+bytes. Parsing reads only the ID and HEAD columns of word lines and the
+byte span of each FORM; comments, multiword-token ranges, empty nodes and
+the other columns pass through untouched (``TreebankFile.column`` reads
+one on request). Writing takes a flat head array laid out like the file's
+own ``heads``, such as an aggregator's decoded trees, and rewrites only the
+HEAD column of the word lines whose head changed. Input may use LF or CRLF
+line endings; output is LF, with each sentence followed by one empty line
+and the file ending in a single newline.
 
-Parsing scans the whole text at once: numpy finds the newlines and tabs,
+Parsing scans the bytes at once: numpy finds the tabs and newlines,
 classifies each line by its first byte, reads the ID and HEAD fields of
-word lines as digit fields, and checks every sentence's tree together
-(``trees.check_trees``). A failed check flags its lines or sentence blocks
-rather than stopping the scan, and the error raised, with its line number,
-is the one a reader going line by line would meet first. Only the line or
-block that earns it is read again, to build its message.
+token lines together as digit fields, and checks every sentence's tree
+together (``trees.check_trees``). A failed check flags its lines or
+sentence blocks rather than stopping the scan, and the error raised, with
+its line number, is the one a reader going line by line would meet first.
+Only the line or block that earns it is read again, to build its message.
 """
 
 from __future__ import annotations
@@ -47,15 +47,17 @@ N_COLUMNS = 10
 HEAD_COLUMN = 6
 # ID and HEAD fields up to this many digits are read as int64 arrays
 _MAX_DIGITS = 18
+_POWERS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1)
 _NEWLINE, _TAB, _HASH, _ZERO, _NINE = b"\n\t#09"
 
 
 class ConlluError(ValueError):
-    """Malformed CoNLL-U input; carries the 1-based line number."""
+    """Malformed CoNLL-U input; carries the 1-based line number, and names
+    the file it was read from, if any."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no: int, message: str, path: str | Path = ""):
+        super().__init__(f"{path}{': ' if path else ''}line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +69,9 @@ class TreebankFile:
     ``lines[blocks[i, 0]:blocks[i, 1]]``, and its words are the entries
     ``offsets[i]:offsets[i + 1]`` of the flat arrays ``heads`` (the HEAD
     column) and ``words`` (the index in ``lines`` of each word line).
-    ``sentences`` and ``trees`` are built from these on demand.
+    ``raw`` holds the lines' UTF-8 bytes, each line between two newlines,
+    and word k's FORM is ``raw[forms[0, k]:forms[1, k]]``. ``sentences``
+    and ``trees`` are built from these on demand.
     """
 
     parser_id: str
@@ -77,9 +81,11 @@ class TreebankFile:
     offsets: np.ndarray
     heads: np.ndarray
     words: np.ndarray
+    raw: np.ndarray
+    forms: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.blocks, self.offsets, self.heads, self.words):
+        for a in (self.blocks, self.offsets, self.heads, self.words, self.raw, self.forms):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -93,11 +99,13 @@ class TreebankFile:
     @property
     def lengths(self) -> np.ndarray:
         """Token count of each sentence."""
-        return np.diff(self.offsets)
+        return self.offsets[1:] - self.offsets[:-1]
 
     def column(self, index: int) -> list[str]:
-        """Column ``index`` (0-based, so FORM is 1) of every word line,
+        """Column ``index`` (0 to 9, so FORM is 1) of every word line,
         sentences end to end."""
+        if not 0 <= index < N_COLUMNS:
+            raise ValueError(f"column index {index} is outside 0..{N_COLUMNS - 1}")
         lines = self.lines
         return [lines[w].split("\t", index + 1)[index] for w in self.words.tolist()]
 
@@ -134,6 +142,7 @@ class TreebankFile:
             offsets=np.concatenate(([0], np.cumsum(q))),
             heads=self.heads[tokens],
             words=self.words[tokens],
+            forms=self.forms[:, tokens],
         )
 
 
@@ -162,31 +171,33 @@ def _read_numbers(
     ASCII digits, and then its value."""
     length = stop - start
     width = min(int(length.max(initial=0)), _MAX_DIGITS)
-    # right-aligned: column j holds the digit worth 10 ** (width - 1 - j)
-    cols = np.arange(width)
-    inside = cols >= width - length[:, None]
-    digit = raw[np.maximum(stop[:, None] - width + cols, 0)] - _ZERO  # wraps below "0"
+    # digits x fields, right-aligned: row j holds the digit worth 10 ** (width - 1 - j)
+    rows = np.arange(width)[:, None]
+    inside = rows >= width - length
+    digit = raw[np.maximum(stop - width + rows, 0)] - _ZERO  # wraps below "0"
     is_digit = digit <= _NINE - _ZERO
-    ok = (length > 0) & (length <= _MAX_DIGITS) & (is_digit | ~inside).all(axis=1)
-    value = np.where(inside & is_digit, digit, 0) @ 10 ** np.arange(width - 1, -1, -1)
+    # (is_digit >= inside): every byte inside the field is a digit
+    ok = (length > 0) & (length <= _MAX_DIGITS) & (is_digit >= inside).all(axis=0)
+    value = _POWERS[_MAX_DIGITS - width :] @ (digit * (is_digit & inside))
     return ok, value
 
 
 def _scan(text: str, lines: list[str]):
-    """(sentence ids, blocks, offsets, heads, words) of a valid file.
+    """(sentence ids, blocks, offsets, heads, words, raw, forms) of a valid file.
 
     Otherwise raises the error a reader going line by line meets first:
     that of the first ``bad`` line, or of the first ``broken`` block, met
     at the blank line after it (at the last line for the last block).
     """
-    # one "\n" per line, the last one appended, so every line has an end
-    raw = np.frombuffer(text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
-    ends = np.flatnonzero(raw == _NEWLINE)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # a newline before and after the text: line i runs from newline i to i + 1
+    raw = np.frombuffer(b"\n" + text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+    sep = np.flatnonzero(raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
+    eol = np.flatnonzero(raw[sep] == _NEWLINE)  # the newlines, as indices in sep
+    starts = sep[eol[:-1]] + 1
     first = raw[starts]
     blank = first == _NEWLINE
     comment = first == _HASH
-    digit = (first >= _ZERO) & (first <= _NINE)
+    digit = first - _ZERO <= _NINE - _ZERO  # wraps below "0"
     # a line of any other first byte is blank if it is all whitespace, else a
     # token line that the checks below reject
     for i in np.flatnonzero(~(blank | comment | digit)).tolist():
@@ -195,20 +206,25 @@ def _scan(text: str, lines: list[str]):
     token = filled & ~comment
     # a comment may not follow a token line of its block
     bad = comment & np.concatenate(([False], token[:-1]))
-    block_start = filled & ~np.concatenate(([False], filled[:-1]))
-    block_of = np.cumsum(block_start) - 1
-    n_blocks = int(block_start.sum())
-    stops = np.flatnonzero(filled & ~np.concatenate((filled[1:], [False]))) + 1
-    blocks = np.column_stack((np.flatnonzero(block_start), stops))
+    # blocks start and stop where a line's filled flag changes
+    padded = np.concatenate(([False], filled, [False]))
+    edge = padded[1:] != padded[:-1]
+    blocks = np.flatnonzero(edge).reshape(-1, 2)
+    block_of = np.cumsum(edge[:-1]) >> 1  # a block's lines follow 2k + 1 edges
+    n_blocks = len(blocks)
 
     tok = np.flatnonzero(token)
-    tabs = np.flatnonzero(raw == _TAB)
-    t0 = np.searchsorted(tabs, starts[tok])
-    ten = np.searchsorted(tabs, ends[tok]) - t0 == N_COLUMNS - 1
+    t0 = eol[tok] + 1  # the separator that ends the ID field
+    ten = eol[tok + 1] - t0 == N_COLUMNS - 1
     if not ten.all():
         bad[tok[~ten]] = True
         tok, t0 = tok[ten], t0[ten]
-    numeric, ident = _read_numbers(raw, starts[tok], tabs[t0])
+    # the tabs that end ID and FORM, and those around HEAD; ID and HEAD are read together
+    tabs = sep[t0 + np.array([[0], [1], [HEAD_COLUMN - 1], [HEAD_COLUMN]])]
+    ok, value = _read_numbers(
+        raw, np.concatenate((starts[tok], tabs[2] + 1)), tabs[[0, 3]].ravel()
+    )
+    (numeric, digits), (ident, heads) = ok.reshape(2, -1), value.reshape(2, -1)
     for i in tok[~numeric].tolist():
         field = lines[i].partition("\t")[0]
         bad[i] |= not (_RANGE_ID.fullmatch(field) or _EMPTY_ID.fullmatch(field))
@@ -218,15 +234,15 @@ def _scan(text: str, lines: list[str]):
     q = np.bincount(sent, minlength=n_blocks)
     offsets = np.concatenate(([0], np.cumsum(q)))
     rank = np.arange(len(words)) - offsets[sent] + 1
-    bad[words] |= (ident[numeric] != rank) | (raw[starts[words]] == _ZERO)
-    head = t0[numeric] + HEAD_COLUMN  # the tab that ends the HEAD field
-    digits, heads = _read_numbers(raw, tabs[head - 1] + 1, tabs[head])
+    bad[words] |= (ident[numeric] != rank) | (first[words] == _ZERO)
+    digits, heads = digits[numeric], heads[numeric]
     for k in np.flatnonzero(~digits).tolist():
         field = lines[words[k]].split("\t")[HEAD_COLUMN]
         if field.isascii() and field.isdigit():
             heads[k] = min(int(field), np.iinfo(np.int64).max)
         else:
             bad[words[k]] = True
+    forms = tabs[:2].compress(numeric, axis=1) + [[1], [0]]
 
     found: list[str | None] = [None] * n_blocks
     marks = np.flatnonzero(comment)
@@ -241,7 +257,7 @@ def _scan(text: str, lines: list[str]):
         seen: dict[str, int] = {}
         broken |= [seen.setdefault(sid, b) != b for b, sid in enumerate(ids)]
     if not (bad.any() or broken.any()):
-        return ids, blocks, offsets, heads, words
+        return ids, blocks, offsets, heads, words, raw, forms
 
     line = int(np.argmax(bad)) + 1 if bad.any() else len(lines) + 1
     b = int(np.argmax(broken))
@@ -277,9 +293,16 @@ def _line_error(line: str, expected_id: int) -> str:
 
 
 def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFile:
+    """Parse the file at ``path``; an error names the file."""
     p = Path(path)
-    with open(p, encoding="utf-8", newline="") as fh:
-        return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
+    try:
+        with open(p, encoding="utf-8", newline="") as fh:
+            return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
+    except ConlluError as e:
+        raise ConlluError(e.line_no, e.message, p) from None
+    except UnicodeDecodeError as e:  # read() decodes the whole file: e.start is its offset
+        bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
+        raise ConlluError(e.object.count(b"\n", 0, e.start) + 1, bad, p) from None
 
 
 def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str:
@@ -334,7 +357,8 @@ def aligned_tokens(
     """Per file, the flat indices of the tokens of the sentences at
     ``positions``, which must have the same token counts in every file."""
     q = files[0].lengths[positions]
-    return [concat_ranges(f.offsets[positions], q) for f in files]
+    within = concat_ranges(np.zeros_like(q), q)  # each token's index in its sentence
+    return [np.repeat(f.offsets[positions], q) + within for f in files]
 
 
 def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
@@ -351,11 +375,15 @@ def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     q = np.stack([f.lengths for f in files])
     same = (q == q[0]).all(axis=0)
     keep = np.flatnonzero(same)
-    tokens = aligned_tokens(files, keep)
-    forms = [np.array(f.column(1), dtype=object)[t] for f, t in zip(files, tokens)]
-    differ = np.zeros(len(forms[0]), dtype=bool)
-    for other in forms[1:]:
-        differ |= other != forms[0]
+    spans = [f.forms[:, t] for f, t in zip(files, aligned_tokens(files, keep))]
+    size = np.stack([stop - start for start, stop in spans])
+    differ = (size != size[0]).any(axis=0)
+    # FORMs of one byte length in every file are compared byte by byte
+    alike = np.flatnonzero(~differ)
+    at = concat_ranges(np.zeros_like(alike), size[0, alike])  # offset in its FORM
+    owner = np.repeat(alike, size[0, alike])
+    forms = np.stack([f.raw[start[owner] + at] for f, (start, _) in zip(files, spans)])
+    differ[owner[(forms != forms[0]).any(axis=0)]] = True
     sent = np.repeat(np.arange(len(keep)), q[0, keep])
     same[keep[np.unique(sent[differ])]] = False
     return same.tolist()

@@ -69,11 +69,8 @@ def preprocess(
     seg_ok = np.flatnonzero(check_segmentation([*files, gold]))
     seg_dropped = total - len(seg_ok)
     # the same segmentation, so the same token positions in every file
-    tokens = aligned_tokens(files, seg_ok)
-    ref = files[0].heads[tokens[0]]
-    differ = np.zeros(len(ref), dtype=bool)
-    for f, t in zip(files[1:], tokens[1:]):
-        differ |= f.heads[t] != ref
+    heads = np.stack([f.heads[t] for f, t in zip(files, aligned_tokens(files, seg_ok))])
+    differ = (heads != heads[0]).any(axis=0)
     sent = np.repeat(np.arange(len(seg_ok)), files[0].lengths[seg_ok])
     disputed = np.bincount(sent[differ], minlength=len(seg_ok)) > 0
     agree_dropped = len(seg_ok) - int(disputed.sum())
@@ -164,8 +161,7 @@ def rank_and_select(
     pos = np.array(positions, dtype=np.int64)
     q = np.diff(ensemble.offsets)[pos]
     sample = ensemble.heads[:, concat_ranges(ensemble.offsets[pos], q)]
-    gold_offsets = np.concatenate(([0], np.cumsum(gold_q)))
-    sample_gold = gold[concat_ranges(gold_offsets[pos], gold_q[pos])]
+    sample_gold = gold[concat_ranges(gold_trees.offsets[pos], gold_q[pos])]
     table = [
         (pid, _uas(row, q, sample_gold, gold_q[pos]))
         for pid, row in zip(ensemble.parser_ids, sample)

@@ -20,6 +20,7 @@ from treeagg.conllu import (
     HEAD_COLUMN,
     N_COLUMNS,
     ConlluError,
+    TreebankFile,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
 from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, per_sentence
@@ -242,6 +243,20 @@ def reference_parse_conllu(text: str) -> list[tuple]:
         block.append(line)
     flush(len(lines))
     return sentences
+
+
+def reference_check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
+    """Per sentence, whether every file has its token count and FORMs,
+    the FORMs split out of each word line and compared as strings."""
+
+    def forms(f: TreebankFile, i: int) -> list[str]:
+        words = f.words[f.offsets[i] : f.offsets[i + 1]].tolist()
+        return [f.lines[w].split("\t")[1] for w in words]
+
+    return [
+        all(forms(f, i) == forms(files[0], i) for f in files[1:])
+        for i in range(len(files[0]))
+    ]
 
 
 _CHUNK = 1 << 18

@@ -283,6 +283,37 @@ def test_empty_treebank_cim_exits_with_error(tmp_path, capsys):
     assert not (tmp_path / "cim.conllu").exists()
 
 
+def test_parse_errors_name_their_file(tmp_path, capsys):
+    # one bad file among eleven: the message says which file and which line
+    text = conllu_text([("s1", ["a", "b"], [0, 1]), ("s2", ["é", "中"], [2, 0])])
+    for k in range(11):
+        write(tmp_path / "parsers" / f"p{k:02d}.conllu", text)
+    gold = write(tmp_path / "gold.conllu", text)
+    bad = tmp_path / "parsers" / "p07.conllu"
+    argv = [
+        "preprocess",
+        "--inputs", str(tmp_path / "parsers"),
+        "--gold", str(gold),
+        "--out-dir", str(tmp_path / "filtered"),
+    ]
+    lines = text.split("\n")
+    lines[5] = lines[5].rsplit("\t", 1)[0]
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 6: expected 10 columns, found 9\n"
+    )
+    # a byte that is not UTF-8, after two-byte characters on an earlier line
+    data = text.encode("utf-8")
+    at = data.index("中".encode("utf-8"))
+    bad.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 7: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    assert not (tmp_path / "filtered").exists()
+
+
 def test_preprocess_rejects_thin_ensembles(tmp_path, capsys):
     # eight parser files against the default nine-parser floor
     text = conllu_text([(f"s{i}", ["a", "b"], [0, 1]) for i in range(60)])

@@ -18,7 +18,12 @@ from treeagg.conllu import (
 )
 from treeagg.trees import DepTree
 
-from helpers import conllu_text, head_sequences, reference_parse_conllu
+from helpers import (
+    conllu_text,
+    head_sequences,
+    reference_check_segmentation,
+    reference_parse_conllu,
+)
 
 # Comments, a multiword range, and an empty node, all of which must
 # survive a parse/write cycle byte for byte.
@@ -246,6 +251,20 @@ def test_subset_picks_positions():
     )
     sub = tb.subset([0, 2])
     assert [s.sentence_id for s in sub.sentences] == ["s1", "s3"]
+    assert sub.column(1) == ["a", "c"]
+
+
+def test_column_reads_one_field_of_every_word_line():
+    tb = parse_conllu(FULL_FIXTURE)
+    assert tb.column(0) == ["1", "2", "3", "1"]
+    assert tb.column(1) == ["a", "b", "c", "d"]
+    assert tb.column(3) == ["DET", "NOUN", "PUNCT", "NOUN"]
+    assert tb.column(9) == ["_"] * 4
+    wide = parse_conllu("1\t\u00e9 \u4e2d\U0001f600\t_\t_\t_\t_\t0\t_\t_\t_\n")
+    assert wide.column(1) == ["\u00e9 \u4e2d\U0001f600"]
+    for index in (-1, 10):
+        with pytest.raises(ValueError, match="outside 0..9"):
+            tb.column(index)
 
 
 def test_check_segmentation_flags_form_mismatches():
@@ -283,7 +302,8 @@ def test_build_ensemble_aligns_by_position():
 # ------------------------------------------------ properties
 
 
-_FIELD = st.text(alphabet="abXY_:=|-. ", min_size=1, max_size=4)
+# U+00A0 is whitespace to str.isspace and a str regex's \s, not to a bytes regex
+_FIELD = st.text(alphabet="abXY_:=|-. \u00e9\u4e2d\U0001f600\u00a0", min_size=1, max_size=4)
 
 
 @st.composite
@@ -355,6 +375,7 @@ _MUTANT_IDS = (
 _INSERTED = (
     "", " ", "\t", "\x1c", " ", "# sent_id = b0", "# sent_id =  ", "#", "# c",
     "x", " 1", "1-2" + "\t_" * 9, "1.1" + "\t_" * 9, "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
+    "#\u00a0sent_id\u00a0=\u00a0\u00e9", "\u00a0", "# sent_id = \u4e2d",
 )
 
 
@@ -421,3 +442,43 @@ def test_scan_agrees_with_the_line_loop(text):
     got = [(s.sentence_id, s.lines, s.words, s.forms, s.tree.heads) for s in tb.sentences]
     assert got == expected
     assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]
+
+
+# ------------------------------------ FORM bytes against the string compare
+
+# pairs that differ in one byte inside a multi-byte character: é/è, 中/丮, 😀/😁
+_FORMS = ("a", "ab", "\u00e9", "\u00e8", "\u4e2d", "\u4e2e", "\U0001f600", "\U0001f601", "x\u00a0")
+
+
+@st.composite
+def segmented_files(draw):
+    """Two to four parser files over one sentence list: each file may swap
+    a FORM for another (of the same or another byte length) or drop or add
+    a token; all files may then be cut to one subset of sentences."""
+    base = draw(st.lists(st.lists(st.sampled_from(_FORMS), min_size=1, max_size=4),
+                         min_size=1, max_size=5))
+    files = []
+    for k in range(draw(st.integers(2, 4))):
+        sentences = []
+        for i, forms in enumerate(base):
+            forms = list(forms)
+            change = draw(st.sampled_from(("same", "same", "form", "drop", "add")))
+            if change == "form":
+                forms[draw(st.integers(0, len(forms) - 1))] = draw(st.sampled_from(_FORMS))
+            elif change == "drop" and len(forms) > 1:
+                forms.pop()
+            elif change == "add":
+                forms.append(draw(st.sampled_from(_FORMS)))
+            heads = [0] + [1] * (len(forms) - 1)
+            sentences.append((f"s{i}", forms, heads))
+        files.append(parse_conllu(conllu_text(sentences), f"p{k}"))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, unique=True))
+        files = [f.subset(sorted(keep)) for f in files]
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(segmented_files())
+def test_check_segmentation_agrees_with_the_string_compare(files):
+    assert check_segmentation(files) == reference_check_segmentation(files)

@@ -84,6 +84,23 @@ def test_tracer_sees_every_decode_of_crh_uas_mode():
     assert tracer.counts["edges.trees_from_scores.calls"] == state.iterations + 1
 
 
+def test_tracer_counts_the_bytes_of_a_loaded_file(tmp_path):
+    # conllu.parse_mb_per_s divides these bytes by conllu.parse_s: the tracer
+    # counts bytes only for a str or a real file passed to parse_conllu
+    path = tmp_path / "p.conllu"
+    lines = ["# sent_id = é", "1\t中\t_\t_\t_\t_\t0\t_\t_\t_", "2\t😀\t_\t_\t_\t_\t1\t_\t_\t_", ""]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        tb = treeagg.load_treebank(path)
+    finally:
+        tracer.uninstall()
+    assert tb.column(1) == ["中", "😀"]
+    assert tracer.counts["conllu.parse_conllu.calls"] == 1
+    assert tracer.counts["conllu.bytes"] == path.stat().st_size
+
+
 def test_every_name_the_benchmark_reads_resolves():
     chains = {
         chain
