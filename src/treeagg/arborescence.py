@@ -2,10 +2,10 @@
 
 The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
 the artificial node 0. Candidate arcs are scanned in (head, dependent)
-order and only strict improvements replace the incumbent. Decoding from
-edge scores (``edges.trees_from_scores``) calls it only for sentences whose
-best incoming arcs are no tree, or have several roots under the
-single-root rule; ``synth`` calls it to repair corrupted trees.
+order and only strict improvements replace the incumbent. Its one caller,
+decoding from edge scores (``edges.trees_from_scores``), sends it only the
+sentences whose best incoming arcs are no tree, or have several roots
+under the single-root rule.
 """
 
 from __future__ import annotations

@@ -202,6 +202,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--pred wants NAME=FILE, got {spec!r}")
+        if not name or name in methods or (args.inputs and name in ("best_parser", "avg_parser")):
+            raise ValueError(f"--pred NAME {name!r} is empty, repeated or an --inputs baseline")
         pred = load_treebank(path)
         methods[name] = uas(pred, gold, exclude)
     selected: tuple[str, ...] = ()

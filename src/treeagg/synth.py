@@ -2,10 +2,14 @@
 
 Gold trees are sampled uniformly over single-rooted valid head sequences
 (rejection sampling). Each parser re-samples every token's head with its
-own corruption rate, then the damaged preference is repaired into a valid
-tree by a maximum arborescence that favors the preferred heads. All
-randomness derives from (seed, sentence index), so regeneration is
-byte-identical and appending sentences never reshuffles earlier ones.
+own corruption rate, and the damaged preference is made a tree by a fixed
+rule: each cycle is cut at its smallest token, and every cut and root
+child but the smallest root child (else the smallest cut) is attached to
+that token, which alone is under the root. Over C cycles and R root
+children this drops C + max(R, 1) - 1 preferred heads, the fewest any
+single-rooted tree can. All randomness derives from (seed, sentence index),
+so regeneration is byte-identical and appending sentences never reshuffles
+earlier ones.
 """
 
 from __future__ import annotations
@@ -14,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arborescence import WeightedTokenGraph, max_arborescence
 from .conllu import TreebankFile, build_ensemble, parse_conllu
-from .trees import ParseEnsemble, validate_tree
-
-_KEEP = 1.0
-_FILLER = 1e-6
+from .trees import ParseEnsemble, find_cycle
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class SynthResult:
 
 
 def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:
-    if q == 1:
-        return (0,)
     for _ in range(100_000):
         heads = []
         for d in range(1, q + 1):
@@ -62,7 +60,7 @@ def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...
             if h >= d:
                 h += 1
             heads.append(h)
-        if heads.count(0) == 1 and validate_tree(heads, q).ok:
+        if heads.count(0) == 1 and find_cycle(heads) is None:
             return tuple(heads)
     raise RuntimeError("tree sampling failed to converge")
 
@@ -76,17 +74,19 @@ def _corrupt(gold: tuple[int, ...], rate: float, rng: np.random.Generator) -> tu
         options = [h for h in range(q + 1) if h != d and h != gold[d - 1]]
         if options:
             prefs[d - 1] = options[int(rng.integers(len(options)))]
-    if prefs.count(0) == 1 and validate_tree(prefs, q).ok:
-        return tuple(prefs)
-    # Invalid preference: repair by spanning the complete graph with the
-    # preferred heads strongly favored.
-    arcs = tuple(
-        (h, d, _KEEP if h == prefs[d - 1] else _FILLER)
-        for d in range(1, q + 1)
-        for h in range(q + 1)
-        if h != d
-    )
-    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True).heads
+    return _repair(prefs)
+
+
+def _repair(prefs: list[int]) -> tuple[int, ...]:
+    heads = list(prefs)
+    while (cycle := find_cycle(heads)) is not None:
+        heads[min(cycle) - 1] = 0
+    tops = [d for d, h in enumerate(heads, 1) if h == 0]
+    keep = prefs.index(0) + 1 if 0 in prefs else tops[0]
+    for d in tops:
+        if d != keep:
+            heads[d - 1] = keep
+    return tuple(heads)
 
 
 def _treebank(parser_id: str, sids: list[str], trees: list[tuple[int, ...]]) -> TreebankFile:
@@ -116,15 +116,13 @@ def generate(config: SynthConfig) -> SynthResult:
         for j, rate in enumerate(config.rates):
             per_parser[j].append(_corrupt(gold, rate, rng))
 
-    all_trees = per_parser + [list(per_parser[src]) for src in config.duplicates]
+    sources = [*range(base), *config.duplicates]  # the base parser behind each file
     sids = [f"synth{i + 1:04d}" for i in range(config.n_sentences)]
     gold_file = _treebank("gold", sids, gold_trees)
     width = len(str(config.m))
     files = tuple(
-        _treebank(f"parser_{j + 1:0{width}d}", sids, trees)
-        for j, trees in enumerate(all_trees)
+        _treebank(f"parser_{j + 1:0{width}d}", sids, per_parser[src])
+        for j, src in enumerate(sources)
     )
-    accuracies = tuple(1.0 - r for r in config.rates) + tuple(
-        1.0 - config.rates[src] for src in config.duplicates
-    )
+    accuracies = tuple(1.0 - config.rates[src] for src in sources)
     return SynthResult(gold_file, files, build_ensemble(files), accuracies)

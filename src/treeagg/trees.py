@@ -83,14 +83,14 @@ def check_trees(heads: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """
     heads = np.asarray(heads, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    q = np.diff(offsets)
+    q = offsets[1:] - offsets[:-1]
     n = len(heads)
     sent = np.repeat(np.arange(len(q)), q)
     first = offsets[sent]
     ok = (heads >= 0) & (heads <= q[sent])
     # flat index of each token's head; the root, and a token whose head is
     # out of range, point at the absorbing node n
-    up = np.append(np.where(ok & (heads > 0), first + heads - 1, n), n)
+    up = np.concatenate((np.where(ok & (heads > 0), first + heads - 1, n), [n]))
     for _ in range(int(q.max(initial=0)).bit_length()):
         up = up[up]
     ok &= up[:-1] == n

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph
+from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
 from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
 from treeagg.conllu import (
     _EMPTY_ID,
@@ -320,6 +320,20 @@ def brute_force_arborescence(
     if best_heads is None:
         raise NoArborescenceError("no spanning arborescence")
     return DepTree(best_heads)
+
+
+def reference_repair(prefs: Sequence[int]) -> tuple[int, ...]:
+    """The former synth repair: the single-rooted maximum arborescence of
+    the complete graph, weighing each token's preferred head 1 and every
+    other head 1e-6, so it keeps as many preferred heads as any tree can."""
+    q = len(prefs)
+    arcs = tuple(
+        (h, d, 1.0 if h == prefs[d - 1] else 1e-6)
+        for d in range(1, q + 1)
+        for h in range(q + 1)
+        if h != d
+    )
+    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True).heads
 
 
 def joint_prob_oracle(

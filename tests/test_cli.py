@@ -221,6 +221,26 @@ def test_evaluate_selected_without_inputs_exits_with_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "names, name",
+    [(["a", "a"], "a"), (["best_parser"], "best_parser"), (["p", "avg_parser"], "avg_parser"), ([""], "")],
+)
+def test_evaluate_rejects_a_method_name_it_would_lose(tmp_path, capsys, names, name):
+    # a repeated name would keep only the last score, and a baseline name
+    # would be overwritten by the --inputs baseline
+    gold = write(tmp_path / "gold.conllu", conllu_text([("s1", ["a", "b"], [0, 1])]))
+    write(tmp_path / "parsers" / "p1.conllu", gold.read_text())
+    out = tmp_path / "r.json"
+    preds = [arg for n in names for arg in ("--pred", f"{n}={gold}")]
+    argv = ["evaluate", "--gold", str(gold), *preds, "--out", str(out)]
+    code = run([*argv, "--inputs", str(tmp_path / "parsers")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: --pred NAME {name!r} is empty, repeated or an --inputs baseline\n"
+    )
+    assert not out.exists()
+
+
 def test_evaluate_exclude_punct_skips_punct_words(tmp_path):
     def sentence(punct_head):
         return (

@@ -1,10 +1,16 @@
-"""Synthetic corpus generator: determinism, noise levels, duplicates."""
+"""Synthetic corpus generator: determinism, noise levels, duplicates, and
+the repair of damaged preferences into trees."""
+
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_repair
 from treeagg.conllu import write_conllu
 from treeagg.evaluation import uas
-from treeagg.synth import SynthConfig, SynthResult, generate
+from treeagg.synth import SynthConfig, SynthResult, _repair, generate
 from treeagg.trees import validate_tree
 
 CFG = SynthConfig(
@@ -127,3 +133,77 @@ def test_prefix_is_stable_under_corpus_growth(corpus):
         assert [s.tree for s in small.files[j].sentences] == [
             s.tree for s in corpus.files[j].sentences[:50]
         ]
+
+
+@st.composite
+def preferences(draw, max_q=12):
+    """Heads in 0..q with no self-loop: a drawn set of tokens point at the
+    root and every other token at another token, so cycles are common."""
+    q = draw(st.integers(1, max_q))
+    roots = draw(st.sets(st.integers(1, q)))
+    prefs = []
+    for d in range(1, q + 1):
+        others = [h for h in range(1, q + 1) if h != d]
+        prefs.append(0 if d in roots or not others else draw(st.sampled_from(others)))
+    return prefs
+
+
+def count_cycles(prefs) -> int:
+    """Cycles of the functional graph d -> prefs[d - 1]: q steps from any
+    token end at the root or on a cycle, named here by its smallest token."""
+    q = len(prefs)
+    smallest = set()
+    for v in range(1, q + 1):
+        for _ in range(q):
+            v = prefs[v - 1] if v else 0
+        if v:
+            cycle, u = [v], prefs[v - 1]
+            while u != v:
+                cycle.append(u)
+                u = prefs[u - 1]
+            smallest.add(min(cycle))
+    return len(smallest)
+
+
+def kept(prefs, heads) -> int:
+    return sum(p == h for p, h in zip(prefs, heads))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(preferences())
+@example([2, 1, 0, 5, 4, 0])
+@example([2, 3, 1, 5, 4])
+def test_repair_keeps_all_preferred_heads_but_one_per_cycle_and_extra_root(prefs):
+    q = len(prefs)
+    heads = _repair(prefs)
+    assert validate_tree(heads, q).ok and heads.count(0) == 1
+    assert kept(prefs, heads) == q - (count_cycles(prefs) + max(prefs.count(0), 1) - 1)
+    if prefs.count(0) == 1 and validate_tree(prefs, q).ok:
+        assert heads == tuple(prefs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(preferences(max_q=8))
+def test_repair_keeps_as_many_preferred_heads_as_the_complete_graph_solver(prefs):
+    assert kept(prefs, _repair(prefs)) == kept(prefs, reference_repair(prefs))
+
+
+def test_repair_follows_the_stated_rule():
+    # cycles (1 2) and (4 5) are cut at 1 and 4; 3 is the smallest root
+    # child, so the cuts and the other root child 6 go under it
+    assert _repair([2, 1, 0, 5, 4, 0]) == (3, 1, 0, 3, 4, 3)
+    # no root child: the smallest cut, 1, goes under the root
+    assert _repair([2, 3, 1, 5, 4]) == (0, 3, 1, 1, 4)
+
+
+def test_repair_and_generation_take_little_time_on_long_sentences():
+    # 1000 two-cycles over 2000 tokens, then a corpus of 60-token sentences,
+    # which the complete-graph solver took about two minutes to repair
+    start = time.perf_counter()
+    prefs = [d + 1 if d % 2 else d - 1 for d in range(1, 2001)]
+    heads = _repair(prefs)
+    corpus = generate(SynthConfig(4, (60, 60), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), seed=1))
+    elapsed = time.perf_counter() - start
+    assert validate_tree(heads, 2000).ok and kept(prefs, heads) == 1000
+    assert len(corpus.files) == 6
+    assert elapsed < 5.0
