@@ -1,21 +1,19 @@
 """Maximum spanning arborescence over a sentence's candidate edges.
 
-The solver is Chu-Liu/Edmonds with recursive cycle contraction, rooted at
-the artificial node 0. Candidate arcs are scanned in (head, dependent)
-order and only strict improvements replace the incumbent. Its one caller,
-decoding from edge scores (``edges.trees_from_scores``), sends it only the
-sentences whose best incoming arcs are no tree, or have several roots
-under the single-root rule.
+The solver is Chu-Liu/Edmonds from the artificial root 0, one loop over
+contraction levels that never recurses. Its one caller, decoding from edge
+scores (``edges.trees_from_scores``), sends it only the sentences whose
+best incoming arcs are no tree, or have several roots under the
+single-root rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trees import DepTree, find_cycle
+from .trees import DepTree, find_cycles
 
 
 class NoArborescenceError(ValueError):
@@ -63,65 +61,51 @@ def tree_weight(graph: WeightedTokenGraph, tree: DepTree) -> float:
     return total
 
 
-class _Arc(NamedTuple):
-    head: int
-    dep: int
-    weight: float
-    parent: "_Arc | None"
+def _solve(q: int, arcs: tuple[tuple[int, int, float], ...]) -> DepTree:
+    """Chu-Liu/Edmonds from root 0 over tokens 1..q, without recursion.
 
-
-def _solve(nodes: list[int], arcs: list[_Arc]) -> list[_Arc]:
-    """One Chu-Liu/Edmonds pass from root 0; returns chosen arcs at this level."""
-    best: dict[int, _Arc] = {}
-    for arc in sorted(arcs, key=lambda a: (a.head, a.dep, -a.weight)):
-        cur = best.get(arc.dep)
-        if cur is None or arc.weight > cur.weight:
-            best[arc.dep] = arc
-    for v in nodes:
-        if v != 0 and v not in best:
-            raise NoArborescenceError(f"node {v} has no incoming arc")
-    # nodes contracted away by the caller point at the root; no arc enters them
-    heads = [best[v].head if v in best else 0 for v in range(1, max(nodes) + 1)]
-    cycle = find_cycle(heads)
-    if cycle is None:
-        return list(best.values())
-
-    in_cycle = set(cycle)
-    c = max(nodes) + 1
-    contracted: list[_Arc] = []
-    for arc in arcs:
-        h_in, d_in = arc.head in in_cycle, arc.dep in in_cycle
-        if h_in and d_in:
-            continue
-        if d_in:
-            contracted.append(
-                _Arc(arc.head, c, arc.weight - best[arc.dep].weight, arc)
-            )
-        elif h_in:
-            contracted.append(_Arc(c, arc.dep, arc.weight, arc))
-        else:
-            contracted.append(_Arc(arc.head, arc.dep, arc.weight, arc))
-    sub_nodes = [v for v in nodes if v not in in_cycle] + [c]
-    chosen: list[_Arc] = []
-    entering: _Arc | None = None
-    for arc in _solve(sub_nodes, contracted):
-        lifted = arc.parent
-        assert lifted is not None
-        chosen.append(lifted)
-        if arc.dep == c:
-            entering = lifted
-    assert entering is not None
-    for v in cycle:
-        if v != entering.dep:
-            chosen.append(best[v])
-    return chosen
-
-
-def _heads_from(chosen: Iterable[_Arc], q: int) -> DepTree:
-    heads = [-1] * q
-    for arc in chosen:
-        heads[arc.dep - 1] = arc.head
-    return DepTree(tuple(heads))
+    Each level is a list of arcs (head, dependent, weight, index of the arc
+    one level up); a node's best arc is the first of highest weight, then
+    smallest head. While the best arcs form a cycle, the next level merges
+    it into a new node, an entering arc less the weight of the best arc
+    into its dependent. Unwinding the levels opens each cycle: all its best
+    arcs but the one into the node the chosen entering arc reaches.
+    """
+    level = [(h, d, w, -1) for h, d, w in arcs]  # -1: no level above
+    nodes = list(range(q + 1))  # ascending: a new node is the largest
+    stack = []
+    while True:
+        best: dict[int, int] = {}  # node -> index of its best arc in level
+        for i, (h, d, w, _) in enumerate(level):
+            j = best.get(d)
+            if j is None or (w, -h) > (level[j][2], -level[j][0]):
+                best[d] = i
+        for v in nodes[1:]:
+            if v not in best:
+                raise NoArborescenceError(f"node {v} has no incoming arc")
+        heads = [level[best[v]][0] if v in best else 0 for v in range(1, nodes[-1] + 1)]
+        cycle = next(find_cycles(heads), None)
+        if cycle is None:
+            break
+        c = nodes[-1] + 1
+        stack.append((level, best, cycle))
+        in_cycle = set(cycle)
+        nodes = [v for v in nodes if v not in in_cycle] + [c]
+        contracted = []
+        for i, (h, d, w, _) in enumerate(level):
+            if d not in in_cycle:
+                contracted.append((c if h in in_cycle else h, d, w, i))
+            elif h not in in_cycle:
+                contracted.append((h, c, w - level[best[d]][2], i))
+        level = contracted
+    chosen = best  # node -> index of its chosen arc in level
+    while stack:
+        up, best, cycle = stack.pop()
+        lifted = [level[i][3] for i in chosen.values()]
+        # the cycle's best arcs, but the lifted entering arc replaces one
+        chosen = {v: best[v] for v in cycle} | {up[j][1]: j for j in lifted}
+        level = up
+    return DepTree(tuple(level[chosen[d]][0] for d in range(1, q + 1)))
 
 
 def max_arborescence(
@@ -136,19 +120,17 @@ def max_arborescence(
     is re-solved once per root arc with the other root arcs removed, and
     the best total wins, equal totals going to the smaller head sequence.
     """
-    arcs = [_Arc(h, d, w, None) for h, d, w in graph.arcs]
-    nodes = list(range(graph.q + 1))
     if not enforce_single_root:
-        return _heads_from(_solve(nodes, arcs), graph.q)
+        return _solve(graph.q, graph.arcs)
 
-    root_children = sorted({a.dep for a in arcs if a.head == 0})
+    root_children = sorted({d for h, d, _ in graph.arcs if h == 0})
     if not root_children:
         raise NoArborescenceError("no arc out of the root")
     best: tuple[float, tuple[int, ...]] | None = None
     for r in root_children:
-        restricted = [a for a in arcs if a.head != 0 or a.dep == r]
+        restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
         try:
-            tree = _heads_from(_solve(nodes, restricted), graph.q)
+            tree = _solve(graph.q, restricted)
         except NoArborescenceError:
             continue
         total = tree_weight(graph, tree)

@@ -484,6 +484,12 @@ class CimOptions:
     collapse: bool = True
     triplet_min: float = 0.01
 
+    def __post_init__(self) -> None:
+        for name in ("coef_threshold", "triplet_min"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
 
 @dataclass(frozen=True, eq=False)
 class CimResult:

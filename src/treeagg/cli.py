@@ -176,6 +176,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             enforce_single_root=single_root,
         )
         state = crh_mod.crh_run(matrix, opts, ensemble)
+        if not state.converged:
+            warning = f"crh stopped after {state.iterations} iterations without converging"
+            print(f"warning: {warning}", file=sys.stderr)
         heads = crh_mod.crh_trees(state, matrix, ensemble, single_root)
     else:
         opts = cim_mod.CimOptions(

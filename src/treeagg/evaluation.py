@@ -152,6 +152,8 @@ def rank_and_select(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     gold, gold_q = gold_trees.heads, gold_trees.lengths
     n = len(ensemble.sentence_ids)
     if len(gold_q) != n:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conllu import TreebankFile, build_ensemble, parse_conllu
-from .trees import ParseEnsemble, find_cycle
+from .trees import ParseEnsemble, find_cycles
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...
             if h >= d:
                 h += 1
             heads.append(h)
-        if heads.count(0) == 1 and find_cycle(heads) is None:
+        if heads.count(0) == 1 and next(find_cycles(heads), None) is None:
             return tuple(heads)
     raise RuntimeError("tree sampling failed to converge")
 
@@ -79,7 +79,7 @@ def _corrupt(gold: tuple[int, ...], rate: float, rng: np.random.Generator) -> tu
 
 def _repair(prefs: list[int]) -> tuple[int, ...]:
     heads = list(prefs)
-    while (cycle := find_cycle(heads)) is not None:
+    for cycle in list(find_cycles(heads)):
         heads[min(cycle) - 1] = 0
     tops = [d for d, h in enumerate(heads, 1) if h == 0]
     keep = prefs.index(0) + 1 if 0 in prefs else tops[0]

@@ -16,7 +16,7 @@ arborescence solver's result; ``TreebankFile`` builds ``DepTree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,10 +31,10 @@ class TreeCheck:
     reason: str | None = None  # "out-of-range" | "self-loop" | "cycle"
 
 
-def find_cycle(heads: Sequence[int]) -> list[int] | None:
-    """The first cycle met walking from nodes 1, 2, ... toward the root 0,
-    in walk order, or ``None``. Node d points to ``heads[d - 1]``, which
-    must lie in 0..len(heads)."""
+def find_cycles(heads: Sequence[int]) -> Iterator[list[int]]:
+    """Every cycle met walking from nodes 1, 2, ... toward the root 0, each
+    in walk order, in the order met. Node d points to ``heads[d - 1]``,
+    which must lie in 0..len(heads)."""
     state = [0] * (len(heads) + 1)  # 0 unseen, 1 on current walk, 2 done
     state[0] = 2
     for start in range(1, len(heads) + 1):
@@ -48,8 +48,7 @@ def find_cycle(heads: Sequence[int]) -> list[int] | None:
         for v in walk:
             state[v] = 2
         if verdict == 1:
-            return walk[walk.index(node) :]
-    return None
+            yield walk[walk.index(node) :]
 
 
 def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
@@ -65,7 +64,7 @@ def validate_tree(heads: Sequence[int], q: int) -> TreeCheck:
             return TreeCheck(False, "out-of-range")
         if h == d:
             return TreeCheck(False, "self-loop")
-    if find_cycle(heads) is not None:
+    if next(find_cycles(heads), None) is not None:
         return TreeCheck(False, "cycle")
     return TreeCheck(True)
 

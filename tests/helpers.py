@@ -5,12 +5,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
+from treeagg.arborescence import (
+    NoArborescenceError,
+    WeightedTokenGraph,
+    max_arborescence,
+    tree_weight,
+)
 from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
 from treeagg.conllu import (
     _EMPTY_ID,
@@ -23,7 +28,7 @@ from treeagg.conllu import (
     TreebankFile,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
-from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, per_sentence
+from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, find_cycles, per_sentence
 
 
 def ensemble_of(
@@ -320,6 +325,98 @@ def brute_force_arborescence(
     if best_heads is None:
         raise NoArborescenceError("no spanning arborescence")
     return DepTree(best_heads)
+
+
+class _Arc(NamedTuple):
+    head: int
+    dep: int
+    weight: float
+    parent: "_Arc | None"
+
+
+def _recursive_solve(nodes: list[int], arcs: list[_Arc]) -> list[_Arc]:
+    """One Chu-Liu/Edmonds pass from root 0; returns chosen arcs at this level."""
+    best: dict[int, _Arc] = {}
+    for arc in sorted(arcs, key=lambda a: (a.head, a.dep, -a.weight)):
+        cur = best.get(arc.dep)
+        if cur is None or arc.weight > cur.weight:
+            best[arc.dep] = arc
+    for v in nodes:
+        if v != 0 and v not in best:
+            raise NoArborescenceError(f"node {v} has no incoming arc")
+    # nodes contracted away by the caller point at the root; no arc enters them
+    heads = [best[v].head if v in best else 0 for v in range(1, max(nodes) + 1)]
+    cycle = next(find_cycles(heads), None)
+    if cycle is None:
+        return list(best.values())
+
+    in_cycle = set(cycle)
+    c = max(nodes) + 1
+    contracted: list[_Arc] = []
+    for arc in arcs:
+        h_in, d_in = arc.head in in_cycle, arc.dep in in_cycle
+        if h_in and d_in:
+            continue
+        if d_in:
+            contracted.append(
+                _Arc(arc.head, c, arc.weight - best[arc.dep].weight, arc)
+            )
+        elif h_in:
+            contracted.append(_Arc(c, arc.dep, arc.weight, arc))
+        else:
+            contracted.append(_Arc(arc.head, arc.dep, arc.weight, arc))
+    sub_nodes = [v for v in nodes if v not in in_cycle] + [c]
+    chosen: list[_Arc] = []
+    entering: _Arc | None = None
+    for arc in _recursive_solve(sub_nodes, contracted):
+        lifted = arc.parent
+        assert lifted is not None
+        chosen.append(lifted)
+        if arc.dep == c:
+            entering = lifted
+    assert entering is not None
+    for v in cycle:
+        if v != entering.dep:
+            chosen.append(best[v])
+    return chosen
+
+
+def _heads_from(chosen: Iterable[_Arc], q: int) -> DepTree:
+    heads = [-1] * q
+    for arc in chosen:
+        heads[arc.dep - 1] = arc.head
+    return DepTree(tuple(heads))
+
+
+def reference_max_arborescence(
+    graph: WeightedTokenGraph, enforce_single_root: bool = True
+) -> DepTree:
+    """``max_arborescence`` with the recursive Chu-Liu/Edmonds pass the
+    contraction loop replaced: one call per contracted cycle, each chosen
+    arc lifted through a chain of parent arcs. It recurses as deep as the
+    cycles nest, so it is for small graphs only."""
+    arcs = [_Arc(h, d, w, None) for h, d, w in graph.arcs]
+    nodes = list(range(graph.q + 1))
+    if not enforce_single_root:
+        return _heads_from(_recursive_solve(nodes, arcs), graph.q)
+
+    root_children = sorted({a.dep for a in arcs if a.head == 0})
+    if not root_children:
+        raise NoArborescenceError("no arc out of the root")
+    best: tuple[float, tuple[int, ...]] | None = None
+    for r in root_children:
+        restricted = [a for a in arcs if a.head != 0 or a.dep == r]
+        try:
+            tree = _heads_from(_recursive_solve(nodes, restricted), graph.q)
+        except NoArborescenceError:
+            continue
+        total = tree_weight(graph, tree)
+        key = (total, tuple(-h for h in tree.heads))
+        if best is None or key > best:
+            best, best_tree = key, tree
+    if best is None:
+        raise NoArborescenceError("no single-rooted spanning arborescence")
+    return best_tree
 
 
 def reference_repair(prefs: Sequence[int]) -> tuple[int, ...]:

@@ -1,7 +1,12 @@
 """Maximum spanning arborescence: solver, oracle, and tie-breaking."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeagg.arborescence import (
     NoArborescenceError,
@@ -9,9 +14,13 @@ from treeagg.arborescence import (
     max_arborescence,
     tree_weight,
 )
-from treeagg.trees import DepTree, find_cycle
+from treeagg.trees import DepTree, find_cycles
 
-from helpers import brute_force_arborescence, random_complete_digraph
+from helpers import (
+    brute_force_arborescence,
+    random_complete_digraph,
+    reference_max_arborescence,
+)
 
 
 def test_graph_validation():
@@ -132,7 +141,7 @@ def test_equal_weight_ties_without_a_cycle_give_the_smallest_sequence():
             min((h for h, d, _ in arcs if d == dep), default=-1)
             for dep in range(1, q + 1)
         ]
-        if -1 in heads or find_cycle(heads) is not None:
+        if -1 in heads or next(find_cycles(heads), None) is not None:
             continue
         acyclic += 1
         g = WeightedTokenGraph(q, arcs)
@@ -218,3 +227,56 @@ def test_solver_handles_nested_cycles():
     # chain (0.1 + 9.5 + 10.0 = 19.6) beats the runner-up 19.3
     assert best.heads == (2, 3, 0)
     assert tree_weight(g, best) == pytest.approx(19.6)
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Graphs over 1-10 tokens at a drawn arc density, weights from
+    {0, 0.5, 1, 1.5}: ties and contractions are common, and so are graphs
+    with no (single-rooted) arborescence."""
+    q = draw(st.integers(1, 10))
+    density = draw(st.floats(0.1, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
+    arcs = tuple(
+        (h, d, rnd.choice((0.0, 0.5, 1.0, 1.5)))
+        for d in range(1, q + 1)
+        for h in range(0, q + 1)
+        if h != d and rnd.random() < density
+    )
+    return WeightedTokenGraph(q, arcs)
+
+
+def outcome(solver, graph, single):
+    try:
+        return solver(graph, single).heads
+    except NoArborescenceError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_graphs(), st.booleans())
+def test_solver_matches_the_recursive_reference(graph, single):
+    # the same heads, tie outcomes included, or the same error
+    assert outcome(max_arborescence, graph, single) == outcome(
+        reference_max_arborescence, graph, single
+    )
+
+
+def test_deeply_nested_contractions_do_not_recurse():
+    # 300 two-cycles of weight 1 over tokens 1..600, joined by chain arcs
+    # (2k, 2k + 1) of weight 0 below the one root arc (0, 1): each
+    # contraction level holds the next two-cycle, 300 levels in all, and
+    # the one best tree is the chain 0 -> 1 -> 2 -> ... -> 600
+    arcs = [(0, 1, 0.0)]
+    for k in range(1, 301):
+        arcs += [(2 * k - 1, 2 * k, 1.0), (2 * k, 2 * k - 1, 1.0)]
+        if k < 300:
+            arcs.append((2 * k, 2 * k + 1, 0.0))
+    g = WeightedTokenGraph(600, tuple(arcs))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        for single in (True, False):
+            assert max_arborescence(g, single).heads == tuple(range(600))
+    finally:
+        sys.setrecursionlimit(limit)

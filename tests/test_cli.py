@@ -475,6 +475,9 @@ def test_empty_parser_selection_errors(tmp_path, capsys):
     ]
     assert run([*rank, "--top-k", "0"]) == EXIT_ERROR
     assert "top_k must be at least 1, got 0" in capsys.readouterr().err
+    for size in ("-1", "0"):
+        assert run([*rank, "--sample-size", size]) == EXIT_ERROR
+        assert f"sample_size must be at least 1, got {size}" in capsys.readouterr().err
     assert not (tmp_path / "sel.json").exists()
 
     # a selection file can also be written by hand
@@ -686,10 +689,32 @@ def test_out_of_range_solver_settings_error(tmp_path, corpus, capsys):
         (["--method", "cim", "--cim-l1", "nan"], "l1_penalty must be finite"),
         (["--method", "crh", "--crh-eps", "nan"], "bad CRH options"),
         (["--method", "crh", "--crh-eps", "inf"], "bad CRH options"),
+        (["--method", "cim", "--cim-coef-threshold", "nan"], "coef_threshold must be finite"),
+        (["--method", "cim", "--cim-coef-threshold", "-1"], "coef_threshold must be finite"),
+        (["--method", "cim", "--cim-coef-threshold", "inf"], "coef_threshold must be finite"),
+        (["--method", "cim", "--cim-triplet-min", "nan"], "triplet_min must be finite"),
+        (["--method", "cim", "--cim-triplet-min", "-0.01"], "triplet_min must be finite"),
     ):
         assert run([*aggregate, *flags]) == EXIT_ERROR
         assert message in capsys.readouterr().err
     assert not (tmp_path / "pred.conllu").exists()
+
+
+def test_crh_warns_when_it_stops_without_converging(tmp_path, corpus, capsys):
+    aggregate = [
+        "aggregate",
+        "--inputs", str(corpus / "parsers"),
+        "--method", "crh",
+        "--out", str(tmp_path / "pred.conllu"),
+    ]
+    assert run(aggregate) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    (tmp_path / "pred.conllu").unlink()
+    assert run([*aggregate, "--crh-max-iter", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: crh stopped after 1 iterations without converging\n"
+    )
+    assert (tmp_path / "pred.conllu").exists()
 
 
 def test_usage_error_exits_two():

@@ -11,7 +11,7 @@ from treeagg.trees import (
     ParseEnsemble,
     Sentence,
     check_trees,
-    find_cycle,
+    find_cycles,
     validate_tree,
 )
 
@@ -44,9 +44,21 @@ def test_validate_tree_matches_the_reference(heads):
     assert check.reason == reference_tree_check(heads, q)
     assert check.ok == (check.reason is None)
     if check.reason == "cycle":
-        # the walk returns a real cycle, in parent order
-        cycle = find_cycle(heads)
-        assert [heads[v - 1] for v in cycle] == cycle[1:] + cycle[:1]
+        # the walk yields real cycles, each in parent order, and every
+        # token on a cycle lies on exactly one of them
+        cycles = list(find_cycles(heads))
+        for cycle in cycles:
+            assert [heads[v - 1] for v in cycle] == cycle[1:] + cycle[:1]
+        on_cycle = []
+        for d in range(1, q + 1):
+            node = heads[d - 1]
+            for _ in range(q):
+                if node in (0, d):
+                    break
+                node = heads[node - 1]
+            if node == d:
+                on_cycle.append(d)
+        assert sorted(v for cycle in cycles for v in cycle) == on_cycle
 
 
 def test_deptree_validates_on_construction():
