@@ -19,7 +19,6 @@ from .arborescence import (
     NoArborescenceError,
     WeightedTokenGraph,
     max_arborescence,
-    tree_weight,
 )
 from .cim import (
     CimOptions,
@@ -74,10 +73,8 @@ from .evaluation import (
 )
 from .synth import SynthConfig, SynthResult, generate
 from .trees import (
-    DepTree,
     InvalidTreeError,
     ParseEnsemble,
-    Sentence,
     validate_tree,
 )
 
@@ -91,7 +88,6 @@ __all__ = [
     "CorrelationGraph",
     "CrhOptions",
     "CrhState",
-    "DepTree",
     "EdgeLabelMatrix",
     "InvalidTreeError",
     "IsingParams",
@@ -100,7 +96,6 @@ __all__ = [
     "ParseEnsemble",
     "PreprocessResult",
     "RankResult",
-    "Sentence",
     "SummaryReport",
     "SynthConfig",
     "SynthResult",
@@ -131,7 +126,6 @@ __all__ = [
     "save_treebank",
     "summarize",
     "trees_from_scores",
-    "tree_weight",
     "truth_update",
     "uas",
     "validate_tree",

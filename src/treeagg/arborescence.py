@@ -1,10 +1,11 @@
 """Maximum spanning arborescence over a sentence's candidate edges.
 
 The solver is Chu-Liu/Edmonds from the artificial root 0, one loop over
-contraction levels that never recurses. Its one caller, decoding from edge
-scores (``edges.trees_from_scores``), sends it only the sentences whose
-best incoming arcs are no tree, or have several roots under the
-single-root rule.
+contraction levels that never recurses, and it returns a plain tuple of
+heads. Its one caller, decoding from edge scores
+(``edges.trees_from_scores``), sends it only the sentences whose best
+incoming arcs are no tree, or have several roots under the single-root
+rule, and writes the heads into its flat head array.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import DepTree, find_cycles
+from .trees import find_cycles
 
 
 class NoArborescenceError(ValueError):
@@ -50,19 +51,12 @@ class WeightedTokenGraph:
         )
 
 
-def tree_weight(graph: WeightedTokenGraph, tree: DepTree) -> float:
-    """Total weight of a tree under the graph, summed in dependent order."""
-    lookup = {(h, d): w for h, d, w in graph.arcs}
-    total = 0.0
-    for d, h in enumerate(tree.heads, start=1):
-        if (h, d) not in lookup:
-            raise ValueError(f"tree uses arc ({h}, {d}) absent from the graph")
-        total += lookup[(h, d)]
-    return total
-
-
-def _solve(q: int, arcs: tuple[tuple[int, int, float], ...]) -> DepTree:
-    """Chu-Liu/Edmonds from root 0 over tokens 1..q, without recursion.
+def _solve(
+    q: int, arcs: tuple[tuple[int, int, float], ...]
+) -> tuple[tuple[int, ...], float]:
+    """Chu-Liu/Edmonds from root 0 over tokens 1..q, without recursion:
+    the chosen heads, and the total weight of their arcs summed in
+    dependent order.
 
     Each level is a list of arcs (head, dependent, weight, index of the arc
     one level up); a node's best arc is the first of highest weight, then
@@ -105,13 +99,19 @@ def _solve(q: int, arcs: tuple[tuple[int, int, float], ...]) -> DepTree:
         # the cycle's best arcs, but the lifted entering arc replaces one
         chosen = {v: best[v] for v in cycle} | {up[j][1]: j for j in lifted}
         level = up
-    return DepTree(tuple(level[chosen[d]][0] for d in range(1, q + 1)))
+    heads, total = [], 0.0
+    for d in range(1, q + 1):
+        h, _, w, _ = level[chosen[d]]
+        heads.append(h)
+        total += w
+    return tuple(heads), total
 
 
 def max_arborescence(
     graph: WeightedTokenGraph, enforce_single_root: bool = True
-) -> DepTree:
-    """Maximum-weight spanning arborescence rooted at node 0.
+) -> tuple[int, ...]:
+    """The heads of a maximum-weight spanning arborescence rooted at node 0,
+    ``heads[d - 1]`` the head of token d.
 
     While no cycle is contracted, equal-weight optima resolve to the
     lexicographically smallest head sequence; after one, the choice is
@@ -121,7 +121,7 @@ def max_arborescence(
     the best total wins, equal totals going to the smaller head sequence.
     """
     if not enforce_single_root:
-        return _solve(graph.q, graph.arcs)
+        return _solve(graph.q, graph.arcs)[0]
 
     root_children = sorted({d for h, d, _ in graph.arcs if h == 0})
     if not root_children:
@@ -130,13 +130,12 @@ def max_arborescence(
     for r in root_children:
         restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
         try:
-            tree = _solve(graph.q, restricted)
+            heads, total = _solve(graph.q, restricted)
         except NoArborescenceError:
             continue
-        total = tree_weight(graph, tree)
-        key = (total, tuple(-h for h in tree.heads))
+        key = (total, tuple(-h for h in heads))
         if best is None or key > best:
-            best, best_tree = key, tree
+            best, best_heads = key, heads
     if best is None:
         raise NoArborescenceError("no single-rooted spanning arborescence")
-    return best_tree
+    return best_heads

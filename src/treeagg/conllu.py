@@ -6,9 +6,9 @@ byte span of each FORM; comments, multiword-token ranges, empty nodes and
 the other columns pass through untouched (``TreebankFile.column`` reads
 one on request). Writing takes a flat head array laid out like the file's
 own ``heads``, such as an aggregator's decoded trees, and rewrites only the
-HEAD column of the word lines whose head changed. Input may use LF or CRLF
-line endings; output is LF, with each sentence followed by one empty line
-and the file ending in a single newline.
+HEAD column of the word lines whose head changed. Input may start with a
+byte-order mark and use LF or CRLF line endings; output is LF, with each
+sentence followed by one empty line and the file ending in a single newline.
 
 Parsing scans the bytes at once: numpy finds the tabs and newlines,
 classifies each line by its first byte, reads the ID and HEAD fields of
@@ -16,7 +16,8 @@ token lines together as digit fields, and checks every sentence's tree
 together (``trees.check_trees``). A failed check flags its lines or
 sentence blocks rather than stopping the scan, and the error raised, with
 its line number, is the one a reader going line by line would meet first.
-Only the line or block that earns it is read again, to build its message.
+Only the line or block that earns it is read again, to build its message;
+a broken tree's message gives the reason ``trees.validate_tree`` finds.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import numpy as np
 
 from .trees import (
     DepTree,
-    InvalidTreeError,
     ParseEnsemble,
     Sentence,
     check_trees,
     concat_ranges,
-    per_sentence,
+    validate_tree,
 )
 
 _WORD_ID = re.compile(r"[1-9][0-9]*$")
@@ -71,7 +71,7 @@ class TreebankFile:
     column) and ``words`` (the index in ``lines`` of each word line).
     ``raw`` holds the lines' UTF-8 bytes, each line between two newlines,
     and word k's FORM is ``raw[forms[0, k]:forms[1, k]]``. ``sentences``
-    and ``trees`` are built from these on demand.
+    pairs each sentence id with its tree, built on demand.
     """
 
     parser_id: str
@@ -91,11 +91,6 @@ class TreebankFile:
     def __len__(self) -> int:
         return len(self.sentence_ids)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreebankFile):
-            return NotImplemented
-        return (self.parser_id, self.sentences) == (other.parser_id, other.sentences)
-
     @property
     def lengths(self) -> np.ndarray:
         """Token count of each sentence."""
@@ -110,25 +105,12 @@ class TreebankFile:
         return [lines[w].split("\t", index + 1)[index] for w in self.words.tolist()]
 
     @property
-    def trees(self) -> tuple[DepTree, ...]:
-        return tuple(DepTree(h) for h in per_sentence(self.heads, self.offsets))
-
-    @property
     def sentences(self) -> tuple[Sentence, ...]:
+        heads = self.heads.tolist()
         bounds = self.offsets.tolist()
-        words = self.words.tolist()
-        forms = self.column(1)
         return tuple(
-            Sentence(
-                sid,
-                self.lines[start:stop],
-                tuple(w - start for w in words[a:b]),
-                tuple(forms[a:b]),
-                tree,
-            )
-            for sid, (start, stop), a, b, tree in zip(
-                self.sentence_ids, self.blocks.tolist(), bounds, bounds[1:], self.trees
-            )
+            Sentence(sid, DepTree(heads[a:b]))
+            for sid, a, b in zip(self.sentence_ids, bounds, bounds[1:])
         )
 
     def subset(self, positions: Sequence[int]) -> "TreebankFile":
@@ -156,6 +138,7 @@ def parse_conllu(source: str | IO[str], parser_id: str = "") -> TreebankFile:
     are kept verbatim and never parsed.
     """
     text = source if isinstance(source, str) else source.read()
+    text = text.removeprefix("\ufeff")  # a byte-order mark
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if text.endswith("\r"):
@@ -271,10 +254,9 @@ def _scan(text: str, lines: list[str]):
     if ids.index(ids[b]) < b:
         raise ConlluError(end, f"duplicate sentence id {ids[b]!r}")
     w = words[offsets[b] : offsets[b + 1]].tolist()
-    try:
-        DepTree([int(lines[i].split("\t")[HEAD_COLUMN]) for i in w])
-    except InvalidTreeError as e:
-        raise ConlluError(w[0] + 1, str(e)) from None
+    tree = tuple(int(lines[i].split("\t")[HEAD_COLUMN]) for i in w)
+    reason = validate_tree(tree, len(tree)).reason
+    raise ConlluError(w[0] + 1, f"bad head sequence {tree!r}: {reason}")
 
 
 def _line_error(line: str, expected_id: int) -> str:
@@ -316,8 +298,8 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
     whose head changed is rewritten, so the output ends with a single
     newline. A parsed file is written back byte for byte, except that CRLF
     endings become LF, blank lines that are whitespace or repeated become
-    one empty line, and the blank line that ends a file in the UD layout is
-    not reproduced.
+    one empty line, the blank line that ends a file in the UD layout is
+    not reproduced, and a leading byte-order mark is dropped.
     """
     lines: Sequence[str] = treebank.lines
     if heads is not None:

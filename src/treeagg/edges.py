@@ -158,8 +158,8 @@ def trees_from_scores(
     for i in np.flatnonzero(~accepted).tolist():
         r = slice(matrix.offsets[i], matrix.offsets[i + 1])
         arcs = tuple(zip(h[r].tolist(), d[r].tolist(), w[r].tolist()))
-        tree = max_arborescence(WeightedTokenGraph(int(q[i]), arcs), enforce_single_root)
-        heads[offsets[i] : offsets[i + 1]] = tree.heads
+        graph = WeightedTokenGraph(int(q[i]), arcs)
+        heads[offsets[i] : offsets[i + 1]] = max_arborescence(graph, enforce_single_root)
     return heads
 
 

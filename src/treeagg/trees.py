@@ -1,16 +1,15 @@
-"""Core domain types: sentences, dependency trees, parser ensembles.
+"""Head sequences, tree checks and parser ensembles.
 
 Head conventions follow CoNLL-U: tokens are numbered 1..q, head 0 is the
 artificial root, and ``heads[d - 1]`` is the head of token ``d``.
 
-Many trees are held as one flat head array plus ``offsets``: the heads of
+Trees are held as one flat head array plus ``offsets``: the heads of
 sentence i are ``heads[offsets[i]:offsets[i + 1]]``. ``check_trees``
 validates every tree of such an array at once; ``validate_tree`` checks one
 head sequence. A ``ParseEnsemble`` stacks m parsers' flat head arrays into
 an (m x tokens) array, and the aggregators decode one flat head array over
-its ``offsets``. A ``DepTree`` is a single validated tree, the
-arborescence solver's result; ``TreebankFile`` builds ``DepTree`` and
-``Sentence`` objects from its arrays only when asked for.
+its ``offsets``. ``TreebankFile.sentences`` is the one per-sentence view: a
+``Sentence`` of an id and a validated ``DepTree``, built only when asked for.
 """
 
 from __future__ import annotations
@@ -117,45 +116,19 @@ class DepTree:
 
 @dataclass(frozen=True)
 class Sentence:
-    """One CoNLL-U block: its verbatim lines and the tree over its words.
-
-    ``lines`` are the block's lines in file order, without line endings:
-    comments, word lines, multiword-token ranges and empty nodes. ``words``
-    gives the index in ``lines`` of each word line, so word ``k`` (1-based)
-    is ``lines[words[k - 1]]``; ``forms`` are the words' FORM columns. A
-    parsed file builds these on demand from its arrays.
-    """
+    """One sentence of a parsed file: its id and the tree over its words."""
 
     sentence_id: str
-    lines: tuple[str, ...]
-    words: tuple[int, ...]
-    forms: tuple[str, ...]
     tree: DepTree
 
-    def __post_init__(self) -> None:
-        if not self.words:
-            raise ValueError(f"sentence {self.sentence_id!r} has no words")
-        if not len(self.tree) == len(self.forms) == len(self.words):
-            raise ValueError(
-                f"sentence {self.sentence_id!r}: {len(self.words)} words, "
-                f"{len(self.forms)} forms, tree over {len(self.tree)}"
-            )
-
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.tree)
 
 
 def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``arange(s, s + n)`` for each start s and length n, end to end."""
     stops = np.cumsum(lengths)
     return np.arange(stops[-1] if len(stops) else 0) - np.repeat(stops - lengths - starts, lengths)
-
-
-def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
-    """A flat per-token array cut into one list per sentence."""
-    flat = values.tolist()
-    bounds = offsets.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,12 +10,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 from hypothesis import strategies as st
 
-from treeagg.arborescence import (
-    NoArborescenceError,
-    WeightedTokenGraph,
-    max_arborescence,
-    tree_weight,
-)
+from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
 from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
 from treeagg.conllu import (
     _EMPTY_ID,
@@ -28,7 +23,7 @@ from treeagg.conllu import (
     TreebankFile,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
-from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, find_cycles, per_sentence
+from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, find_cycles
 
 
 def ensemble_of(
@@ -51,10 +46,34 @@ def ensemble_of(
     return ParseEnsemble(tuple(parser_ids), tuple(trees), np.cumsum([0, *q]), heads)
 
 
+def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
+    """A flat per-token array cut into one list per sentence."""
+    flat = values.tolist()
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def file_contents(tb: TreebankFile) -> tuple:
+    """What two parsed files must share to be the same file: parser id,
+    sentence ids, block bounds, lines and heads, as comparable values."""
+    return tb.parser_id, tb.sentence_ids, tb.blocks.tolist(), tb.lines, tb.heads.tolist()
+
+
 def trees_by_id(heads: np.ndarray, ensemble: ParseEnsemble) -> dict[str, DepTree]:
     """Flat heads over the ensemble's offsets, such as a decode's output
     or one parser's row, cut into one tree per sentence id."""
     return dict(zip(ensemble.sentence_ids, map(DepTree, per_sentence(heads, ensemble.offsets))))
+
+
+def tree_weight(graph: WeightedTokenGraph, heads: Sequence[int]) -> float:
+    """Total weight of a tree's arcs under the graph, summed in dependent order."""
+    lookup = {(h, d): w for h, d, w in graph.arcs}
+    total = 0.0
+    for d, h in enumerate(heads, start=1):
+        if (h, d) not in lookup:
+            raise ValueError(f"tree uses arc ({h}, {d}) absent from the graph")
+        total += lookup[(h, d)]
+    return total
 
 
 def random_complete_digraph(q: int, rng: np.random.Generator) -> WeightedTokenGraph:
@@ -269,8 +288,8 @@ _CHUNK = 1 << 18
 
 def brute_force_arborescence(
     graph: WeightedTokenGraph, enforce_single_root: bool = True
-) -> DepTree:
-    """Exhaustive maximum arborescence for q <= 8.
+) -> tuple[int, ...]:
+    """The heads of an exhaustive maximum arborescence, for q <= 8.
 
     Enumerates all head assignments drawn from each token's incoming arcs,
     in lexicographic order of the head sequence, keeping the first
@@ -324,7 +343,7 @@ def brute_force_arborescence(
             best_heads = tuple(int(x) for x in assign[j])
     if best_heads is None:
         raise NoArborescenceError("no spanning arborescence")
-    return DepTree(best_heads)
+    return best_heads
 
 
 class _Arc(NamedTuple):
@@ -381,16 +400,16 @@ def _recursive_solve(nodes: list[int], arcs: list[_Arc]) -> list[_Arc]:
     return chosen
 
 
-def _heads_from(chosen: Iterable[_Arc], q: int) -> DepTree:
+def _heads_from(chosen: Iterable[_Arc], q: int) -> tuple[int, ...]:
     heads = [-1] * q
     for arc in chosen:
         heads[arc.dep - 1] = arc.head
-    return DepTree(tuple(heads))
+    return tuple(heads)
 
 
 def reference_max_arborescence(
     graph: WeightedTokenGraph, enforce_single_root: bool = True
-) -> DepTree:
+) -> tuple[int, ...]:
     """``max_arborescence`` with the recursive Chu-Liu/Edmonds pass the
     contraction loop replaced: one call per contracted cycle, each chosen
     arc lifted through a chain of parent arcs. It recurses as deep as the
@@ -411,7 +430,7 @@ def reference_max_arborescence(
         except NoArborescenceError:
             continue
         total = tree_weight(graph, tree)
-        key = (total, tuple(-h for h in tree.heads))
+        key = (total, tuple(-h for h in tree))
         if best is None or key > best:
             best, best_tree = key, tree
     if best is None:
@@ -430,7 +449,7 @@ def reference_repair(prefs: Sequence[int]) -> tuple[int, ...]:
         for h in range(q + 1)
         if h != d
     )
-    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True).heads
+    return max_arborescence(WeightedTokenGraph(q, arcs), enforce_single_root=True)
 
 
 def joint_prob_oracle(

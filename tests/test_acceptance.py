@@ -21,9 +21,10 @@ from helpers import (
     random_complete_digraph,
     random_vote_matrix,
     spearman,
+    tree_weight,
     weight_update,
 )
-from treeagg.arborescence import max_arborescence, tree_weight
+from treeagg.arborescence import max_arborescence
 from treeagg.cim import IsingParams, _canonical_value_grad, fit_canonical_params, infer_scores
 from treeagg.cli import EXIT_REJECTED, run
 from treeagg.conllu import parse_conllu, write_conllu

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from treeagg.arborescence import (
     NoArborescenceError,
     WeightedTokenGraph,
+    _solve,
     max_arborescence,
-    tree_weight,
 )
-from treeagg.trees import DepTree, find_cycles
+from treeagg.trees import find_cycles, validate_tree
 
 from helpers import (
     brute_force_arborescence,
     random_complete_digraph,
     reference_max_arborescence,
+    tree_weight,
 )
 
 
@@ -37,19 +38,19 @@ def test_graph_validation():
 def test_graph_dedupes_keeping_larger_weight():
     g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 1, 3.0), (0, 2, 2.0)))
     assert g.arcs == ((0, 1, 3.0), (0, 2, 2.0))
-    assert tree_weight(g, DepTree((0, 0))) == 5.0  # the kept 3.0 plus 2.0
+    assert tree_weight(g, (0, 0)) == 5.0  # the kept 3.0 plus 2.0
 
 
 def test_tree_weight_requires_arcs_present():
     g = WeightedTokenGraph(2, ((0, 1, 1.0), (1, 2, 2.0)))
-    assert tree_weight(g, DepTree((0, 1))) == 3.0
+    assert tree_weight(g, (0, 1)) == 3.0
     with pytest.raises(ValueError, match="absent from the graph"):
-        tree_weight(g, DepTree((2, 0)))
+        tree_weight(g, (2, 0))
 
 
 def test_single_tree_graph_returns_that_tree():
-    tree = DepTree((2, 0, 2, 3))
-    arcs = tuple((h, d, 1.0) for d, h in enumerate(tree.heads, start=1))
+    tree = (2, 0, 2, 3)
+    arcs = tuple((h, d, 1.0) for d, h in enumerate(tree, start=1))
     g = WeightedTokenGraph(4, arcs)
     assert max_arborescence(g) == tree
     assert brute_force_arborescence(g) == tree
@@ -59,8 +60,8 @@ def test_two_token_example():
     # all three arborescences: [0,1] weighs 3, [2,0] weighs 1.5, [0,0]
     # weighs 2 (two root edges, invalid under single-root)
     g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 2.0), (2, 1, 0.5)))
-    assert max_arborescence(g).heads == (0, 1)
-    assert max_arborescence(g, enforce_single_root=False).heads == (0, 1)
+    assert max_arborescence(g) == (0, 1)
+    assert max_arborescence(g, enforce_single_root=False) == (0, 1)
     assert tree_weight(g, max_arborescence(g)) == 3.0
 
 
@@ -71,10 +72,10 @@ def test_equal_weight_ties_break_lexicographically():
         (h, d, 1.0) for d in range(1, 4) for h in range(0, 4) if h != d
     )
     g = WeightedTokenGraph(3, arcs)
-    assert max_arborescence(g).heads == (0, 1, 1)
-    assert max_arborescence(g, enforce_single_root=False).heads == (0, 0, 0)
-    assert brute_force_arborescence(g).heads == (0, 1, 1)
-    assert brute_force_arborescence(g, enforce_single_root=False).heads == (0, 0, 0)
+    assert max_arborescence(g) == (0, 1, 1)
+    assert max_arborescence(g, enforce_single_root=False) == (0, 0, 0)
+    assert brute_force_arborescence(g) == (0, 1, 1)
+    assert brute_force_arborescence(g, enforce_single_root=False) == (0, 0, 0)
 
 
 def test_equal_weight_ties_after_a_contraction_pin_todays_outputs():
@@ -103,8 +104,8 @@ def test_equal_weight_ties_after_a_contraction_pin_todays_outputs():
     for q, arcs, solved, smallest in cases:
         g = WeightedTokenGraph(q, tuple((h, d, 1.0) for h, d in arcs))
         for single in (True, False):
-            assert max_arborescence(g, single).heads == solved
-            assert brute_force_arborescence(g, single).heads == smallest
+            assert max_arborescence(g, single) == solved
+            assert brute_force_arborescence(g, single) == smallest
 
 
 def test_ties_after_two_contractions_pin_todays_outputs():
@@ -120,7 +121,7 @@ def test_ties_after_two_contractions_pin_todays_outputs():
     g = WeightedTokenGraph(6, arcs)
     for single in (True, False):
         tree = max_arborescence(g, single)
-        assert tree.heads == (5, 3, 5, 6, 0, 1)
+        assert tree == (5, 3, 5, 6, 0, 1)
         assert tree_weight(g, tree) == tree_weight(g, brute_force_arborescence(g, single))
 
 
@@ -145,8 +146,8 @@ def test_equal_weight_ties_without_a_cycle_give_the_smallest_sequence():
             continue
         acyclic += 1
         g = WeightedTokenGraph(q, arcs)
-        assert max_arborescence(g, False).heads == tuple(heads)
-        assert brute_force_arborescence(g, False).heads == tuple(heads)
+        assert max_arborescence(g, False) == tuple(heads)
+        assert brute_force_arborescence(g, False) == tuple(heads)
     assert acyclic > 50
 
 
@@ -163,7 +164,7 @@ def test_missing_arcs_are_detected():
     g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 2, 1.0)))
     with pytest.raises(NoArborescenceError, match="single-rooted"):
         max_arborescence(g)
-    assert max_arborescence(g, enforce_single_root=False).heads == (0, 0)
+    assert max_arborescence(g, enforce_single_root=False) == (0, 0)
 
 
 def test_brute_force_caps_token_count():
@@ -190,9 +191,9 @@ def test_solver_matches_oracle_totals_under_heavy_ties():
             a = max_arborescence(g, single)
             b = brute_force_arborescence(g, single)
             assert tree_weight(g, a) == tree_weight(g, b), (i, single)
-            assert max_arborescence(g, single).heads == a.heads
+            assert max_arborescence(g, single) == a
             if single:
-                assert sum(1 for h in a.heads if h == 0) == 1
+                assert a.count(0) == 1
 
 
 def test_solver_matches_oracle_heads_when_optimum_is_unique():
@@ -211,7 +212,7 @@ def test_solver_matches_oracle_heads_when_optimum_is_unique():
         for single in (True, False):
             a = max_arborescence(g, single)
             b = brute_force_arborescence(g, single)
-            assert a.heads == b.heads, (i, single)
+            assert a == b, (i, single)
 
 
 def test_solver_handles_nested_cycles():
@@ -225,20 +226,20 @@ def test_solver_handles_nested_cycles():
     assert best == brute_force_arborescence(g)
     # hand enumeration of all eight single-root trees: the 0->3->2->1
     # chain (0.1 + 9.5 + 10.0 = 19.6) beats the runner-up 19.3
-    assert best.heads == (2, 3, 0)
+    assert best == (2, 3, 0)
     assert tree_weight(g, best) == pytest.approx(19.6)
 
 
 @st.composite
-def tie_heavy_graphs(draw):
+def tie_heavy_graphs(draw, weights=(0.0, 0.5, 1.0, 1.5)):
     """Graphs over 1-10 tokens at a drawn arc density, weights from
-    {0, 0.5, 1, 1.5}: ties and contractions are common, and so are graphs
+    ``weights``: ties and contractions are common, and so are graphs
     with no (single-rooted) arborescence."""
     q = draw(st.integers(1, 10))
     density = draw(st.floats(0.1, 1.0))
     rnd = draw(st.randoms(use_true_random=False))
     arcs = tuple(
-        (h, d, rnd.choice((0.0, 0.5, 1.0, 1.5)))
+        (h, d, rnd.choice(weights))
         for d in range(1, q + 1)
         for h in range(0, q + 1)
         if h != d and rnd.random() < density
@@ -248,7 +249,7 @@ def tie_heavy_graphs(draw):
 
 def outcome(solver, graph, single):
     try:
-        return solver(graph, single).heads
+        return solver(graph, single)
     except NoArborescenceError as e:
         return type(e), str(e)
 
@@ -260,6 +261,26 @@ def test_solver_matches_the_recursive_reference(graph, single):
     assert outcome(max_arborescence, graph, single) == outcome(
         reference_max_arborescence, graph, single
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_graphs((0.1, 0.2, 0.3, 0.7)))
+def test_solver_returns_a_tree_and_its_weight(graph):
+    # nothing validates the returned heads, so check them here; the
+    # single-root rule compares the totals, which must equal the sum
+    # tree_weight computes, bit for bit (these weights' sums depend on
+    # their order)
+    try:
+        heads, total = _solve(graph.q, graph.arcs)
+    except NoArborescenceError:
+        return
+    assert validate_tree(heads, graph.q).ok
+    assert total == tree_weight(graph, heads)
+    try:
+        single = max_arborescence(graph)
+    except NoArborescenceError:
+        return
+    assert validate_tree(single, graph.q).ok and single.count(0) == 1
 
 
 def test_deeply_nested_contractions_do_not_recurse():
@@ -277,6 +298,6 @@ def test_deeply_nested_contractions_do_not_recurse():
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
         for single in (True, False):
-            assert max_arborescence(g, single).heads == tuple(range(600))
+            assert max_arborescence(g, single) == tuple(range(600))
     finally:
         sys.setrecursionlimit(limit)

@@ -16,11 +16,11 @@ from treeagg.conllu import (
     save_treebank,
     write_conllu,
 )
-from treeagg.trees import DepTree
-
 from helpers import (
     conllu_text,
+    file_contents,
     head_sequences,
+    per_sentence,
     reference_check_segmentation,
     reference_parse_conllu,
 )
@@ -45,7 +45,7 @@ def test_parse_minimal():
     assert tb.parser_id == "p"
     assert len(tb) == 1
     assert tb.sentences[0].sentence_id == "s1"
-    assert tb.trees == (DepTree((0, 1)),)
+    assert tb.sentences[0].tree.heads == (0, 1)
 
 
 def test_parse_assigns_fallback_sentence_ids():
@@ -56,14 +56,15 @@ def test_parse_assigns_fallback_sentence_ids():
 
 def test_parse_extras_and_comments():
     tb = parse_conllu(FULL_FIXTURE)
-    s = tb.sentences[0]
-    assert s.lines == tuple(FULL_FIXTURE.split("\n\n")[0].split("\n"))
-    assert s.lines[:2] == ("# sent_id = rt1", "# text = ab c")
-    assert s.forms == ("a", "b", "c")
-    assert s.tree == DepTree((2, 0, 2))
+    start, stop = tb.blocks[0].tolist()
+    lines = tb.lines[start:stop]
+    assert lines == tuple(FULL_FIXTURE.split("\n\n")[0].split("\n"))
+    assert lines[:2] == ("# sent_id = rt1", "# text = ab c")
+    assert tb.column(1)[:3] == ["a", "b", "c"]
+    assert tb.heads[:3].tolist() == [2, 0, 2]
     # the range line comes before word 1, the empty node between words 2 and 3
-    assert s.words == (3, 4, 6)
-    assert s.lines[s.words[2]].split("\t")[3] == "PUNCT"
+    assert tb.words[:3].tolist() == [3, 4, 6]
+    assert tb.lines[tb.words[2]].split("\t")[3] == "PUNCT"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -101,7 +102,7 @@ def test_parse_errors_carry_line_numbers():
     )
     padded = first + "2\tb\t_\t_\t_\t_\t01\t_\t_\t_\n"
     tb = parse_conllu(padded)
-    assert tb.trees == (DepTree((0, 1)),)
+    assert tb.heads.tolist() == [0, 1]
     assert write_conllu(tb, np.array([0, 1])) == padded
     assert write_conllu(tb, np.array([2, 0])).split("\n")[1].split("\t")[6] == "0"
 
@@ -129,6 +130,11 @@ def test_parse_raises_the_error_a_line_reader_meets_first():
     cases = [
         (["# sent_id = a", _word(1, 2), _word(2, 1), "", _word(1, 0, 9), ""],
          2, "bad head sequence (2, 1): cycle"),
+        ([_word(1, 1)], 1, "bad head sequence (1,): self-loop"),
+        # in a later block, the line number is that block's first word line
+        (["# sent_id = a", _word(1, 0), "", "# sent_id = b", "1-2" + "\t_" * 9,
+          _word(1, 0), _word(2, 3), _word(3, 2), ""],
+         6, "bad head sequence (0, 3, 2): cycle"),
         (["# sent_id = a", _word(1, 0), "", "# sent_id = a", _word(1, 0), "", _word("x", 0), ""],
          6, "duplicate sentence id 'a'"),
         # the last block of a file without a final newline is met at its last
@@ -168,12 +174,35 @@ def test_crlf_input_parses_like_lf():
     assert write_conllu(parse_conllu(crlf)) == write_conllu(parse_conllu(text))
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    text = conllu_text([("s1", ["a", "b"], [0, 1]), ("s2", ["c"], [0])])
+    plain = parse_conllu(text)
+    bom = tmp_path / "bom.conllu"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for tb in (load_treebank(bom), parse_conllu("\ufeff" + text)):
+        assert (tb.sentence_ids, tb.heads.tolist()) == (plain.sentence_ids, plain.heads.tolist())
+        save_treebank(tb, tmp_path / "out.conllu")
+        assert (tmp_path / "out.conllu").read_bytes() == text.encode("utf-8")
+    word = _word(1, 0) + "\n"
+    assert write_conllu(parse_conllu("\ufeff" + word)) == word
+    # only the one mark that starts the text is dropped
+    for source, line_no, message in (
+        ("\ufeff\ufeff" + text, 1, "expected 10 columns, found 1"),
+        ("\ufeff\ufeff" + word, 1, "unrecognized token id '\\ufeff1'"),
+        (text.replace("\n2\tb", "\n\ufeff2\tb"), 3, "unrecognized token id '\\ufeff2'"),
+        (text.replace("# sent_id = s2", "\ufeff# sent_id = s2"), 5, "expected 10 columns, found 1"),
+    ):
+        with pytest.raises(ConlluError) as err:
+            parse_conllu(source)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
 def test_parse_accepts_strings_and_readable_files():
     expected = parse_conllu(FULL_FIXTURE)
     crlf = FULL_FIXTURE.replace("\n", "\r\n")
     for source in (crlf, io.StringIO(FULL_FIXTURE), io.StringIO(crlf, newline="")):
         tb = parse_conllu(source)
-        assert tb == expected
+        assert file_contents(tb) == file_contents(expected)
         assert write_conllu(tb) == FULL_FIXTURE
 
 
@@ -342,26 +371,22 @@ def test_write_reproduces_source_and_moves_only_heads(source, data):
     if crlf:
         text = text.replace("\n", "\r\n")
     tb = parse_conllu(text)
-    assert tb.trees == tuple(tree for _, tree in blocks)
+    assert per_sentence(tb.heads, tb.offsets) == [list(tree.heads) for _, tree in blocks]
     assert write_conllu(tb) == expected
 
-    predicted = {
-        s.sentence_id: data.draw(head_sequences(len(s))) for s in tb.sentences
-    }
-    heads = np.array([h for tree in predicted.values() for h in tree.heads])
+    predicted = [data.draw(head_sequences(q)) for q in tb.lengths.tolist()]
+    heads = np.array([h for tree in predicted for h in tree.heads])
     before = expected.split("\n")
     after = write_conllu(tb, heads).split("\n")
     assert len(after) == len(before)
+    # the source has the output's layout, so a word's line is its index in before
     moved = set()
-    offset = 0
-    for s in tb.sentences:
-        for w, old, new in zip(s.words, s.tree.heads, predicted[s.sentence_id].heads):
-            if old != new:
-                moved.add(offset + w)
-                cols = before[offset + w].split("\t")
-                cols[6] = str(new)
-                assert after[offset + w] == "\t".join(cols)
-        offset += len(s.lines) + 1
+    for w, old, new in zip(tb.words.tolist(), tb.heads.tolist(), heads.tolist()):
+        if old != new:
+            moved.add(w)
+            cols = before[w].split("\t")
+            cols[6] = str(new)
+            assert after[w] == "\t".join(cols)
     assert [i for i, (b, a) in enumerate(zip(before, after)) if b != a] == sorted(moved)
 
 
@@ -439,7 +464,13 @@ def test_scan_agrees_with_the_line_loop(text):
         assert (str(err.value), err.value.line_no) == (str(e), e.line_no)
         return
     tb = parse_conllu(text)
-    got = [(s.sentence_id, s.lines, s.words, s.forms, s.tree.heads) for s in tb.sentences]
+    bounds = tb.offsets.tolist()
+    words, forms, heads = tb.words.tolist(), tb.column(1), tb.heads.tolist()
+    got = [
+        (sid, tb.lines[start:stop], tuple(w - start for w in words[a:b]),
+         tuple(forms[a:b]), tuple(heads[a:b]))
+        for sid, (start, stop), a, b in zip(tb.sentence_ids, tb.blocks.tolist(), bounds, bounds[1:])
+    ]
     assert got == expected
     assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]
 

@@ -193,7 +193,7 @@ def solver_decode(matrix, scores, ensemble, single_root):
     for i, (sid, r) in enumerate(sentence_rows(matrix)):
         arcs = zip(matrix.heads[r].tolist(), matrix.deps[r].tolist(), scores[r].tolist())
         graph = WeightedTokenGraph(q[i], tuple(arcs))
-        out[sid] = max_arborescence(graph, single_root)
+        out[sid] = DepTree(max_arborescence(graph, single_root))
     return out
 
 

@@ -51,12 +51,12 @@ def test_shapes_and_names(corpus):
     )
     sizes = {len(s) for s in corpus.gold.sentences}
     assert min(sizes) >= 8 and max(sizes) <= 14
-    first = corpus.files[1].sentences[0]
-    assert first.lines[0] == "# sent_id = synth0001"
-    assert first.words == tuple(range(1, len(first) + 1))
-    assert first.forms == tuple(f"w{d}" for d in range(1, len(first) + 1))
-    h = first.tree.heads[0]
-    assert first.lines[1] == f"1\tw1\t_\t_\t_\t_\t{h}\t_\t_\t_"
+    tb = corpus.files[1]
+    start, q = int(tb.blocks[0, 0]), int(tb.lengths[0])
+    assert tb.lines[start] == "# sent_id = synth0001"
+    assert (tb.words[:q] - start).tolist() == list(range(1, q + 1))
+    assert tb.column(1)[:q] == [f"w{d}" for d in range(1, q + 1)]
+    assert tb.lines[start + 1] == f"1\tw1\t_\t_\t_\t_\t{tb.heads[0]}\t_\t_\t_"
 
 
 def test_every_tree_is_valid_and_single_rooted(corpus):

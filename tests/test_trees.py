@@ -82,20 +82,9 @@ def test_edges_roundtrip():
 
 
 def test_sentence_invariants():
-    lines = (
-        "# sent_id = s1",
-        "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
-        "2\tb\t_\t_\t_\t_\t1\t_\t_\t_",
-    )
-    sent = Sentence("s1", lines, (1, 2), ("a", "b"), DepTree((0, 1)))
-    assert len(sent) == 2
-    assert sent.forms == ("a", "b")
-    with pytest.raises(ValueError, match="no words"):
-        Sentence("s2", lines[:1], (), (), DepTree((0,)))
-    with pytest.raises(ValueError, match="tree over 1"):
-        Sentence("s3", lines, (1, 2), ("a", "b"), DepTree((0,)))
-    with pytest.raises(ValueError, match="1 forms"):
-        Sentence("s3", lines, (1, 2), ("a",), DepTree((0, 1)))
+    # a sentence is its id and a tree; its length is the tree's
+    sent = Sentence("s1", DepTree((0, 1)))
+    assert (sent.sentence_id, sent.tree.heads, len(sent)) == ("s1", (0, 1), 2)
 
 
 def test_ensemble_invariants():
