@@ -1,14 +1,14 @@
 """CoNLL-U reading and writing.
 
-A parsed file is a set of arrays over its verbatim lines and their UTF-8
-bytes. Parsing reads only the ID and HEAD columns of word lines and the
-byte span of each FORM; comments, multiword-token ranges, empty nodes and
-the other columns pass through untouched (``TreebankFile.column`` reads
-one on request). Writing takes a flat head array laid out like the file's
-own ``heads``, such as an aggregator's decoded trees, and rewrites only the
-HEAD column of the word lines whose head changed. Input may start with a
-byte-order mark and use LF or CRLF line endings; output is LF, with each
-sentence followed by one empty line and the file ending in a single newline.
+A parsed file is its UTF-8 bytes, where their newlines are, and arrays
+over its lines. Parsing reads only the ID and HEAD columns of word lines
+and the byte span of each FORM; comments, multiword-token ranges, empty
+nodes and the other columns pass through untouched (``TreebankFile.column``
+reads one on request). Writing takes a flat head array laid out like the
+file's own ``heads``, such as an aggregator's decoded trees, copies each
+sentence's bytes and rewrites the HEAD field of the lines whose head changed.
+Input may start with a byte-order mark and use LF or CRLF line endings;
+output is LF, with each sentence followed by one empty line.
 
 Parsing scans the bytes at once: numpy finds the tabs and newlines,
 classifies each line by its first byte, reads the ID and HEAD fields of
@@ -16,8 +16,8 @@ token lines together as digit fields, and checks every sentence's tree
 together (``trees.check_trees``). A failed check flags its lines or
 sentence blocks rather than stopping the scan, and the error raised, with
 its line number, is the one a reader going line by line would meet first.
-Only the line or block that earns it is read again, to build its message;
-a broken tree's message gives the reason ``trees.validate_tree`` finds.
+A line is decoded only to be read alone: a comment, for its sentence id, a
+line that may be all whitespace, and the line or block an error names.
 """
 
 from __future__ import annotations
@@ -64,28 +64,30 @@ class ConlluError(ValueError):
 class TreebankFile:
     """One parser's (or the gold) trees for a whole treebank, as arrays.
 
-    ``lines`` are the source lines without line endings; the subsets of a
-    file share them. Sentence i, with id ``sentence_ids[i]``, is the block
-    ``lines[blocks[i, 0]:blocks[i, 1]]``, and its words are the entries
+    ``raw`` holds the file's UTF-8 bytes between two added newlines, and
+    line i (0-based, without its line ending) is
+    ``raw[newlines[i] + 1:newlines[i + 1]]``; the subsets of a file share
+    both. Sentence i, with id ``sentence_ids[i]``, is the block of lines
+    ``blocks[i, 0]:blocks[i, 1]``, and its words are the entries
     ``offsets[i]:offsets[i + 1]`` of the flat arrays ``heads`` (the HEAD
-    column) and ``words`` (the index in ``lines`` of each word line).
-    ``raw`` holds the lines' UTF-8 bytes, each line between two newlines,
-    and word k's FORM is ``raw[forms[0, k]:forms[1, k]]``. ``sentences``
-    pairs each sentence id with its tree, built on demand.
+    column) and ``words`` (the line of each word), and word k's FORM is
+    ``raw[forms[0, k]:forms[1, k]]``. ``sentences`` pairs each sentence id
+    with its tree, built on demand.
     """
 
     parser_id: str
-    lines: tuple[str, ...]
     sentence_ids: tuple[str, ...]
     blocks: np.ndarray
     offsets: np.ndarray
     heads: np.ndarray
     words: np.ndarray
     raw: np.ndarray
+    newlines: np.ndarray
     forms: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.blocks, self.offsets, self.heads, self.words, self.raw, self.forms):
+        for a in (self.blocks, self.offsets, self.heads, self.words, self.raw,
+                  self.newlines, self.forms):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -101,8 +103,11 @@ class TreebankFile:
         sentences end to end."""
         if not 0 <= index < N_COLUMNS:
             raise ValueError(f"column index {index} is outside 0..{N_COLUMNS - 1}")
-        lines = self.lines
-        return [lines[w].split("\t", index + 1)[index] for w in self.words.tolist()]
+        sep = np.flatnonzero(self.raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
+        at = np.searchsorted(sep, self.newlines[self.words]) + index  # the one before the field
+        data = self.raw.tobytes()
+        start, stop = (sep[at] + 1).tolist(), sep[at + 1].tolist()
+        return [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(start, stop)]
 
     @property
     def sentences(self) -> tuple[Sentence, ...]:
@@ -128,23 +133,29 @@ class TreebankFile:
         )
 
 
-def parse_conllu(source: str | IO[str], parser_id: str = "") -> TreebankFile:
+def parse_conllu(source: str | IO[str] | IO[bytes], parser_id: str = "") -> TreebankFile:
     """Parse CoNLL-U text into a :class:`TreebankFile`.
 
-    ``source`` is a string or a readable file. Errors carry line numbers.
-    Word lines must have ten tab-separated columns, consecutive integer ids
-    from 1, and an integer HEAD; the head sequence of every sentence must
-    form a valid rooted tree. Range ids ("2-3") and empty-node ids ("2.1")
-    are kept verbatim and never parsed.
+    ``source`` is a string or a readable text or UTF-8 binary file. Errors
+    carry line numbers. Word lines must have ten tab-separated columns,
+    consecutive integer ids from 1, and an integer HEAD; the head sequence
+    of every sentence must form a valid rooted tree. Range ids ("2-3") and
+    empty-node ids ("2.1") are kept verbatim and never parsed.
     """
-    text = source if isinstance(source, str) else source.read()
-    text = text.removeprefix("\ufeff")  # a byte-order mark
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if text.endswith("\r"):
-            text = text[:-1]
-    lines = text.split("\n")
-    return TreebankFile(parser_id, tuple(lines), *_scan(text, lines))
+    data = source if isinstance(source, str) else source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not data.isascii():  # ASCII is UTF-8; other bytes are decoded as a check
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            bad = f"byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})"
+            raise ConlluError(data.count(b"\n", 0, e.start) + 1, bad) from None
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
+    if b"\r" in data:  # CRLF endings, and a final CR
+        data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
+    # a newline before and after the text: line i runs from newline i to i + 1
+    return TreebankFile(parser_id, *_scan(b"".join((b"\n", data, b"\n"))))
 
 
 def _read_numbers(
@@ -165,18 +176,23 @@ def _read_numbers(
     return ok, value
 
 
-def _scan(text: str, lines: list[str]):
-    """(sentence ids, blocks, offsets, heads, words, raw, forms) of a valid file.
+def _scan(buf: bytes):
+    """(sentence ids, blocks, offsets, heads, words, raw, newlines, forms)
+    of the valid file whose bytes, between two newlines, are ``buf``.
 
     Otherwise raises the error a reader going line by line meets first:
     that of the first ``bad`` line, or of the first ``broken`` block, met
     at the blank line after it (at the last line for the last block).
     """
-    # a newline before and after the text: line i runs from newline i to i + 1
-    raw = np.frombuffer(b"\n" + text.encode("utf-8", "surrogatepass") + b"\n", dtype=np.uint8)
+    raw = np.frombuffer(buf, dtype=np.uint8)
     sep = np.flatnonzero(raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
     eol = np.flatnonzero(raw[sep] == _NEWLINE)  # the newlines, as indices in sep
-    starts = sep[eol[:-1]] + 1
+    newlines = sep[eol]
+
+    def line(i: int) -> str:
+        return buf[newlines[i] + 1 : newlines[i + 1]].decode("utf-8", "surrogatepass")
+
+    starts = newlines[:-1] + 1
     first = raw[starts]
     blank = first == _NEWLINE
     comment = first == _HASH
@@ -184,7 +200,7 @@ def _scan(text: str, lines: list[str]):
     # a line of any other first byte is blank if it is all whitespace, else a
     # token line that the checks below reject
     for i in np.flatnonzero(~(blank | comment | digit)).tolist():
-        blank[i] = lines[i].isspace()
+        blank[i] = line(i).isspace()
     filled = ~blank
     token = filled & ~comment
     # a comment may not follow a token line of its block
@@ -209,7 +225,7 @@ def _scan(text: str, lines: list[str]):
     )
     (numeric, digits), (ident, heads) = ok.reshape(2, -1), value.reshape(2, -1)
     for i in tok[~numeric].tolist():
-        field = lines[i].partition("\t")[0]
+        field = line(i).partition("\t")[0]
         bad[i] |= not (_RANGE_ID.fullmatch(field) or _EMPTY_ID.fullmatch(field))
     # every all-digit id is a word line: 1, 2, ... within its block
     words = tok[numeric]
@@ -220,7 +236,7 @@ def _scan(text: str, lines: list[str]):
     bad[words] |= (ident[numeric] != rank) | (first[words] == _ZERO)
     digits, heads = digits[numeric], heads[numeric]
     for k in np.flatnonzero(~digits).tolist():
-        field = lines[words[k]].split("\t")[HEAD_COLUMN]
+        field = line(words[k]).split("\t")[HEAD_COLUMN]
         if field.isascii() and field.isdigit():
             heads[k] = min(int(field), np.iinfo(np.int64).max)
         else:
@@ -229,9 +245,11 @@ def _scan(text: str, lines: list[str]):
 
     found: list[str | None] = [None] * n_blocks
     marks = np.flatnonzero(comment)
-    for i, b in zip(marks.tolist(), block_of[marks].tolist()):
+    for b, start, stop in zip(
+        block_of[marks].tolist(), starts[marks].tolist(), newlines[marks + 1].tolist()
+    ):
         if found[b] is None:
-            m = _SENT_ID.match(lines[i])
+            m = _SENT_ID.match(buf[start:stop].decode("utf-8", "surrogatepass"))
             if m:
                 found[b] = m.group(1).strip()
     ids = tuple(sid or f"s{b + 1}" for b, sid in enumerate(found))
@@ -240,21 +258,21 @@ def _scan(text: str, lines: list[str]):
         seen: dict[str, int] = {}
         broken |= [seen.setdefault(sid, b) != b for b, sid in enumerate(ids)]
     if not (bad.any() or broken.any()):
-        return ids, blocks, offsets, heads, words, raw, forms
+        return ids, blocks, offsets, heads, words, raw, newlines, forms
 
-    line = int(np.argmax(bad)) + 1 if bad.any() else len(lines) + 1
+    line_no = int(np.argmax(bad)) + 1 if bad.any() else len(newlines)
     b = int(np.argmax(broken))
-    end = min(int(blocks[b, 1]) + 1, len(lines))
-    if not broken[b] or line <= end:
+    end = min(int(blocks[b, 1]) + 1, len(newlines) - 1)
+    if not broken[b] or line_no <= end:
         # the id a word line here would have: one more than the words before
-        expected = np.searchsorted(words, line - 1) - offsets[block_of[line - 1]] + 1
-        raise ConlluError(line, _line_error(lines[line - 1], int(expected)))
+        expected = np.searchsorted(words, line_no - 1) - offsets[block_of[line_no - 1]] + 1
+        raise ConlluError(line_no, _line_error(line(line_no - 1), int(expected)))
     if q[b] == 0:
         raise ConlluError(end, "sentence block without word lines")
     if ids.index(ids[b]) < b:
         raise ConlluError(end, f"duplicate sentence id {ids[b]!r}")
     w = words[offsets[b] : offsets[b + 1]].tolist()
-    tree = tuple(int(lines[i].split("\t")[HEAD_COLUMN]) for i in w)
+    tree = tuple(int(line(i).split("\t")[HEAD_COLUMN]) for i in w)
     reason = validate_tree(tree, len(tree)).reason
     raise ConlluError(w[0] + 1, f"bad head sequence {tree!r}: {reason}")
 
@@ -278,13 +296,10 @@ def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFil
     """Parse the file at ``path``; an error names the file."""
     p = Path(path)
     try:
-        with open(p, encoding="utf-8", newline="") as fh:
+        with open(p, "rb") as fh:
             return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
     except ConlluError as e:
         raise ConlluError(e.line_no, e.message, p) from None
-    except UnicodeDecodeError as e:  # read() decodes the whole file: e.start is its offset
-        bad = f"byte 0x{e.object[e.start]:02x} is not UTF-8 ({e.reason})"
-        raise ConlluError(e.object.count(b"\n", 0, e.start) + 1, bad, p) from None
 
 
 def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str:
@@ -293,15 +308,18 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
     ``heads`` is an integer array shaped like ``treebank.heads`` that holds
     a tree per sentence, such as the decoded consensus of an ensemble built
     from this file; anything else raises ``ValueError``, so every written
-    file parses back. Each sentence is written as its verbatim lines
-    followed by one empty line, and only the HEAD column of a word line
-    whose head changed is rewritten, so the output ends with a single
+    file parses back. Each sentence is written as the bytes of its lines
+    followed by one empty line, and only the HEAD field of a word line
+    whose head changed is replaced, so the output ends with a single
     newline. A parsed file is written back byte for byte, except that CRLF
     endings become LF, blank lines that are whitespace or repeated become
     one empty line, the blank line that ends a file in the UD layout is
     not reproduced, and a leading byte-order mark is dropped.
     """
-    lines: Sequence[str] = treebank.lines
+    nl = treebank.newlines
+    span = nl[treebank.blocks] + 1  # each block's bytes, with its last newline
+    data = treebank.raw.data
+    text = b"\n".join([data[a:b] for a, b in span.tolist()])
     if heads is not None:
         heads = np.asarray(heads)
         if heads.shape != treebank.heads.shape or heads.dtype.kind not in "iu":
@@ -314,17 +332,20 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
             sid = treebank.sentence_ids[int(np.argmin(trees))]
             raise ValueError(f"sentence {sid!r}: heads do not form a tree")
         moved = np.flatnonzero(heads != treebank.heads)
-        if moved.size:
-            lines = list(lines)
-            for w, h in zip(treebank.words[moved].tolist(), heads[moved].tolist()):
-                cols = lines[w].split("\t")
-                cols[HEAD_COLUMN] = str(h)
-                lines[w] = "\t".join(cols)
-    out: list[str] = []
-    for start, stop in treebank.blocks.tolist():
-        out.extend(lines[start:stop])
-        out.append("")
-    return "\n".join(out)
+        # each moved word's line in text: where it is in raw, shifted as its block is
+        size = span[:, 1] - span[:, 0] + 1
+        block = np.searchsorted(treebank.offsets, moved, "right") - 1
+        shift = (np.cumsum(size) - size - span[:, 0])[block]
+        w = treebank.words[moved]
+        start, stop = (nl[[w, w + 1]] + [[1], [0]] + shift).tolist()
+        pieces, at = [], 0
+        for a, b, h in zip(start, stop, heads[moved].tolist()):
+            cols = text[a:b].split(b"\t")
+            cols[HEAD_COLUMN] = b"%d" % h
+            pieces += (text[at:a], b"\t".join(cols))
+            at = b
+        text = b"".join([*pieces, text[at:]])
+    return text.decode("utf-8", "surrogatepass")
 
 
 def save_treebank(

@@ -53,10 +53,17 @@ def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def lines_of(tb: TreebankFile) -> tuple[str, ...]:
+    """The file's lines, without line endings: ``raw`` decoded between
+    consecutive ``newlines``."""
+    data, nl = tb.raw.tobytes(), tb.newlines.tolist()
+    return tuple(data[a + 1 : b].decode("utf-8", "surrogatepass") for a, b in zip(nl, nl[1:]))
+
+
 def file_contents(tb: TreebankFile) -> tuple:
     """What two parsed files must share to be the same file: parser id,
     sentence ids, block bounds, lines and heads, as comparable values."""
-    return tb.parser_id, tb.sentence_ids, tb.blocks.tolist(), tb.lines, tb.heads.tolist()
+    return tb.parser_id, tb.sentence_ids, tb.blocks.tolist(), lines_of(tb), tb.heads.tolist()
 
 
 def trees_by_id(heads: np.ndarray, ensemble: ParseEnsemble) -> dict[str, DepTree]:
@@ -275,7 +282,8 @@ def reference_check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
 
     def forms(f: TreebankFile, i: int) -> list[str]:
         words = f.words[f.offsets[i] : f.offsets[i + 1]].tolist()
-        return [f.lines[w].split("\t")[1] for w in words]
+        lines = lines_of(f)
+        return [lines[w].split("\t")[1] for w in words]
 
     return [
         all(forms(f, i) == forms(files[0], i) for f in files[1:])

@@ -1,12 +1,14 @@
 """CoNLL-U parsing, serialization, and cross-file checks."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeagg import cli
 from treeagg.conllu import (
     ConlluError,
     build_ensemble,
@@ -20,6 +22,7 @@ from helpers import (
     conllu_text,
     file_contents,
     head_sequences,
+    lines_of,
     per_sentence,
     reference_check_segmentation,
     reference_parse_conllu,
@@ -57,14 +60,14 @@ def test_parse_assigns_fallback_sentence_ids():
 def test_parse_extras_and_comments():
     tb = parse_conllu(FULL_FIXTURE)
     start, stop = tb.blocks[0].tolist()
-    lines = tb.lines[start:stop]
+    lines = lines_of(tb)[start:stop]
     assert lines == tuple(FULL_FIXTURE.split("\n\n")[0].split("\n"))
     assert lines[:2] == ("# sent_id = rt1", "# text = ab c")
     assert tb.column(1)[:3] == ["a", "b", "c"]
     assert tb.heads[:3].tolist() == [2, 0, 2]
     # the range line comes before word 1, the empty node between words 2 and 3
     assert tb.words[:3].tolist() == [3, 4, 6]
-    assert tb.lines[tb.words[2]].split("\t")[3] == "PUNCT"
+    assert lines_of(tb)[tb.words[2]].split("\t")[3] == "PUNCT"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -197,10 +200,34 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
         assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
 
 
+def test_a_lone_surrogate_parses_and_writes_but_is_not_saved(tmp_path, monkeypatch, capsys):
+    # a str may hold a lone surrogate, which UTF-8 cannot encode: parsing and
+    # write_conllu carry it through as text, and saving refuses it
+    text = "# sent_id = a\ud800\n1\tx\t_\t_\t_\t_\t0\t_\t_\t_\n"
+    tb = parse_conllu(text)
+    assert tb.sentence_ids == ("a\ud800",)
+    assert write_conllu(tb) == text
+    with pytest.raises(UnicodeEncodeError):
+        save_treebank(tb, tmp_path / "out.conllu")
+    # a UnicodeEncodeError is a ValueError, so the CLI reports it and exits 1
+    (tmp_path / "in").mkdir()
+    for k in range(2):
+        (tmp_path / "in" / f"p{k}.conllu").write_text("")
+    monkeypatch.setattr(cli, "load_treebank", lambda path: replace(tb, parser_id=path.stem))
+    argv = ["aggregate", "--inputs", str(tmp_path / "in"), "--method", "mst",
+            "--out", str(tmp_path / "mst.conllu")]
+    assert cli.run(argv) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't encode character '\\ud800' in position 13: "
+        "surrogates not allowed\n"
+    )
+
+
 def test_parse_accepts_strings_and_readable_files():
     expected = parse_conllu(FULL_FIXTURE)
     crlf = FULL_FIXTURE.replace("\n", "\r\n")
-    for source in (crlf, io.StringIO(FULL_FIXTURE), io.StringIO(crlf, newline="")):
+    for source in (crlf, io.StringIO(FULL_FIXTURE), io.StringIO(crlf, newline=""),
+                   io.BytesIO(crlf.encode("utf-8"))):
         tb = parse_conllu(source)
         assert file_contents(tb) == file_contents(expected)
         assert write_conllu(tb) == FULL_FIXTURE
@@ -390,6 +417,36 @@ def test_write_reproduces_source_and_moves_only_heads(source, data):
     assert [i for i, (b, a) in enumerate(zip(before, after)) if b != a] == sorted(moved)
 
 
+@settings(max_examples=200, deadline=None)
+@given(conllu_files(), st.booleans(), st.data())
+def test_text_binary_and_loaded_sources_parse_alike(tmp_path_factory, source, bom, data):
+    blocks, final_blank, crlf = source
+    text = "\n\n".join("\n".join(lines) for lines, _ in blocks) + "\n" * (1 + final_blank)
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    text = "\ufeff" * bom + text
+    path = tmp_path_factory.getbasetemp() / "source.conllu"
+    path.write_bytes(text.encode("utf-8"))
+    parsed = [parse_conllu(text, "p"), parse_conllu(io.BytesIO(text.encode("utf-8")), "p"),
+              load_treebank(path, "p")]
+    for tb in parsed:
+        assert file_contents(tb) == file_contents(parsed[0])
+        assert tb.forms.tolist() == parsed[0].forms.tolist()
+        assert write_conllu(tb) == write_conllu(parsed[0])
+
+    # a byte that is not UTF-8, between two characters: an error at its line
+    at = data.draw(st.integers(0, len(text)))
+    path.write_bytes(text[:at].encode("utf-8") + b"\xff" + text[at:].encode("utf-8"))
+    line_no = text.count("\n", 0, at) + 1
+    message = "byte 0xff is not UTF-8 (invalid start byte)"
+    with path.open("rb") as fh, pytest.raises(ConlluError) as err:
+        parse_conllu(fh)
+    assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+    with pytest.raises(ConlluError) as err:
+        load_treebank(path)
+    assert (err.value.line_no, str(err.value)) == (line_no, f"{path}: line {line_no}: {message}")
+
+
 # ------------------------------------------- the scan against the line loop
 
 _MUTANT_HEADS = ("x", "", "٣", "-1", "0", "1", "2", "3", "7", "00", "0" * 20 + "2", "9" * 20)
@@ -466,8 +523,9 @@ def test_scan_agrees_with_the_line_loop(text):
     tb = parse_conllu(text)
     bounds = tb.offsets.tolist()
     words, forms, heads = tb.words.tolist(), tb.column(1), tb.heads.tolist()
+    lines = lines_of(tb)
     got = [
-        (sid, tb.lines[start:stop], tuple(w - start for w in words[a:b]),
+        (sid, lines[start:stop], tuple(w - start for w in words[a:b]),
          tuple(forms[a:b]), tuple(heads[a:b]))
         for sid, (start, stop), a, b in zip(tb.sentence_ids, tb.blocks.tolist(), bounds, bounds[1:])
     ]

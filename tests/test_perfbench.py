@@ -101,6 +101,20 @@ def test_tracer_counts_the_bytes_of_a_loaded_file(tmp_path):
     assert tracer.counts["conllu.bytes"] == path.stat().st_size
 
 
+def test_tracer_sees_the_write_under_a_saved_file(tmp_path):
+    # conllu.write_s is the time of write_conllu calls, so save_treebank
+    # must write through that name, looked up in the module at call time
+    tb = treeagg.parse_conllu("# sent_id = a\n1\tx\t_\t_\t_\t_\t0\t_\t_\t_\n")
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        treeagg.save_treebank(tb, tmp_path / "out.conllu")
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["conllu.write_conllu.calls"] == 1
+    assert tracer.counts["conllu.parse_conllu.calls"] == 0
+
+
 def test_every_name_the_benchmark_reads_resolves():
     chains = {
         chain

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_repair
+from helpers import lines_of, reference_repair
 from treeagg.conllu import write_conllu
 from treeagg.evaluation import uas
 from treeagg.synth import SynthConfig, SynthResult, _repair, generate
@@ -52,11 +52,12 @@ def test_shapes_and_names(corpus):
     sizes = {len(s) for s in corpus.gold.sentences}
     assert min(sizes) >= 8 and max(sizes) <= 14
     tb = corpus.files[1]
+    lines = lines_of(tb)
     start, q = int(tb.blocks[0, 0]), int(tb.lengths[0])
-    assert tb.lines[start] == "# sent_id = synth0001"
+    assert lines[start] == "# sent_id = synth0001"
     assert (tb.words[:q] - start).tolist() == list(range(1, q + 1))
     assert tb.column(1)[:q] == [f"w{d}" for d in range(1, q + 1)]
-    assert tb.lines[start + 1] == f"1\tw1\t_\t_\t_\t_\t{tb.heads[0]}\t_\t_\t_"
+    assert lines[start + 1] == f"1\tw1\t_\t_\t_\t_\t{tb.heads[0]}\t_\t_\t_"
 
 
 def test_every_tree_is_valid_and_single_rooted(corpus):
