@@ -6,7 +6,7 @@ interaction terms with Y, and pairwise terms between correlated parsers.
 Aggregation proceeds in four steps:
 
 1. estimate a parser correlation graph by neighborhood selection: an
-   L1-penalized logistic regression per column, all in one batched solve,
+   L1-penalized logistic regression per column, one batched solve on one design,
 2. collapse each connected component of correlated parsers into one
    pseudo-parser (within-component majority vote),
 3. estimate mean parameters of the collapsed model by the triplet
@@ -52,63 +52,71 @@ def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return labels[first].astype(np.float64), first, counts
 
 
+# FISTA's momentum M_s, s steps after a restart, and its weight (M_s - 1) / M_{s+1}
+_MOMENTUM = np.array([*itertools.accumulate(
+    range(_L1_MAX_ITERATIONS), lambda m, _: (1 + math.sqrt(1 + 4 * m * m)) / 2, initial=1.0)])
+_EXTRAPOLATION = (_MOMENTUM[:-1] - 1.0) / _MOMENTUM[1:]
+
+
 def fit_l1_logistic(
-    features: np.ndarray,
+    design: np.ndarray,
     targets: np.ndarray,
     penalty: float,
     tol: float = 1e-6,
     counts: np.ndarray | None = None,
+    use: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """k L1-penalized logistic regressions at once, by proximal gradient (FISTA).
+    """k L1-penalized logistic regressions on one design, by proximal gradient (FISTA).
 
-    ``features`` is (k, n, p) and ``targets`` (k, n), in {-1, +1}; each problem
-    minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
-    intercept, with its own step (its inverse Lipschitz bound) and its own
-    momentum, reset to 1 when a step turns back against the last (the gradient
-    restart of O'Donoghue & Candès 2015). A problem freezes, with its iterate,
-    once the KKT residual of the nonsmooth optimality conditions is within
-    ``tol``. Returns intercepts (k,), coefficients (k, p), the iterations the
+    ``design`` is (n, q), ``targets`` (k, n) in {-1, +1}; problem a uses the columns
+    set in row a of the (k, q) mask ``use`` (``None``: all). Each minimizes mean
+    log-loss plus ``penalty * ||w||_1`` with an unpenalized intercept, with its own
+    step (from the largest eigenvalue of its masked Gram matrix) and momentum,
+    restarted when a step turns back against the last (the gradient restart of
+    O'Donoghue & Candès 2015). A problem freezes, with its iterate, once the KKT
+    residual of the nonsmooth optimality conditions is within ``tol``. Returns
+    intercepts (k,), coefficients (k, q), 0 at unused columns, the iterations the
     loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and whether all
     froze. ``counts`` gives each row a multiplicity (``None``: one each), so
     distinct rows with their counts fit as the full matrix.
     """
-    k, n, p = features.shape
+    (n, q), k = design.shape, len(targets)
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
     total = c.sum()
-    # each design transposed, (k, p + 1, n): rows along the last axis
-    XT = np.concatenate([np.ones((k, 1, n)), np.swapaxes(features, 1, 2)], axis=1)
-    step = 4.0 * total / np.linalg.norm(np.sqrt(c) * XT, 2, axis=(1, 2))[:, None] ** 2
+    X = np.column_stack([np.ones(n), design])
+    keep = np.column_stack([np.ones(k, dtype=bool), np.ones((k, q), bool) if use is None else use])
+    gram = np.where(keep[:, :, None] & keep[:, None, :], (X.T * c) @ X, 0.0)
+    step = 4.0 * total / np.linalg.eigvalsh(gram)[:, -1:]
     # per coordinate: the l1 weight (none on the intercept) and prox radius
-    weight = np.r_[0.0, np.full(p, penalty)]
+    weight = np.r_[0.0, np.full(q, penalty)]
     radius = step * weight
-    # c * (sigmoid(x) - t) = half_c * tanh(x / 2) + offset, t = (target + 1) / 2
-    half_c = c / 2.0
-    offset = -half_c * np.asarray(targets, dtype=np.float64)[:, None, :]
+    scale = keep / total  # masks and averages each problem's gradient
+    # c * (sigmoid(x) - t) = c / 2 * (tanh(x / 2) - target), t = (target + 1) / 2,
+    # so a gradient is (tanh(X w / 2) @ (c / 2 * X) + offset) * scale
+    half_XT, half_cX = X.T / 2.0, (c / 2.0)[:, None] * X
+    offset = -(c / 2.0 * np.asarray(targets, dtype=np.float64)) @ X
     live = np.arange(k)  # the problems not yet frozen
-    fitted = np.zeros((k, p + 1))
-    w = z = np.zeros((k, p + 1))
-    gz = (offset @ np.swapaxes(XT, 1, 2))[:, 0] / total
-    momentum, it = np.ones((k, 1)), 0
+    fitted = np.zeros((k, q + 1))
+    w = z = np.zeros((k, q + 1))
+    gz = offset * scale
+    since_restart, it = np.zeros(k, dtype=np.intp), 0
     while live.size and it < _L1_MAX_ITERATIONS:
         it += 1
         w_next = z - step * gz
         w_next -= np.clip(w_next, -radius, radius)  # soft threshold
-        momentum[((z - w_next) * (w_next - w)).sum(axis=1) > 0] = 1.0  # gradient restart
-        m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-        z = w_next + ((momentum - 1.0) / m_next) * (w_next - w)
-        w, momentum = w_next, m_next
+        delta = w_next - w
+        since_restart[((z - w_next) * delta).sum(axis=1) > 0] = 0  # gradient restart
+        wz = np.concatenate([w_next, w_next + _EXTRAPOLATION[since_restart][:, None] * delta])
+        since_restart += 1
         # the gradients at w (for the KKT check) and at z (for the next step)
-        residuals = np.tanh(np.stack([w, z], axis=1) / 2.0 @ XT)
-        residuals *= half_c
-        residuals += offset
-        g = residuals @ np.swapaxes(XT, 1, 2) / total
-        gw, gz = g[:, 0], g[:, 1]
+        w, z = wz[: live.size], wz[live.size :]
+        gw, gz = ((np.tanh(wz @ half_XT) @ half_cX).reshape(2, -1, q + 1) + offset) * scale
         kkt = np.abs(gw + weight * np.sign(w)) - weight * (w == 0)
-        done = kkt.max(axis=1) <= tol
+        done = (kkt <= tol).all(axis=1)
         if done.any():
             fitted[live[done]] = w[done]
-            live, XT, offset, step, radius, w, z, gz, momentum = (
-                a[~done] for a in (live, XT, offset, step, radius, w, z, gz, momentum)
+            live, offset, step, radius, scale, w, z, gz, since_restart = (
+                a[~done] for a in (live, offset, step, radius, scale, w, z, gz, since_restart)
             )
     fitted[live] = w
     return fitted[:, 0], fitted[:, 1:], it, live.size == 0
@@ -159,8 +167,9 @@ def estimate_correlation_graph(
     produces cross-parser coefficients up to roughly 0.5. Duplicated or
     near-duplicated parsers sit an order of magnitude higher.
 
-    All regressions run as one batched solve on the distinct vote patterns,
-    weighted by their counts: the same fits as on every row, far cheaper.
+    All regressions run as one batched solve on one design, the distinct vote
+    patterns weighted by their counts (the same fits as on every row, far
+    cheaper); column a's problem masks column a.
     """
     n, m = matrix.labels.shape
     if m < 2:
@@ -171,22 +180,18 @@ def estimate_correlation_graph(
     if not 0 <= l1_penalty < np.inf:
         raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
     labels, first, counts = _vote_patterns(matrix.labels)
-    # the majority vote is a function of the row's votes, so one per pattern
-    mv = majority_vote(matrix)[first].astype(np.float64)
     excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
     k = len(active)
-    # active column a's design: the other active columns, then the vote (m)
-    cols = np.array([[b for b in active if b != j] + [m] for j in active], dtype=np.intp)
-    features = np.column_stack([labels, mv])[:, cols.reshape(k, k)].transpose(1, 0, 2)
-    fit = fit_l1_logistic(features, labels[:, active].T, l1_penalty, counts=counts)
-    coefs = np.abs(fit[1])
-    strengths: dict[tuple[int, int], float] = {}
-    for a, b in itertools.combinations(range(k), 2):
-        # b sits at b - 1 among a's features, a at a among b's
-        strength = float(min(coefs[a, b - 1], coefs[b, a]))
-        if strength > coef_threshold:
-            strengths[(active[a], active[b])] = strength
+    # one design: the active columns, then the majority vote (a function of the
+    # row's votes, so one per pattern); column a's problem skips column a
+    design = np.column_stack([labels[:, active], majority_vote(matrix)[first]])
+    use = ~np.eye(k, k + 1, dtype=bool)
+    fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts=counts, use=use)
+    coefs = np.abs(fit[1][:, :k])
+    mutual = np.minimum(coefs, coefs.T)
+    pairs = zip(*np.nonzero(np.triu(mutual > coef_threshold, 1)))
+    strengths = {(active[a], active[b]): float(mutual[a, b]) for a, b in pairs}
     return CorrelationGraph(
         matrix.parser_ids, frozenset(strengths), strengths, excluded, *fit[2:]
     )
@@ -237,19 +242,11 @@ def collapse_correlated(
         return matrix, CollapseMap(components, representatives)
 
     cols = []
-    ids = []
-    for comp, rep in zip(components, representatives):
-        if len(comp) == 1:
-            cols.append(matrix.labels[:, comp[0]])
-            ids.append(matrix.parser_ids[comp[0]])
-            continue
+    for comp, rep in zip(components, representatives):  # a singleton keeps its column
         s = matrix.labels[:, comp].astype(np.int64).sum(axis=1)
-        pseudo = np.where(s > 0, 1, np.where(s < 0, -1, matrix.labels[:, rep]))
-        cols.append(pseudo.astype(np.int8))
-        ids.append("+".join(matrix.parser_ids[j] for j in comp))
-    reduced = replace(
-        matrix, labels=np.column_stack(cols).astype(np.int8), parser_ids=tuple(ids)
-    )
+        cols.append(np.where(s > 0, 1, np.where(s < 0, -1, matrix.labels[:, rep])))
+    ids = tuple("+".join(matrix.parser_ids[j] for j in comp) for comp in components)
+    reduced = replace(matrix, labels=np.column_stack(cols).astype(np.int8), parser_ids=ids)
     return reduced, CollapseMap(components, representatives)
 
 
@@ -332,12 +329,9 @@ def estimate_mean_params(
 
     mu0 = np.empty(m)
     fallback = False
+    triplets = m >= 3 and var_y > 0.0
     for j in range(m):
-        vals = (
-            accuracy_moment_from_pair_means(j, covariances, triplet_min)
-            if m >= 3 and var_y > 0.0
-            else []
-        )
+        vals = accuracy_moment_from_pair_means(j, covariances, triplet_min) if triplets else []
         if vals:
             beta_sd = float(np.median(vals))
             mu0[j] = mu_plus[j] * mu00 + beta_sd * math.sqrt(var_y)

@@ -188,6 +188,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             triplet_min=args.cim_triplet_min,
         )
         result = cim_mod.cim_run(matrix, opts)
+        if not result.graph.converged:
+            warning = f"cim's correlation fit stopped after {result.graph.iterations} iterations"
+            print(f"warning: {warning} without converging", file=sys.stderr)
         heads = cim_mod.cim_trees(result.scores, matrix, ensemble, single_root)
         if args.diagnostics:
             _write_json(args.diagnostics, result.diagnostics())

@@ -351,7 +351,8 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
 def save_treebank(
     treebank: TreebankFile, path: str | Path, heads: np.ndarray | None = None
 ) -> None:
-    Path(path).write_text(write_conllu(treebank, heads), encoding="utf-8")
+    # encoded before the file is opened, so a failed encoding leaves it as it was
+    Path(path).write_bytes(write_conllu(treebank, heads).encode("utf-8"))
 
 
 def aligned_tokens(

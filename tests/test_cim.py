@@ -79,7 +79,7 @@ def ci_columns(accuracies, n, rng, truth=None):
 def fit_one(X, y, penalty, **kwargs):
     """The batched solver on a single problem (k = 1)."""
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        X[None], y[None], penalty, **kwargs
+        X, y[None], penalty, **kwargs
     )
     return float(intercepts[0]), coefs[0], iterations, converged
 
@@ -181,7 +181,7 @@ def test_batch_runs_until_its_last_problem_freezes():
     # problem j regresses column j on the other three
     others = [[c for c in range(4) if c != j] for j in range(4)]
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        np.stack([votes[:, o] for o in others]), votes.T, 0.02, counts=counts
+        votes, votes.T, 0.02, counts=counts, use=~np.eye(4, dtype=bool)
     )
     reference = [
         reference_l1_logistic(votes[:, o], votes[:, j], 0.02, counts=counts)
@@ -193,7 +193,8 @@ def test_batch_runs_until_its_last_problem_freezes():
     assert iterations == max(it for _, _, it, _ in reference)
     for j, (b, w, _, _) in enumerate(reference):
         assert abs(intercepts[j] - b) <= 1e-12
-        assert np.abs(coefs[j] - w).max() <= 1e-12
+        assert np.abs(coefs[j, others[j]] - w).max() <= 1e-12
+        assert coefs[j, j] == 0.0
 
 
 def test_restart_pays_on_a_near_duplicate_column():
@@ -207,17 +208,89 @@ def test_restart_pays_on_a_near_duplicate_column():
     mv = np.where(votes.sum(axis=1) > 0, 1, -1)
     designs = [np.column_stack([np.delete(votes, j, axis=1), mv]) for j in range(6)]
     penalty = default_l1_penalty(6, 400)
+    use = ~np.eye(6, 7, dtype=bool)  # column j's problem skips column j
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        np.stack(designs), votes.T, penalty
+        np.column_stack([votes, mv]), votes.T, penalty, use=use
     )
     reference = [reference_l1_logistic(X, votes[:, j], penalty) for j, X in enumerate(designs)]
     assert converged and all(ok for _, _, _, ok in reference)
     assert iterations == max(it for _, _, it, _ in reference)
     for j, (b, w, _, _) in enumerate(reference):
         assert abs(intercepts[j] - b) <= 1e-12
-        assert np.abs(coefs[j] - w).max() <= 1e-12
+        assert np.abs(coefs[j, use[j]] - w).max() <= 1e-12
     # 112 with the restart; FISTA without it needs 407
     assert iterations <= 160
+
+
+def check_one_design_batch(design, targets, penalty, counts, use):
+    """The one-design batch against ``reference_l1_logistic`` per problem."""
+    intercepts, coefs, iterations, converged = fit_l1_logistic(
+        design, targets, penalty, counts=counts, use=use
+    )
+    k, q = len(targets), design.shape[1]
+    assert intercepts.shape == (k,) and coefs.shape == (k, q)
+    mask = np.ones((k, q), dtype=bool) if use is None else use
+    reference = [
+        reference_l1_logistic(design[:, mask[a]], targets[a], penalty, counts=counts)
+        for a in range(k)
+    ]
+    assert iterations == max((it for _, _, it, _ in reference), default=0)
+    assert converged == all(ok for _, _, _, ok in reference)
+    for a, (b, w, _, _) in enumerate(reference):
+        assert abs(intercepts[a] - b) <= 1e-12
+        assert np.abs(coefs[a, mask[a]] - w).max(initial=0.0) <= 1e-12
+        assert (coefs[a, ~mask[a]] == 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(100, 400),
+    st.integers(1, 6),
+    st.integers(0, 4),
+    st.sampled_from((None, "random", "intercept only")),
+    st.sampled_from((0.005, 0.05, 0.3)),
+)
+def test_one_design_batch_matches_per_problem_fits(seed, n, q, k, masks, penalty):
+    # Votes of parsers of random accuracy on hundreds of rows, as cim regresses
+    # them. On a few rows with near-collinear columns, or a constant target, a
+    # fit runs a thousand iterations or more, and two orders of summation can
+    # end 1e-11 apart there.
+    rng = np.random.default_rng(seed)
+    votes, _ = ci_columns(rng.uniform(0.55, 0.95, q + k), n, rng)
+    design, targets = votes[:, :q], votes[:, q:].T
+    counts = rng.integers(1, 5, n)
+    use = None if masks is None else rng.random((k, q)) < 0.6
+    if masks == "intercept only" and k:
+        use[rng.integers(k)] = False
+    check_one_design_batch(design, targets, penalty, counts, use)
+
+
+def test_one_design_batch_edge_cases():
+    rng = np.random.default_rng(8)
+    truth = np.where(rng.random(300) < 0.6, 1, -1)
+    votes = np.column_stack(
+        [np.where(rng.random(300) < a, truth, -truth) for a in (0.9, 0.8, 0.7)]
+    ).astype(np.int8)
+    counts = rng.integers(1, 5, 300)
+    use = np.array([[False, False, False], [True, False, True], [False, True, True]])
+    for targets, mask in (
+        (votes.T[:0], None),  # k = 0: nothing runs
+        (votes.T[:0], use[:0]),
+        (votes.T, None),  # every problem uses every column
+        (votes.T, use),  # the first problem fits its intercept only
+    ):
+        check_one_design_batch(votes, targets, 0.02, counts, mask)
+
+
+def test_extrapolation_table_is_the_momentum_recurrence():
+    # bit for bit the weights the per-iteration recurrence computed in numpy
+    momentum = np.ones(1)
+    assert cim._EXTRAPOLATION.shape == (_L1_MAX_ITERATIONS,)
+    for s in range(_L1_MAX_ITERATIONS):
+        m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+        assert cim._EXTRAPOLATION[s] == ((momentum - 1.0) / m_next)[0], s
+        momentum = m_next
 
 
 # ---------------------------------------------------- correlation graph

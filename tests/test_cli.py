@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import conllu_text
+from treeagg import cim
 from treeagg.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
 from treeagg.conllu import load_treebank
 
@@ -715,6 +716,25 @@ def test_crh_warns_when_it_stops_without_converging(tmp_path, corpus, capsys):
         "warning: crh stopped after 1 iterations without converging\n"
     )
     assert (tmp_path / "pred.conllu").exists()
+
+
+def test_cim_warns_when_its_correlation_fit_stops_without_converging(
+    tmp_path, corpus, capsys, monkeypatch
+):
+    out = tmp_path / "pred.conllu"
+    aggregate = ["aggregate", "--inputs", str(corpus / "parsers"), "--method", "cim",
+                 "--out", str(out), "--diagnostics", str(tmp_path / "diag.json")]
+    assert run(aggregate) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    out.unlink()
+    monkeypatch.setattr(cim, "_L1_MAX_ITERATIONS", 1)
+    assert run(aggregate) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: cim's correlation fit stopped after 1 iterations without converging\n"
+    )
+    diagnostics = json.loads((tmp_path / "diag.json").read_text())
+    assert diagnostics["correlation_fit"] == {"iterations": 1, "converged": False}
+    assert out.exists()
 
 
 def test_usage_error_exits_two():

@@ -209,6 +209,12 @@ def test_a_lone_surrogate_parses_and_writes_but_is_not_saved(tmp_path, monkeypat
     assert write_conllu(tb) == text
     with pytest.raises(UnicodeEncodeError):
         save_treebank(tb, tmp_path / "out.conllu")
+    # it creates no file, and leaves one it would have replaced as it was
+    assert not (tmp_path / "out.conllu").exists()
+    (tmp_path / "old.conllu").write_bytes(b"old content")
+    with pytest.raises(UnicodeEncodeError):
+        save_treebank(tb, tmp_path / "old.conllu")
+    assert (tmp_path / "old.conllu").read_bytes() == b"old content"
     # a UnicodeEncodeError is a ValueError, so the CLI reports it and exits 1
     (tmp_path / "in").mkdir()
     for k in range(2):
