@@ -117,17 +117,35 @@ def max_arborescence(
     lexicographically smallest head sequence; after one, the choice is
     stable but depends on which cycle was met first. With
     ``enforce_single_root`` the tree has one arc out of the root: the graph
-    is re-solved once per root arc with the other root arcs removed, and
-    the best total wins, equal totals going to the smaller head sequence.
+    is re-solved per root arc with the other root arcs removed, and the
+    best total wins, equal totals going to the smaller head sequence.
+
+    Root r's total is at most its bound: w(0, r) plus every other
+    dependent's best arc from a token, summed in dependent order from 0.0
+    as ``_solve`` sums its total, so each term is at least the total's and
+    the bound holds bit for bit. Roots are solved by descending bound, then
+    ascending r, until a bound falls below the best total, which that root
+    can then neither beat nor tie.
     """
     if not enforce_single_root:
         return _solve(graph.q, graph.arcs)[0]
 
-    root_children = sorted({d for h, d, _ in graph.arcs if h == 0})
-    if not root_children:
+    root_arcs = {d: w for h, d, w in graph.arcs if h == 0}
+    if not root_arcs:
         raise NoArborescenceError("no arc out of the root")
+    best_in = [-np.inf] * graph.q  # each dependent's best arc from a token
+    for h, d, w in graph.arcs:
+        if h and w > best_in[d - 1]:
+            best_in[d - 1] = w
+    children = np.array(list(root_arcs))  # ascending, as the arcs are sorted
+    terms = np.tile(best_in, (len(children), 1))
+    terms[np.arange(len(children)), children - 1] = list(root_arcs.values())
+    bounds = np.add.accumulate(terms, axis=1)[:, -1]  # left to right, as _solve sums
     best: tuple[float, tuple[int, ...]] | None = None
-    for r in root_children:
+    for i in np.lexsort((children, -bounds)).tolist():
+        if best is not None and bounds[i] < best[0]:
+            break
+        r = int(children[i])
         restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
         try:
             heads, total = _solve(graph.q, restricted)

@@ -44,12 +44,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct vote rows as floats, in byte order, with first row and count."""
+def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct vote rows as floats, in byte order, with their counts."""
     rows = np.ascontiguousarray(labels, dtype=np.int8)
     rows = rows.view(np.dtype((np.void, rows.shape[1])))  # far faster than axis=0
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    return labels[first].astype(np.float64), first, counts
+    return labels[first].astype(np.float64), counts
 
 
 # FISTA's momentum M_s, s steps after a restart, and its weight (M_s - 1) / M_{s+1}
@@ -179,13 +179,13 @@ def estimate_correlation_graph(
         l1_penalty = default_l1_penalty(m, n)
     if not 0 <= l1_penalty < np.inf:
         raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
-    labels, first, counts = _vote_patterns(matrix.labels)
+    labels, counts = _vote_patterns(matrix.labels)
     excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
     k = len(active)
     # one design: the active columns, then the majority vote (a function of the
     # row's votes, so one per pattern); column a's problem skips column a
-    design = np.column_stack([labels[:, active], majority_vote(matrix)[first]])
+    design = np.column_stack([labels[:, active], np.where(labels.sum(axis=1) >= 0, 1.0, -1.0)])
     use = ~np.eye(k, k + 1, dtype=bool)
     fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts=counts, use=use)
     coefs = np.abs(fit[1][:, :k])
@@ -210,44 +210,37 @@ def collapse_correlated(
 ) -> tuple[EdgeLabelMatrix, CollapseMap]:
     """Merge each connected component into one pseudo-parser column.
 
-    The pseudo-column is the within-component majority vote; ties go to
-    the member that agrees most often with the global majority vote (then
-    to the lowest column index). Components are ordered by their smallest
-    member, so a graph with no edges returns the matrix unchanged.
+    Components come from boolean reachability: the symmetric adjacency
+    matrix with its diagonal, squared ``m.bit_length()`` times, so its paths
+    reach any length below m; row j then marks j's component. Components
+    are ordered by their smallest member, so a graph with no edges returns
+    the matrix unchanged. The pseudo-column is the within-component
+    majority vote, all of them one product of the vote matrix (exact: it
+    sums small integers); ties go to the member that agrees most often with
+    the global majority vote (then to the lowest column index).
     """
     m = matrix.m
-    parent = list(range(m))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    linked = np.eye(m, dtype=bool)
     for j, k in graph.edges:
-        parent[find(j)] = find(k)
-    groups: dict[int, list[int]] = {}
-    for j in range(m):
-        groups.setdefault(find(j), []).append(j)
-    components = tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=min)
-    )
+        linked[j, k] = linked[k, j] = True
+    for _ in range(m.bit_length()):
+        linked = linked @ linked
+    leaders = np.flatnonzero(linked.argmax(axis=1) == np.arange(m))  # smallest members
+    components = tuple(tuple(np.flatnonzero(linked[j]).tolist()) for j in leaders)
 
     mv = majority_vote(matrix)
     agreement = (matrix.labels == mv[:, None]).mean(axis=0)
-    representatives = tuple(
-        max(comp, key=lambda j: (agreement[j], -j)) for comp in components
-    )
-    if all(len(c) == 1 for c in components):
-        return matrix, CollapseMap(components, representatives)
+    reps = np.where(linked[leaders], agreement, -np.inf).argmax(axis=1)
+    cmap = CollapseMap(components, tuple(reps.tolist()))
+    if len(leaders) == m:
+        return matrix, cmap
 
-    cols = []
-    for comp, rep in zip(components, representatives):  # a singleton keeps its column
-        s = matrix.labels[:, comp].astype(np.int64).sum(axis=1)
-        cols.append(np.where(s > 0, 1, np.where(s < 0, -1, matrix.labels[:, rep])))
+    # each member votes twice and the representative once more, so the sum
+    # is odd and a tie goes to the representative
+    weights = 2.0 * linked[leaders].T + np.eye(m)[:, reps]
+    labels = np.sign(matrix.labels.astype(np.float64) @ weights).astype(np.int8)
     ids = tuple("+".join(matrix.parser_ids[j] for j in comp) for comp in components)
-    reduced = replace(matrix, labels=np.column_stack(cols).astype(np.int8), parser_ids=ids)
-    return reduced, CollapseMap(components, representatives)
+    return replace(matrix, labels=labels, parser_ids=ids), cmap
 
 
 @dataclass(frozen=True)
@@ -273,30 +266,6 @@ class IsingParams:
     plugin: bool = False
 
 
-def accuracy_moment_from_pair_means(
-    j: int,
-    pair_means: np.ndarray,
-    triplet_min: float = 0.01,
-) -> list[float]:
-    """All triplet estimates for column j from pairwise second moments.
-
-    Under conditional independence given the truth, the off-diagonal
-    moments factor rank-one, so for any pair (k, l) not involving j:
-    sqrt(|m_jk * m_jl / m_kl|) recovers column j's factor. Pass centered
-    covariances in general; raw products coincide with them only under
-    class balance. Pairs whose denominator is smaller than
-    ``triplet_min`` are skipped.
-    """
-    m = pair_means.shape[0]
-    vals = []
-    for k, l in itertools.combinations((i for i in range(m) if i != j), 2):
-        denom = pair_means[k, l]
-        if abs(denom) < triplet_min:
-            continue
-        vals.append(math.sqrt(abs(pair_means[j, k] * pair_means[j, l] / denom)))
-    return vals
-
-
 def estimate_mean_params(
     matrix: EdgeLabelMatrix, triplet_min: float = 0.01
 ) -> IsingParams:
@@ -305,8 +274,11 @@ def estimate_mean_params(
     Writing E[L_j | Y] = alpha_j + beta_j * Y, conditional independence
     makes the covariance matrix factor as Cov(L_j, L_k) =
     beta_j * beta_k * Var(Y) for j != k, whatever the class balance, so
-    the triplet median over centered covariances estimates
-    beta_j * sd(Y). The moment of interest follows as
+    for any pair (k, l) not involving j, sqrt(|c_jk * c_jl / c_kl|)
+    estimates beta_j * sd(Y). Each column takes the median of these over
+    the pairs whose denominator is nonzero and at least ``triplet_min`` in
+    magnitude, all columns and pairs as one array. The moment of interest
+    follows as
 
         E[L_j Y] = E[L_j] * mu00 + beta_j * (1 - mu00^2)
 
@@ -327,24 +299,25 @@ def estimate_mean_params(
     covariances = pair_means - np.outer(mu_plus, mu_plus)
     var_y = 1.0 - mu00**2
 
-    mu0 = np.empty(m)
-    fallback = False
-    triplets = m >= 3 and var_y > 0.0
-    for j in range(m):
-        vals = accuracy_moment_from_pair_means(j, covariances, triplet_min) if triplets else []
-        if vals:
-            beta_sd = float(np.median(vals))
-            mu0[j] = mu_plus[j] * mu00 + beta_sd * math.sqrt(var_y)
-        else:
-            fallback = True
-            mu0[j] = float((labels[:, j] * mv_f).mean())
+    # (m, pairs): column j's triplet estimate from each pair (k, l), k < l;
+    # a pair without j needs three columns
+    k, l = np.triu_indices(m, 1)
+    denom = covariances[k, l]
+    column = np.arange(m)[:, None]
+    usable = (k != column) & (l != column) & (np.abs(denom) >= triplet_min) & (denom != 0)
+    usable &= var_y > 0.0
+    ratio = covariances[:, k] * covariances[:, l] / np.where(usable, denom, 1.0)
+    estimates = np.sqrt(np.abs(ratio))
+    mu0 = mv_f @ labels / n  # the fallback: mean of L_j times the vote
+    for j in np.flatnonzero(usable.any(axis=1)):
+        mu0[j] = mu_plus[j] * mu00 + np.median(estimates[j, usable[j]]) * math.sqrt(var_y)
     signs = np.where(mu0 < 0, -1.0, 1.0)
     mu0 = signs * np.clip(np.abs(mu0), 0.001, 0.999)
     return IsingParams(
         mu00=mu00,
         mu_plus=tuple(float(v) for v in mu_plus),
         mu0_plus=tuple(float(v) for v in mu0),
-        triplet_fallback=fallback,
+        triplet_fallback=not usable.any(axis=1).all(),
     )
 
 
@@ -386,7 +359,7 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
     labeling's (the usual case on real vote matrices) end this way,
     typically after the first step.
     """
-    labels, _, counts = _vote_patterns(matrix.labels)
+    labels, counts = _vote_patterns(matrix.labels)
     weights = counts / matrix.n_edges
     mu = np.concatenate([[means.mu00], means.mu0_plus])
     theta = np.zeros(matrix.m + 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conllu import TreebankFile, build_ensemble, parse_conllu
-from .trees import ParseEnsemble, find_cycles
+from .trees import ParseEnsemble, check_trees, find_cycles
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,13 @@ class SynthResult:
 
 
 def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:
+    # one vector draw per try: the same stream as q scalar draws
+    deps, offsets = np.arange(1, q + 1), np.array([0, q])
     for _ in range(100_000):
-        heads = []
-        for d in range(1, q + 1):
-            h = int(rng.integers(0, q))
-            if h >= d:
-                h += 1
-            heads.append(h)
-        if heads.count(0) == 1 and next(find_cycles(heads), None) is None:
-            return tuple(heads)
+        heads = rng.integers(0, q, size=q)
+        heads += heads >= deps
+        if np.count_nonzero(heads == 0) == 1 and check_trees(heads, offsets)[0]:
+            return tuple(heads.tolist())
     raise RuntimeError("tree sampling failed to converge")
 
 

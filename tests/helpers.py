@@ -5,12 +5,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
+from treeagg.arborescence import (
+    NoArborescenceError,
+    WeightedTokenGraph,
+    _solve,
+    max_arborescence,
+)
 from treeagg.cim import _L1_MAX_ITERATIONS, _sigmoid
 from treeagg.conllu import (
     _EMPTY_ID,
@@ -654,3 +660,124 @@ def reference_correlation_graph(
         if coef[(j, k)] > coef_threshold and coef[(k, j)] > coef_threshold
     }
     return frozenset(strengths), strengths, excluded
+
+
+def reference_collapse(
+    matrix: EdgeLabelMatrix, graph
+) -> tuple[EdgeLabelMatrix, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``collapse_correlated`` by union-find and one pseudo-column per
+    component: (reduced matrix, components, representatives)."""
+    m = matrix.m
+    parent = list(range(m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for j, k in graph.edges:
+        parent[find(j)] = find(k)
+    groups: dict[int, list[int]] = {}
+    for j in range(m):
+        groups.setdefault(find(j), []).append(j)
+    components = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+
+    mv = majority_vote(matrix)
+    agreement = (matrix.labels == mv[:, None]).mean(axis=0)
+    representatives = tuple(max(comp, key=lambda j: (agreement[j], -j)) for comp in components)
+    if all(len(c) == 1 for c in components):
+        return matrix, components, representatives
+    cols = []
+    for comp, rep in zip(components, representatives):
+        s = matrix.labels[:, comp].astype(np.int64).sum(axis=1)
+        cols.append(np.where(s > 0, 1, np.where(s < 0, -1, matrix.labels[:, rep])))
+    ids = tuple("+".join(matrix.parser_ids[j] for j in comp) for comp in components)
+    reduced = replace(matrix, labels=np.column_stack(cols).astype(np.int8), parser_ids=ids)
+    return reduced, components, representatives
+
+
+def accuracy_moment_from_pair_means(
+    j: int,
+    pair_means: np.ndarray,
+    triplet_min: float = 0.01,
+) -> list[float]:
+    """All triplet estimates for column j from pairwise second moments.
+
+    Under conditional independence given the truth, the off-diagonal
+    moments factor rank-one, so for any pair (k, l) not involving j:
+    sqrt(|m_jk * m_jl / m_kl|) recovers column j's factor. Pairs whose
+    denominator is zero, or smaller than ``triplet_min``, are skipped.
+    """
+    m = pair_means.shape[0]
+    vals = []
+    for k, l in itertools.combinations((i for i in range(m) if i != j), 2):
+        denom = pair_means[k, l]
+        if denom == 0 or abs(denom) < triplet_min:
+            continue
+        vals.append(math.sqrt(abs(pair_means[j, k] * pair_means[j, l] / denom)))
+    return vals
+
+
+def reference_mean_params(
+    matrix: EdgeLabelMatrix, triplet_min: float = 0.01
+) -> tuple[float, tuple[float, ...], tuple[float, ...], bool]:
+    """``estimate_mean_params`` one column at a time, each column's triplet
+    estimates from ``accuracy_moment_from_pair_means``: (mu00, mu_plus,
+    mu0_plus, triplet_fallback)."""
+    labels = matrix.labels.astype(np.float64)
+    n, m = labels.shape
+    mv_f = majority_vote(matrix).astype(np.float64)
+    mu_plus = labels.mean(axis=0)
+    mu00 = float(mv_f.mean())
+    covariances = labels.T @ labels / n - np.outer(mu_plus, mu_plus)
+    var_y = 1.0 - mu00**2
+    mu0 = np.empty(m)
+    fallback = False
+    for j in range(m):
+        triplets = m >= 3 and var_y > 0.0
+        vals = accuracy_moment_from_pair_means(j, covariances, triplet_min) if triplets else []
+        if vals:
+            mu0[j] = mu_plus[j] * mu00 + float(np.median(vals)) * math.sqrt(var_y)
+        else:
+            fallback = True
+            mu0[j] = float((labels[:, j] * mv_f).mean())
+    mu0 = np.where(mu0 < 0, -1.0, 1.0) * np.clip(np.abs(mu0), 0.001, 0.999)
+    return mu00, tuple(mu_plus.tolist()), tuple(mu0.tolist()), fallback
+
+
+def reference_random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """synth's gold sampler with one scalar draw per token: each try draws
+    every head from the q other nodes, until the heads form a
+    single-rooted tree."""
+    for _ in range(100_000):
+        heads = []
+        for d in range(1, q + 1):
+            h = int(rng.integers(0, q))
+            if h >= d:
+                h += 1
+            heads.append(h)
+        if heads.count(0) == 1 and next(find_cycles(heads), None) is None:
+            return tuple(heads)
+    raise RuntimeError("tree sampling failed to converge")
+
+
+def reference_single_root(graph: WeightedTokenGraph) -> tuple[int, ...]:
+    """``max_arborescence`` under the single-root rule with no bound: one
+    solve per root arc, every root arc, in ascending order."""
+    root_children = sorted({d for h, d, _ in graph.arcs if h == 0})
+    if not root_children:
+        raise NoArborescenceError("no arc out of the root")
+    best: tuple[float, tuple[int, ...]] | None = None
+    for r in root_children:
+        restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
+        try:
+            heads, total = _solve(graph.q, restricted)
+        except NoArborescenceError:
+            continue
+        key = (total, tuple(-h for h in heads))
+        if best is None or key > best:
+            best, best_heads = key, heads
+    if best is None:
+        raise NoArborescenceError("no single-rooted spanning arborescence")
+    return best_heads

@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from treeagg.arborescence import (
     _solve,
     max_arborescence,
 )
-from treeagg.trees import find_cycles, validate_tree
+from treeagg import edges
+from treeagg.evaluation import vote_mst
+from treeagg.trees import ParseEnsemble, find_cycles, validate_tree
 
 from helpers import (
     brute_force_arborescence,
     random_complete_digraph,
     reference_max_arborescence,
+    reference_random_single_root_tree,
+    reference_single_root,
     tree_weight,
 )
 
@@ -261,6 +266,40 @@ def test_solver_matches_the_recursive_reference(graph, single):
     assert outcome(max_arborescence, graph, single) == outcome(
         reference_max_arborescence, graph, single
     )
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(
+    tie_heavy_graphs((0.0, 1.0, 2.0)),
+    tie_heavy_graphs((1.0,)),
+    tie_heavy_graphs((1.0, 1e16)),
+    tie_heavy_graphs(tuple(np.random.default_rng(0).normal(size=64))),
+))
+def test_root_bound_keeps_the_outcome_of_solving_every_root(graph):
+    # the same heads, tie outcomes included, or the same error, as one
+    # solve per root arc with none skipped
+    assert outcome(max_arborescence, graph, True) == outcome(
+        lambda g, _: reference_single_root(g), graph, True
+    )
+
+
+def test_single_root_decoding_of_a_long_sentence_takes_little_time(monkeypatch):
+    # three uniform random trees and one with every token under the root:
+    # most best arcs come from the root, and one solve per root arc takes
+    # seconds at 300 tokens
+    def ensemble(q):
+        rng = np.random.default_rng(5)
+        trees = [reference_random_single_root_tree(q, rng) for _ in range(3)] + [(0,) * q]
+        return ParseEnsemble(tuple("abcd"), ("s",), np.array([0, q]), np.array(trees))
+
+    start = time.perf_counter()
+    heads = vote_mst(ensemble(300))
+    elapsed = time.perf_counter() - start
+    assert validate_tree(heads.tolist(), 300).ok and heads.tolist().count(0) == 1
+    assert elapsed < 2.0
+    small = vote_mst(ensemble(60))
+    monkeypatch.setattr(edges, "max_arborescence", lambda graph, _: reference_single_root(graph))
+    assert np.array_equal(vote_mst(ensemble(60)), small)
 
 
 @settings(max_examples=400, deadline=None)

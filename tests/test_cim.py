@@ -21,7 +21,6 @@ from treeagg.cim import (
     CimOptions,
     CorrelationGraph,
     IsingParams,
-    accuracy_moment_from_pair_means,
     cim_run,
     cim_trees,
     collapse_correlated,
@@ -40,11 +39,14 @@ from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree
 
 from helpers import (
+    accuracy_moment_from_pair_means,
     ensemble_of,
     joint_prob_oracle,
     placeholder_matrix,
+    reference_collapse,
     reference_correlation_graph,
     reference_l1_logistic,
+    reference_mean_params,
     trees_by_id,
 )
 
@@ -464,6 +466,62 @@ def test_collapse_without_edges_is_identity():
     assert reduced is matrix
     assert cmap.components == ((0,), (1,), (2,))
     assert cmap.representatives == (0, 1, 2)
+
+
+@st.composite
+def graphs_over_votes(draw):
+    """Small +-1 matrices, m = 1..7, some columns copied or constant, with
+    a correlation graph: a chain through a drawn column order (as long as
+    m - 1 edges, so components need every squaring) plus a few random
+    edges."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from((-1, 1)), min_size=n * m, max_size=n * m))
+    labels = np.array(cells, dtype=np.int8).reshape(n, m)
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        source = draw(st.integers(-2, m - 1))  # -2 and -1: a constant column
+        labels[:, j] = labels[:, source] if source >= 0 else 2 * source + 3
+    order = draw(st.permutations(range(m)))
+    chain = draw(st.integers(0, m - 1))
+    edges = {tuple(sorted(order[i : i + 2])) for i in range(chain)}
+    if m > 1:
+        pairs = st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
+        edges |= {tuple(sorted(p)) for p in draw(st.lists(pairs, max_size=3))}
+    matrix = placeholder_matrix(labels)
+    return matrix, CorrelationGraph(matrix.parser_ids, frozenset(edges), {}, ())
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_over_votes(), st.sampled_from((0.0, 0.01, 0.5)))
+def test_collapse_and_moments_equal_the_per_column_oracles(case, triplet_min):
+    matrix, graph = case
+    reduced, cmap = collapse_correlated(matrix, graph)
+    ref, components, representatives = reference_collapse(matrix, graph)
+    assert (cmap.components, cmap.representatives) == (components, representatives)
+    assert (reduced is matrix) == (ref is matrix)
+    assert reduced.parser_ids == ref.parser_ids
+    assert reduced.labels.dtype == np.int8 and np.array_equal(reduced.labels, ref.labels)
+    for votes in (matrix, reduced):
+        params = estimate_mean_params(votes, triplet_min)
+        # the same IEEE operations: equal bits, and never a NaN
+        assert (
+            params.mu00, params.mu_plus, params.mu0_plus, params.triplet_fallback
+        ) == reference_mean_params(votes, triplet_min)
+
+
+def test_a_zero_covariance_is_no_triplet_denominator():
+    # seed 20's corpus has a pair of parser columns with covariance exactly
+    # 0: even with triplet_min 0 it is no denominator, or NaN moments would
+    # reach the scores
+    synth = generate(SynthConfig(2, (3, 5), (0.2, 0.4, 0.5, 0.6), seed=20))
+    matrix = label_matrix(synth.ensemble)
+    labels = matrix.labels.astype(np.float64)
+    means = labels.mean(axis=0)
+    covariances = labels.T @ labels / len(labels) - np.outer(means, means)
+    assert (covariances[np.triu_indices(matrix.m, 1)] == 0).any()
+    result = cim_run(matrix, CimOptions(triplet_min=0.0))
+    assert np.isfinite(result.params.mu0_plus).all()
+    assert np.isfinite(result.scores).all()
 
 
 # ------------------------------------------------------- moment recovery

@@ -737,6 +737,20 @@ def test_cim_warns_when_its_correlation_fit_stops_without_converging(
     assert out.exists()
 
 
+def test_cim_with_triplet_min_zero_skips_zero_covariances(tmp_path, capsys):
+    # this corpus has a zero covariance between two parser columns, which
+    # must be no triplet denominator even with a triplet_min of 0
+    assert run(["synth", "--out-dir", str(tmp_path), "--sentences", "2", "--tokens", "3:5",
+                "--rates", "0.2,0.4,0.5,0.6", "--seed", "20"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["aggregate", "--inputs", str(tmp_path / "parsers"), "--method", "cim",
+                "--cim-triplet-min", "0", "--out", str(tmp_path / "pred.conllu"),
+                "--diagnostics", str(tmp_path / "diag.json")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    diagnostics = json.loads((tmp_path / "diag.json").read_text())
+    assert all(0 < abs(v) < 1 for v in diagnostics["mu0_plus"].values())
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as excinfo:
         run(["not-a-command"])

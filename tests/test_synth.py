@@ -2,15 +2,24 @@
 the repair of damaged preferences into trees."""
 
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lines_of, reference_repair
+from helpers import lines_of, reference_random_single_root_tree, reference_repair
+from treeagg import synth
 from treeagg.conllu import write_conllu
 from treeagg.evaluation import uas
-from treeagg.synth import SynthConfig, SynthResult, _repair, generate
+from treeagg.synth import (
+    SynthConfig,
+    SynthResult,
+    _random_single_root_tree,
+    _repair,
+    generate,
+)
 from treeagg.trees import validate_tree
 
 CFG = SynthConfig(
@@ -99,6 +108,26 @@ def test_same_seed_regenerates_identical_bytes(corpus):
     again = generate(CFG)
     assert write_conllu(again.gold) == write_conllu(corpus.gold)
     for mine, theirs in zip(corpus.files, again.files):
+        assert write_conllu(mine) == write_conllu(theirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_gold_draws_equal_the_scalar_sampler(seed, q):
+    # the same tree, and the stream left at the same place
+    vector, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _random_single_root_tree(q, vector) == reference_random_single_root_tree(q, scalar)
+    assert vector.random() == scalar.random()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 20))
+def test_corpus_bytes_equal_those_of_the_scalar_sampler(seed, lo, spread):
+    config = SynthConfig(6, (lo, lo + spread), (0.0, 0.2, 0.5), seed, duplicates=(1,))
+    vector = generate(config)
+    with mock.patch.object(synth, "_random_single_root_tree", reference_random_single_root_tree):
+        scalar = generate(config)
+    for mine, theirs in zip((vector.gold, *vector.files), (scalar.gold, *scalar.files)):
         assert write_conllu(mine) == write_conllu(theirs)
 
 
@@ -199,12 +228,15 @@ def test_repair_follows_the_stated_rule():
 
 def test_repair_and_generation_take_little_time_on_long_sentences():
     # 1000 two-cycles over 2000 tokens, then a corpus of 60-token sentences,
-    # which the complete-graph solver took about two minutes to repair
+    # which the complete-graph solver took about two minutes to repair, and
+    # one of 1000-token sentences, whose gold trees take over eight seconds
+    # to sample with one scalar draw per head
     start = time.perf_counter()
     prefs = [d + 1 if d % 2 else d - 1 for d in range(1, 2001)]
     heads = _repair(prefs)
     corpus = generate(SynthConfig(4, (60, 60), (0.05, 0.1, 0.15, 0.2, 0.25, 0.3), seed=1))
+    long = generate(SynthConfig(4, (1000, 1000), (0.1,), seed=1))
     elapsed = time.perf_counter() - start
     assert validate_tree(heads, 2000).ok and kept(prefs, heads) == 1000
-    assert len(corpus.files) == 6
+    assert len(corpus.files) == 6 and len(long.files) == 1
     assert elapsed < 5.0
