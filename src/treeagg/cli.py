@@ -158,6 +158,8 @@ def _selected_ids(path: str | None) -> list[str] | None:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    if args.diagnostics and args.method != "cim":
+        raise ValueError("--diagnostics needs --method cim")
     files = _load_parser_dir(args.inputs, _selected_ids(args.selected))
     ensemble = build_ensemble(files)
     matrix = label_matrix(ensemble)

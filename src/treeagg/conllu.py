@@ -1,12 +1,13 @@
 """CoNLL-U reading and writing.
 
-A parsed file is its UTF-8 bytes, where their newlines are, and arrays
-over its lines. Parsing reads only the ID and HEAD columns of word lines
-and the byte span of each FORM; comments, multiword-token ranges, empty
-nodes and the other columns pass through untouched (``TreebankFile.column``
-reads one on request). Writing takes a flat head array laid out like the
-file's own ``heads``, such as an aggregator's decoded trees, copies each
-sentence's bytes and rewrites the HEAD field of the lines whose head changed.
+A parsed file is its UTF-8 bytes and positions in them: the byte span of
+each sentence and the bounds of each word's FORM and HEAD. Parsing reads
+only the ID and HEAD columns of word lines; comments, multiword-token
+ranges, empty nodes and the other columns pass through untouched
+(``TreebankFile.column`` reads one on request). Writing takes a flat head
+array laid out like the file's own ``heads``, such as an aggregator's
+decoded trees, copies each sentence's bytes and replaces the HEAD field of
+the words whose head changed.
 Input may start with a byte-order mark and use LF or CRLF line endings;
 output is LF, with each sentence followed by one empty line.
 
@@ -64,30 +65,26 @@ class ConlluError(ValueError):
 class TreebankFile:
     """One parser's (or the gold) trees for a whole treebank, as arrays.
 
-    ``raw`` holds the file's UTF-8 bytes between two added newlines, and
-    line i (0-based, without its line ending) is
-    ``raw[newlines[i] + 1:newlines[i + 1]]``; the subsets of a file share
-    both. Sentence i, with id ``sentence_ids[i]``, is the block of lines
-    ``blocks[i, 0]:blocks[i, 1]``, and its words are the entries
-    ``offsets[i]:offsets[i + 1]`` of the flat arrays ``heads`` (the HEAD
-    column) and ``words`` (the line of each word), and word k's FORM is
-    ``raw[forms[0, k]:forms[1, k]]``. ``sentences`` pairs each sentence id
-    with its tree, built on demand.
+    ``raw`` holds the file's UTF-8 bytes between two added newlines; the
+    subsets of a file share it. Sentence i, with id ``sentence_ids[i]``, is
+    the lines ``raw[spans[i, 0]:spans[i, 1]]``, each with its newline, and
+    its words are the entries ``offsets[i]:offsets[i + 1]`` of the flat
+    array ``heads`` (the HEAD column) and of the columns of ``fields``:
+    word k's FORM is ``raw[fields[0, k]:fields[1, k]]`` and its HEAD
+    ``raw[fields[2, k]:fields[3, k]]``. ``sentences`` pairs each sentence
+    id with its tree, built on demand.
     """
 
     parser_id: str
     sentence_ids: tuple[str, ...]
-    blocks: np.ndarray
+    spans: np.ndarray
     offsets: np.ndarray
     heads: np.ndarray
-    words: np.ndarray
     raw: np.ndarray
-    newlines: np.ndarray
-    forms: np.ndarray
+    fields: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.blocks, self.offsets, self.heads, self.words, self.raw,
-                  self.newlines, self.forms):
+        for a in (self.spans, self.offsets, self.heads, self.raw, self.fields):
             a.setflags(write=False)
 
     def __len__(self) -> int:
@@ -104,7 +101,7 @@ class TreebankFile:
         if not 0 <= index < N_COLUMNS:
             raise ValueError(f"column index {index} is outside 0..{N_COLUMNS - 1}")
         sep = np.flatnonzero(self.raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
-        at = np.searchsorted(sep, self.newlines[self.words]) + index  # the one before the field
+        at = np.searchsorted(sep, self.fields[0] - 1) - 1 + index  # the one before the field
         data = self.raw.tobytes()
         start, stop = (sep[at] + 1).tolist(), sep[at + 1].tolist()
         return [data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(start, stop)]
@@ -125,11 +122,10 @@ class TreebankFile:
         return replace(
             self,
             sentence_ids=tuple(self.sentence_ids[i] for i in pos.tolist()),
-            blocks=self.blocks[pos],
+            spans=self.spans[pos],
             offsets=np.concatenate(([0], np.cumsum(q))),
             heads=self.heads[tokens],
-            words=self.words[tokens],
-            forms=self.forms[:, tokens],
+            fields=self.fields[:, tokens],
         )
 
 
@@ -177,8 +173,8 @@ def _read_numbers(
 
 
 def _scan(buf: bytes):
-    """(sentence ids, blocks, offsets, heads, words, raw, newlines, forms)
-    of the valid file whose bytes, between two newlines, are ``buf``.
+    """(sentence ids, spans, offsets, heads, raw, fields) of the valid
+    file whose bytes, between two newlines, are ``buf``.
 
     Otherwise raises the error a reader going line by line meets first:
     that of the first ``bad`` line, or of the first ``broken`` block, met
@@ -241,7 +237,6 @@ def _scan(buf: bytes):
             heads[k] = min(int(field), np.iinfo(np.int64).max)
         else:
             bad[words[k]] = True
-    forms = tabs[:2].compress(numeric, axis=1) + [[1], [0]]
 
     found: list[str | None] = [None] * n_blocks
     marks = np.flatnonzero(comment)
@@ -258,7 +253,9 @@ def _scan(buf: bytes):
         seen: dict[str, int] = {}
         broken |= [seen.setdefault(sid, b) != b for b, sid in enumerate(ids)]
     if not (bad.any() or broken.any()):
-        return ids, blocks, offsets, heads, words, raw, newlines, forms
+        fields = tabs.compress(numeric, axis=1)
+        fields[::2] += 1  # FORM and HEAD start one byte after their tab
+        return ids, newlines[blocks] + 1, offsets, heads, raw, fields
 
     line_no = int(np.argmax(bad)) + 1 if bad.any() else len(newlines)
     b = int(np.argmax(broken))
@@ -316,8 +313,7 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
     one empty line, the blank line that ends a file in the UD layout is
     not reproduced, and a leading byte-order mark is dropped.
     """
-    nl = treebank.newlines
-    span = nl[treebank.blocks] + 1  # each block's bytes, with its last newline
+    span = treebank.spans
     data = treebank.raw.data
     text = b"\n".join([data[a:b] for a, b in span.tolist()])
     if heads is not None:
@@ -332,17 +328,14 @@ def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str
             sid = treebank.sentence_ids[int(np.argmin(trees))]
             raise ValueError(f"sentence {sid!r}: heads do not form a tree")
         moved = np.flatnonzero(heads != treebank.heads)
-        # each moved word's line in text: where it is in raw, shifted as its block is
+        # each moved word's HEAD in text: where it is in raw, shifted as its sentence is
         size = span[:, 1] - span[:, 0] + 1
         block = np.searchsorted(treebank.offsets, moved, "right") - 1
         shift = (np.cumsum(size) - size - span[:, 0])[block]
-        w = treebank.words[moved]
-        start, stop = (nl[[w, w + 1]] + [[1], [0]] + shift).tolist()
+        start, stop = (treebank.fields[2:, moved] + shift).tolist()
         pieces, at = [], 0
         for a, b, h in zip(start, stop, heads[moved].tolist()):
-            cols = text[a:b].split(b"\t")
-            cols[HEAD_COLUMN] = b"%d" % h
-            pieces += (text[at:a], b"\t".join(cols))
+            pieces += (text[at:a], b"%d" % h)
             at = b
         text = b"".join([*pieces, text[at:]])
     return text.decode("utf-8", "surrogatepass")
@@ -379,15 +372,15 @@ def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     q = np.stack([f.lengths for f in files])
     same = (q == q[0]).all(axis=0)
     keep = np.flatnonzero(same)
-    spans = [f.forms[:, t] for f, t in zip(files, aligned_tokens(files, keep))]
-    size = np.stack([stop - start for start, stop in spans])
+    forms = [f.fields[:2, t] for f, t in zip(files, aligned_tokens(files, keep))]
+    size = np.stack([stop - start for start, stop in forms])
     differ = (size != size[0]).any(axis=0)
     # FORMs of one byte length in every file are compared byte by byte
     alike = np.flatnonzero(~differ)
     at = concat_ranges(np.zeros_like(alike), size[0, alike])  # offset in its FORM
     owner = np.repeat(alike, size[0, alike])
-    forms = np.stack([f.raw[start[owner] + at] for f, (start, _) in zip(files, spans)])
-    differ[owner[(forms != forms[0]).any(axis=0)]] = True
+    chars = np.stack([f.raw[start[owner] + at] for f, (start, _) in zip(files, forms)])
+    differ[owner[(chars != chars[0]).any(axis=0)]] = True
     sent = np.repeat(np.arange(len(keep)), q[0, keep])
     same[keep[np.unique(sent[differ])]] = False
     return same.tolist()

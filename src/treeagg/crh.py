@@ -105,9 +105,7 @@ def crh_run(
 
     objective = np.inf
     history: list[float] = []
-    weights = np.full(matrix.m, np.log(matrix.m))
     converged = False
-    iteration = 0
     for iteration in range(1, opts.max_iterations + 1):
         weights = -np.log(costs / costs.sum())
         new_truths, costs = step(weights)

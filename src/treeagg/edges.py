@@ -53,7 +53,7 @@ class EdgeLabelMatrix:
             or (np.diff(self.offsets) < 0).any()
         ):
             raise ValueError("offsets, heads and deps do not match the rows")
-        if self.labels.size and not np.isin(self.labels, (-1, 1)).all():
+        if not ((self.labels == 1) | (self.labels == -1)).all():
             raise ValueError("labels must be -1 or +1")
         for a in (self.offsets, self.heads, self.deps, self.labels):
             a.setflags(write=False)

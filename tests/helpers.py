@@ -60,16 +60,31 @@ def per_sentence(values: np.ndarray, offsets: np.ndarray) -> list[list]:
 
 
 def lines_of(tb: TreebankFile) -> tuple[str, ...]:
-    """The file's lines, without line endings: ``raw`` decoded between
-    consecutive ``newlines``."""
-    data, nl = tb.raw.tobytes(), tb.newlines.tolist()
-    return tuple(data[a + 1 : b].decode("utf-8", "surrogatepass") for a, b in zip(nl, nl[1:]))
+    """The file's lines, without line endings: ``raw`` without its added
+    first and last newline, decoded and split at each newline."""
+    return tuple(tb.raw[1:-1].tobytes().decode("utf-8", "surrogatepass").split("\n"))
+
+
+def _newlines(tb: TreebankFile) -> np.ndarray:
+    """Where ``raw`` has a newline: line i runs from newline i to i + 1."""
+    return np.flatnonzero(tb.raw == ord("\n"))
+
+
+def blocks_of(tb: TreebankFile) -> np.ndarray:
+    """Each sentence's lines ``blocks[i, 0]:blocks[i, 1]``, as indices
+    into ``lines_of(tb)``."""
+    return np.searchsorted(_newlines(tb), tb.spans - 1)
+
+
+def words_of(tb: TreebankFile) -> np.ndarray:
+    """The line of each word, as an index into ``lines_of(tb)``."""
+    return np.searchsorted(_newlines(tb), tb.fields[0] - 1) - 1
 
 
 def file_contents(tb: TreebankFile) -> tuple:
     """What two parsed files must share to be the same file: parser id,
     sentence ids, block bounds, lines and heads, as comparable values."""
-    return tb.parser_id, tb.sentence_ids, tb.blocks.tolist(), lines_of(tb), tb.heads.tolist()
+    return tb.parser_id, tb.sentence_ids, blocks_of(tb).tolist(), lines_of(tb), tb.heads.tolist()
 
 
 def trees_by_id(heads: np.ndarray, ensemble: ParseEnsemble) -> dict[str, DepTree]:
@@ -287,7 +302,7 @@ def reference_check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     the FORMs split out of each word line and compared as strings."""
 
     def forms(f: TreebankFile, i: int) -> list[str]:
-        words = f.words[f.offsets[i] : f.offsets[i + 1]].tolist()
+        words = words_of(f)[f.offsets[i] : f.offsets[i + 1]].tolist()
         lines = lines_of(f)
         return [lines[w].split("\t")[1] for w in words]
 

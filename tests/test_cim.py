@@ -786,6 +786,18 @@ def test_realistic_run_proves_divergence_and_takes_the_plugin():
     assert out.params.iterations <= 2
 
 
+def test_a_stalled_line_search_ends_the_fit_and_takes_the_plugin(monkeypatch):
+    # a NaN objective accepts no step, so the line search halves the step
+    # below its floor; the fit ends unconverged and cim_run falls back
+    value_grad = cim._canonical_value_grad
+    monkeypatch.setattr(cim, "_canonical_value_grad", lambda *a: (math.nan, value_grad(*a)[1]))
+    matrix = label_matrix(small_duplicate_corpus().ensemble)
+    fit = fit_canonical_params(estimate_mean_params(matrix), matrix)
+    assert (fit.converged, fit.iterations, fit.theta00) == (False, 1, 0.0)
+    out = cim_run(matrix)
+    assert (out.params.converged, out.params.plugin, out.params.iterations) == (False, True, 1)
+
+
 def test_run_without_collapse_keeps_every_column():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)

@@ -543,6 +543,26 @@ def test_selection_of_the_wrong_shape_errors(tmp_path, corpus, capsys):
     assert not (tmp_path / "pred.conllu").exists()
 
 
+def test_rank_with_top_k_above_the_parser_count_keeps_every_parser(tmp_path, corpus, capsys):
+    out = tmp_path / "sel.json"
+    code = run(["rank", "--inputs", str(corpus / "parsers"), "--gold", str(corpus / "gold.conllu"),
+                "--top-k", "5", "--seed", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    warning = "asked for top 5 of 3 parsers; keeping all"
+    assert capsys.readouterr().err == warning + "\n"
+    ranking = json.loads(out.read_text())
+    assert ranking["warning"] == warning
+    assert sorted(ranking["selected"]) == ["parser_1", "parser_2", "parser_3"]
+
+
+def test_evaluate_pred_without_a_name_errors(tmp_path, corpus, capsys):
+    out = tmp_path / "report.json"
+    gold = str(corpus / "gold.conllu")
+    assert run(["evaluate", "--gold", gold, "--pred", gold, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: --pred wants NAME=FILE, got {gold!r}\n"
+    assert not out.exists()
+
+
 def test_filters_of_the_wrong_shape_error(tmp_path, corpus, capsys):
     manifest = corpus / "manifest.json"
     code = run(
@@ -699,6 +719,16 @@ def test_out_of_range_solver_settings_error(tmp_path, corpus, capsys):
         assert run([*aggregate, *flags]) == EXIT_ERROR
         assert message in capsys.readouterr().err
     assert not (tmp_path / "pred.conllu").exists()
+
+
+@pytest.mark.parametrize("method", ("mst", "crh"))
+def test_diagnostics_without_cim_exits_with_error(tmp_path, corpus, capsys, method):
+    out, diagnostics = tmp_path / "pred.conllu", tmp_path / "diag.json"
+    code = run(["aggregate", "--inputs", str(corpus / "parsers"), "--method", method,
+                "--out", str(out), "--diagnostics", str(diagnostics)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == "error: --diagnostics needs --method cim\n"
+    assert not out.exists() and not diagnostics.exists()
 
 
 def test_crh_warns_when_it_stops_without_converging(tmp_path, corpus, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from treeagg import cli
 from treeagg.conllu import (
+    HEAD_COLUMN,
     ConlluError,
     build_ensemble,
     check_segmentation,
@@ -19,6 +20,7 @@ from treeagg.conllu import (
     write_conllu,
 )
 from helpers import (
+    blocks_of,
     conllu_text,
     file_contents,
     head_sequences,
@@ -26,6 +28,7 @@ from helpers import (
     per_sentence,
     reference_check_segmentation,
     reference_parse_conllu,
+    words_of,
 )
 
 # Comments, a multiword range, and an empty node, all of which must
@@ -59,15 +62,15 @@ def test_parse_assigns_fallback_sentence_ids():
 
 def test_parse_extras_and_comments():
     tb = parse_conllu(FULL_FIXTURE)
-    start, stop = tb.blocks[0].tolist()
+    start, stop = blocks_of(tb)[0].tolist()
     lines = lines_of(tb)[start:stop]
     assert lines == tuple(FULL_FIXTURE.split("\n\n")[0].split("\n"))
     assert lines[:2] == ("# sent_id = rt1", "# text = ab c")
     assert tb.column(1)[:3] == ["a", "b", "c"]
     assert tb.heads[:3].tolist() == [2, 0, 2]
     # the range line comes before word 1, the empty node between words 2 and 3
-    assert tb.words[:3].tolist() == [3, 4, 6]
-    assert lines_of(tb)[tb.words[2]].split("\t")[3] == "PUNCT"
+    assert words_of(tb)[:3].tolist() == [3, 4, 6]
+    assert lines_of(tb)[words_of(tb)[2]].split("\t")[3] == "PUNCT"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -414,7 +417,7 @@ def test_write_reproduces_source_and_moves_only_heads(source, data):
     assert len(after) == len(before)
     # the source has the output's layout, so a word's line is its index in before
     moved = set()
-    for w, old, new in zip(tb.words.tolist(), tb.heads.tolist(), heads.tolist()):
+    for w, old, new in zip(words_of(tb).tolist(), tb.heads.tolist(), heads.tolist()):
         if old != new:
             moved.add(w)
             cols = before[w].split("\t")
@@ -437,7 +440,7 @@ def test_text_binary_and_loaded_sources_parse_alike(tmp_path_factory, source, bo
               load_treebank(path, "p")]
     for tb in parsed:
         assert file_contents(tb) == file_contents(parsed[0])
-        assert tb.forms.tolist() == parsed[0].forms.tolist()
+        assert tb.fields.tolist() == parsed[0].fields.tolist()
         assert write_conllu(tb) == write_conllu(parsed[0])
 
     # a byte that is not UTF-8, between two characters: an error at its line
@@ -528,15 +531,32 @@ def test_scan_agrees_with_the_line_loop(text):
         return
     tb = parse_conllu(text)
     bounds = tb.offsets.tolist()
-    words, forms, heads = tb.words.tolist(), tb.column(1), tb.heads.tolist()
+    words, forms, heads = words_of(tb).tolist(), tb.column(1), tb.heads.tolist()
     lines = lines_of(tb)
     got = [
         (sid, lines[start:stop], tuple(w - start for w in words[a:b]),
          tuple(forms[a:b]), tuple(heads[a:b]))
-        for sid, (start, stop), a, b in zip(tb.sentence_ids, tb.blocks.tolist(), bounds, bounds[1:])
+        for sid, (start, stop), a, b in zip(tb.sentence_ids, blocks_of(tb).tolist(), bounds, bounds[1:])
     ]
     assert got == expected
     assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_conllu())
+def test_field_bounds_hold_each_words_form_and_head(text):
+    try:
+        expected = reference_parse_conllu(text)
+    except ConlluError:
+        return  # the error is checked against the line loop above
+    tb = parse_conllu(text)
+    data = tb.raw.tobytes()
+    got = [
+        tuple(data[a:b].decode("utf-8", "surrogatepass") for a, b in ((f0, f1), (h0, h1)))
+        for f0, f1, h0, h1 in zip(*tb.fields.tolist())
+    ]
+    cols = [lines[w].split("\t") for _, lines, words, *_ in expected for w in words]
+    assert got == [(c[1], c[HEAD_COLUMN]) for c in cols]
 
 
 # ------------------------------------ FORM bytes against the string compare

@@ -109,8 +109,10 @@ def test_matrix_validation():
 
     good = np.array([[1, -1], [1, 1]], dtype=np.int8)
     make(good)
-    with pytest.raises(ValueError, match="-1 or"):
-        make(np.zeros((2, 2), dtype=np.int8))
+    for bad in (np.zeros((2, 2), dtype=np.int8), np.where(good == 1, 1.0, np.nan),
+                np.where(good == 1, 1, -128).astype(np.int8)):
+        with pytest.raises(ValueError, match="-1 or"):
+            make(bad)
     with pytest.raises(ValueError, match="does not match"):
         make(good[:1].copy())
     # a sentence's rows are one offsets slice, so rows can only belong to

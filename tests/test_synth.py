@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import lines_of, reference_random_single_root_tree, reference_repair
+from helpers import (
+    blocks_of,
+    lines_of,
+    reference_random_single_root_tree,
+    reference_repair,
+    words_of,
+)
 from treeagg import synth
 from treeagg.conllu import write_conllu
 from treeagg.evaluation import uas
@@ -62,9 +68,9 @@ def test_shapes_and_names(corpus):
     assert min(sizes) >= 8 and max(sizes) <= 14
     tb = corpus.files[1]
     lines = lines_of(tb)
-    start, q = int(tb.blocks[0, 0]), int(tb.lengths[0])
+    start, q = int(blocks_of(tb)[0, 0]), int(tb.lengths[0])
     assert lines[start] == "# sent_id = synth0001"
-    assert (tb.words[:q] - start).tolist() == list(range(1, q + 1))
+    assert (words_of(tb)[:q] - start).tolist() == list(range(1, q + 1))
     assert tb.column(1)[:q] == [f"w{d}" for d in range(1, q + 1)]
     assert lines[start + 1] == f"1\tw1\t_\t_\t_\t_\t{tb.heads[0]}\t_\t_\t_"
 
