@@ -1,11 +1,11 @@
 """Maximum spanning arborescence over a sentence's candidate edges.
 
-The solver is Chu-Liu/Edmonds from the artificial root 0, one loop over
-contraction levels that never recurses, and it returns a plain tuple of
-heads. Its one caller, decoding from edge scores
-(``edges.trees_from_scores``), sends it only the sentences whose best
-incoming arcs are no tree, or have several roots under the single-root
-rule, and writes the heads into its flat head array.
+``best_arcs`` is the one rule for a node's best incoming arc. Decoding
+(``edges.trees_from_scores``) applies it to all sentences at once and
+sends the solver only those whose best arcs are no tree, or have several
+roots under the single-root rule. The solver, Chu-Liu/Edmonds from root
+0, applies it at every contraction level, held as arrays; it never
+recurses and returns a plain tuple of heads.
 """
 
 from __future__ import annotations
@@ -51,60 +51,60 @@ class WeightedTokenGraph:
         )
 
 
-def _solve(
-    q: int, arcs: tuple[tuple[int, int, float], ...]
-) -> tuple[tuple[int, ...], float]:
+def best_arcs(heads: np.ndarray, deps: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The index of each node 0..n-1's best incoming arc, -1 where no arc
+    enters it: the arc of highest weight, then smallest head, then the
+    first listed."""
+    order = np.lexsort((heads, -weights, deps))  # stable: equal arcs keep their order
+    nodes, first = np.unique(deps[order], return_index=True)
+    best = np.full(n, -1, dtype=np.intp)
+    best[nodes] = order[first]
+    return best
+
+
+def _solve(q: int, arcs: np.ndarray | tuple) -> tuple[tuple[int, ...], float]:
     """Chu-Liu/Edmonds from root 0 over tokens 1..q, without recursion:
     the chosen heads, and the total weight of their arcs summed in
-    dependent order.
+    dependent order. ``arcs`` holds rows (head, dependent, weight).
 
-    Each level is a list of arcs (head, dependent, weight, index of the arc
-    one level up); a node's best arc is the first of highest weight, then
-    smallest head. While the best arcs form a cycle, the next level merges
-    it into a new node, an entering arc less the weight of the best arc
-    into its dependent. Unwinding the levels opens each cycle: all its best
+    A level is arrays of heads, dependents and weights over nodes 0..n-1,
+    the nodes merged into a cycle having no arcs left. While the best arcs
+    form a cycle, the next level merges it into node n: arcs inside it
+    go, and an entering arc weighs less the weight of the best arc into
+    its dependent. Unwinding the levels opens each cycle: all its best
     arcs but the one into the node the chosen entering arc reaches.
     """
-    level = [(h, d, w, -1) for h, d, w in arcs]  # -1: no level above
-    nodes = list(range(q + 1))  # ascending: a new node is the largest
+    a = np.asarray(arcs, dtype=np.float64).reshape(-1, 3)
+    h, d, w = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp), a[:, 2]
+    live = np.ones(q + 1, dtype=bool)  # the nodes not merged into a cycle
     stack = []
     while True:
-        best: dict[int, int] = {}  # node -> index of its best arc in level
-        for i, (h, d, w, _) in enumerate(level):
-            j = best.get(d)
-            if j is None or (w, -h) > (level[j][2], -level[j][0]):
-                best[d] = i
-        for v in nodes[1:]:
-            if v not in best:
-                raise NoArborescenceError(f"node {v} has no incoming arc")
-        heads = [level[best[v]][0] if v in best else 0 for v in range(1, nodes[-1] + 1)]
+        best = best_arcs(h, d, w, len(live))
+        missing = np.flatnonzero(live[1:] & (best[1:] < 0))
+        if missing.size:
+            raise NoArborescenceError(f"node {missing[0] + 1} has no incoming arc")
+        heads = np.where(live[1:], h[best[1:]], 0).tolist()  # merged nodes point at the root
         cycle = next(find_cycles(heads), None)
         if cycle is None:
             break
-        c = nodes[-1] + 1
-        stack.append((level, best, cycle))
-        in_cycle = set(cycle)
-        nodes = [v for v in nodes if v not in in_cycle] + [c]
-        contracted = []
-        for i, (h, d, w, _) in enumerate(level):
-            if d not in in_cycle:
-                contracted.append((c if h in in_cycle else h, d, w, i))
-            elif h not in in_cycle:
-                contracted.append((h, c, w - level[best[d]][2], i))
-        level = contracted
-    chosen = best  # node -> index of its chosen arc in level
+        in_cycle = np.zeros(len(live), dtype=bool)
+        in_cycle[cycle] = True
+        into = in_cycle[d]
+        up = np.flatnonzero(~(in_cycle[h] & into))  # each kept arc's index in the level above
+        stack.append((d, best, up))
+        c = len(live)
+        h, d, w = (np.where(in_cycle[h], c, h)[up], np.where(into, c, d)[up],
+                   np.where(into, w - w[best[d]], w)[up])
+        live = np.append(live & ~in_cycle, True)
+    chosen = best  # per node, the index of its chosen arc in the level
     while stack:
-        up, best, cycle = stack.pop()
-        lifted = [level[i][3] for i in chosen.values()]
-        # the cycle's best arcs, but the lifted entering arc replaces one
-        chosen = {v: best[v] for v in cycle} | {up[j][1]: j for j in lifted}
-        level = up
-    heads, total = [], 0.0
-    for d in range(1, q + 1):
-        h, _, w, _ = level[chosen[d]]
-        heads.append(h)
-        total += w
-    return tuple(heads), total
+        d, best, up = stack.pop()
+        lifted = up[chosen[chosen >= 0]]
+        chosen = best.copy()  # lifted arcs replace all outside the cycle and one in it
+        chosen[d[lifted]] = lifted
+    chosen = chosen[1:]
+    total = np.add.accumulate(np.r_[0.0, a[chosen, 2]])[-1]  # left to right from 0.0
+    return tuple(a[chosen, 0].astype(np.intp).tolist()), float(total)
 
 
 def max_arborescence(
@@ -127,28 +127,26 @@ def max_arborescence(
     ascending r, until a bound falls below the best total, which that root
     can then neither beat nor tie.
     """
+    arcs = np.array(graph.arcs, dtype=np.float64).reshape(-1, 3)
     if not enforce_single_root:
-        return _solve(graph.q, graph.arcs)[0]
+        return _solve(graph.q, arcs)[0]
 
-    root_arcs = {d: w for h, d, w in graph.arcs if h == 0}
-    if not root_arcs:
+    h, d, w = arcs.T
+    from_root = h == 0
+    if not from_root.any():
         raise NoArborescenceError("no arc out of the root")
-    best_in = [-np.inf] * graph.q  # each dependent's best arc from a token
-    for h, d, w in graph.arcs:
-        if h and w > best_in[d - 1]:
-            best_in[d - 1] = w
-    children = np.array(list(root_arcs))  # ascending, as the arcs are sorted
-    terms = np.tile(best_in, (len(children), 1))
-    terms[np.arange(len(children)), children - 1] = list(root_arcs.values())
+    best_in = np.full(graph.q + 1, -np.inf)  # each dependent's best arc from a token
+    np.maximum.at(best_in, d[~from_root].astype(np.intp), w[~from_root])
+    children = d[from_root].astype(np.intp)  # ascending, as the arcs are sorted
+    terms = np.tile(best_in[1:], (len(children), 1))
+    terms[np.arange(len(children)), children - 1] = w[from_root]
     bounds = np.add.accumulate(terms, axis=1)[:, -1]  # left to right, as _solve sums
     best: tuple[float, tuple[int, ...]] | None = None
     for i in np.lexsort((children, -bounds)).tolist():
         if best is not None and bounds[i] < best[0]:
             break
-        r = int(children[i])
-        restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
         try:
-            heads, total = _solve(graph.q, restricted)
+            heads, total = _solve(graph.q, arcs[~from_root | (d == children[i])])
         except NoArborescenceError:
             continue
         key = (total, tuple(-h for h in heads))

@@ -89,7 +89,8 @@ def fit_l1_logistic(
     step = 4.0 * total / np.linalg.eigvalsh(gram)[:, -1:]
     # per coordinate: the l1 weight (none on the intercept) and prox radius
     weight = np.r_[0.0, np.full(q, penalty)]
-    radius = step * weight
+    with np.errstate(over="ignore"):  # an infinite radius zeroes every coefficient
+        radius = step * weight
     scale = keep / total  # masks and averages each problem's gradient
     # c * (sigmoid(x) - t) = c / 2 * (tanh(x / 2) - target), t = (target + 1) / 2,
     # so a gradient is (tanh(X w / 2) @ (c / 2 * X) + offset) * scale

@@ -86,6 +86,8 @@ def crh_run(
     uas_mode = opts.distance == "uas"
     if uas_mode and ensemble is None:
         raise ValueError('distance "uas" needs the ensemble')
+    if not np.isfinite(matrix.m * (matrix.n_edges + opts.eps)):  # bounds every cost sum
+        raise ValueError(f"crh eps {opts.eps:g} overflows the sum of {matrix.m} parsers' costs")
 
     def step(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The truth step for ``weights``, and the costs of its truths."""

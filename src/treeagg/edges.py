@@ -8,11 +8,11 @@ held as parallel arrays: rows of sentence i are ``offsets[i]:offsets[i+1]``
 and row r is the edge ``heads[r] -> deps[r]``.
 
 Decoding gives every dependent of every sentence its best-scoring head in
-one pass; only the sentences whose best heads are no tree (or, under the
-single-root rule, have several roots) reach the Chu-Liu/Edmonds solver.
-The decoded trees are one flat head array over the ensemble's
-``offsets``, the layout of a parser file's ``heads``, so they are written
-out as they are (``conllu.write_conllu``).
+one pass (``arborescence.best_arcs``); only the sentences whose best heads
+are no tree (or, under the single-root rule, have several roots) reach the
+Chu-Liu/Edmonds solver. The decoded trees are one flat head array over the
+ensemble's ``offsets``, the layout of a parser file's ``heads``, so they
+are written out as they are (``conllu.write_conllu``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arborescence import WeightedTokenGraph, max_arborescence
+from .arborescence import WeightedTokenGraph, best_arcs, max_arborescence
 from .trees import ParseEnsemble, check_trees
 
 
@@ -127,14 +127,13 @@ def trees_from_scores(
     arborescence per sentence under per-row ``scores``. ``matrix`` must
     hold the ensemble's sentences in its order.
 
-    A dependent's best head has the highest score, then the smallest head,
-    as the solver scans. Where those heads form a tree the solver returns
-    them: any other root's tree scores each dependent no higher, so its
-    float total is no larger, and an equal total from equal scores has
-    larger heads. A rival ties otherwise only where rounding absorbs its
-    lower score (1 beside 1e16): the solver then keeps the rival's smaller
-    heads, and this the best heads, whose exact total is larger. Integer
-    votes (mst) sum exactly, so they cannot tie this way.
+    Each dependent takes the head ``best_arcs`` picks, as at the solver's
+    first level. Where those heads form a tree the solver returns them too:
+    any other tree scores each dependent no higher, so its float total is
+    no larger, and an equal total from equal scores has larger heads. A
+    rival ties otherwise only where rounding absorbs a lower score (1
+    beside 1e16); the solver then keeps its smaller heads, and this the
+    best heads, whose exact total is larger (integer votes sum exactly).
     """
     if matrix.sentence_ids != ensemble.sentence_ids:
         raise ValueError("the matrix and the ensemble hold different sentences")
@@ -146,10 +145,8 @@ def trees_from_scores(
     # rows the graph would refuse send their sentence to it, which raises
     valid = (h >= 0) & (h <= q[sent]) & (d >= 1) & (d <= q[sent]) & (h != d) & np.isfinite(w)
     rows, tok = np.flatnonzero(valid), offsets[sent] + d - 1
-    order = rows[np.lexsort((h[rows], -w[rows], tok[rows]))]
-    tokens, best = np.unique(tok[order], return_index=True)  # first row per token
-    heads = np.full(offsets[-1], -1, dtype=np.int64)  # -1: no candidate arc
-    heads[tokens] = h[order[best]]
+    best = best_arcs(h[rows], tok[rows], w[rows], offsets[-1])
+    heads = np.append(h[rows].astype(np.int64), -1)[best]  # -1: no candidate arc
     accepted = (q > 0) & check_trees(heads, offsets)
     accepted &= np.bincount(sent[~valid], minlength=len(q)) == 0
     if enforce_single_root:

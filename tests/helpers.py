@@ -375,6 +375,19 @@ def brute_force_arborescence(
     return best_heads
 
 
+def reference_best_arcs(
+    heads: Sequence[int], deps: Sequence[int], weights: Sequence[float], n: int
+) -> list[int]:
+    """``best_arcs`` as one scan over the arcs: a node keeps the first arc
+    into it of highest weight, then smallest head."""
+    best = [-1] * n
+    for i, (h, d, w) in enumerate(zip(heads, deps, weights)):
+        j = best[d]
+        if j < 0 or (w, -h) > (weights[j], -heads[j]):
+            best[d] = i
+    return best
+
+
 class _Arc(NamedTuple):
     head: int
     dep: int

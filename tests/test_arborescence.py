@@ -13,6 +13,7 @@ from treeagg.arborescence import (
     NoArborescenceError,
     WeightedTokenGraph,
     _solve,
+    best_arcs,
     max_arborescence,
 )
 from treeagg import edges
@@ -22,6 +23,7 @@ from treeagg.trees import ParseEnsemble, find_cycles, validate_tree
 from helpers import (
     brute_force_arborescence,
     random_complete_digraph,
+    reference_best_arcs,
     reference_max_arborescence,
     reference_random_single_root_tree,
     reference_single_root,
@@ -233,6 +235,26 @@ def test_solver_handles_nested_cycles():
     # chain (0.1 + 9.5 + 10.0 = 19.6) beats the runner-up 19.3
     assert best == (2, 3, 0)
     assert tree_weight(g, best) == pytest.approx(19.6)
+
+
+@st.composite
+def arc_lists(draw):
+    """Arcs over 1-6 nodes, repeated (head, dependent) pairs and nodes with
+    no arc among them, weights drawn from a few values with 0.0 beside -0.0."""
+    n = draw(st.integers(1, 6))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from((-1.0, -0.0, 0.0, 0.5, 1.0))
+    return n, draw(st.lists(st.tuples(node, node, weight), max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(arc_lists())
+def test_best_arcs_match_a_scan_over_the_arcs(case):
+    n, arcs = case
+    heads, deps, weights = (list(c) for c in zip(*arcs)) if arcs else ([], [], [])
+    best = best_arcs(np.array(heads, dtype=np.intp), np.array(deps, dtype=np.intp),
+                     np.array(weights, dtype=np.float64), n)
+    assert best.tolist() == reference_best_arcs(heads, deps, weights, n)
 
 
 @st.composite

@@ -721,6 +721,33 @@ def test_out_of_range_solver_settings_error(tmp_path, corpus, capsys):
     assert not (tmp_path / "pred.conllu").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_crh_eps_whose_cost_sum_overflows_errors(tmp_path, corpus, capsys):
+    # three parsers' costs of 1e308 each sum past the largest float
+    out = tmp_path / "pred.conllu"
+    for distance in ("edge", "uas"):
+        code = run(["aggregate", "--inputs", str(corpus / "parsers"), "--method", "crh",
+                    "--crh-distance", distance, "--crh-eps", "1e308", "--out", str(out)])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: crh eps 1e+308") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cim_with_an_l1_penalty_near_the_largest_float_zeroes_every_coefficient(
+    tmp_path, capsys
+):
+    assert run(["synth", "--out-dir", str(tmp_path), "--sentences", "10", "--tokens", "5:6",
+                "--rates", "0.1,0.2,0.3,0.4", "--seed", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["aggregate", "--inputs", str(tmp_path / "parsers"), "--method", "cim",
+                "--cim-l1", "1e308", "--out", str(tmp_path / "pred.conllu"),
+                "--diagnostics", str(tmp_path / "diag.json")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "diag.json").read_text())["correlation_edges"] == []
+
+
 @pytest.mark.parametrize("method", ("mst", "crh"))
 def test_diagnostics_without_cim_exits_with_error(tmp_path, corpus, capsys, method):
     out, diagnostics = tmp_path / "pred.conllu", tmp_path / "diag.json"

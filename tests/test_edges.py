@@ -244,6 +244,9 @@ def test_decode_refuses_what_the_graph_refuses():
     matrix, w, ens = scored_matrix({"s": {(0, 1): 1.0, (1, 2): 1.0}})
     with pytest.raises(ValueError, match="non-finite"):
         trees_from_scores(matrix, np.array([1.0, np.nan]), ens)
+    # no row is left to pick a best head from
+    with pytest.raises(ValueError, match=r"non-finite weight on arc \(0, 1\)"):
+        trees_from_scores(matrix, np.full(2, np.nan), ens)
     # token 3 of the ensemble's sentence has no candidate arc
     ens3 = ensemble_of(("p",), {"s": (DepTree((0, 1, 2)),)})
     with pytest.raises(NoArborescenceError):
