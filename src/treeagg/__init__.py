@@ -41,6 +41,7 @@ from .conllu import (
     build_ensemble,
     check_segmentation,
     load_treebank,
+    load_treebanks,
     parse_conllu,
     save_treebank,
     write_conllu,
@@ -117,6 +118,7 @@ __all__ = [
     "infer_scores",
     "label_matrix",
     "load_treebank",
+    "load_treebanks",
     "majority_vote",
     "max_arborescence",
     "method_diffs",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cim as cim_mod
 from . import crh as crh_mod
-from .conllu import TreebankFile, build_ensemble, load_treebank, save_treebank
+from .conllu import TreebankFile, build_ensemble, load_treebank, load_treebanks, save_treebank
 from .edges import iter_dump_lines, label_matrix
 from .evaluation import (
     TreebankReport,
@@ -57,7 +57,7 @@ def _load_parser_dir(
     inputs: str, selected: Sequence[str] | None = None
 ) -> list[TreebankFile]:
     """Parse the ``*.conllu`` files under ``inputs`` in name order, or with
-    ``selected`` only those whose stem is a selected parser id."""
+    ``selected`` only those whose stem is a selected parser id, in one scan."""
     paths = sorted(Path(inputs).glob("*.conllu"))
     if not paths:
         raise FileNotFoundError(f"no .conllu files under {inputs}")
@@ -69,7 +69,7 @@ def _load_parser_dir(
         if missing:
             raise ValueError(f"selected parsers not found: {missing}")
         paths = [p for p in paths if p.stem in selected]
-    return [load_treebank(p) for p in paths]
+    return load_treebanks(paths)
 
 
 def _write_json(path: str, payload: object) -> None:

@@ -19,6 +19,8 @@ sentence blocks rather than stopping the scan, and the error raised, with
 its line number, is the one a reader going line by line would meet first.
 A line is decoded only to be read alone: a comment, for its sentence id, a
 line that may be all whitespace, and the line or block an error names.
+``load_treebanks`` scans several files as one, each between two newlines,
+so a parser directory pays the scan's fixed cost once.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ class TreebankFile:
     """One parser's (or the gold) trees for a whole treebank, as arrays.
 
     ``raw`` holds the file's UTF-8 bytes between two added newlines; the
-    subsets of a file share it. Sentence i, with id ``sentence_ids[i]``, is
-    the lines ``raw[spans[i, 0]:spans[i, 1]]``, each with its newline, and
-    its words are the entries ``offsets[i]:offsets[i + 1]`` of the flat
-    array ``heads`` (the HEAD column) and of the columns of ``fields``:
-    word k's FORM is ``raw[fields[0, k]:fields[1, k]]`` and its HEAD
+    subsets of a file share it, and the files loaded together by
+    ``load_treebanks`` are views of one buffer. Sentence i, with id
+    ``sentence_ids[i]``, is the lines ``raw[spans[i, 0]:spans[i, 1]]``,
+    each with its newline, and its words are the entries
+    ``offsets[i]:offsets[i + 1]`` of the flat array ``heads`` (the HEAD
+    column) and of the columns of ``fields``: word k's FORM is
+    ``raw[fields[0, k]:fields[1, k]]`` and its HEAD
     ``raw[fields[2, k]:fields[3, k]]``. ``sentences`` pairs each sentence
     id with its tree, built on demand.
     """
@@ -138,7 +142,15 @@ def parse_conllu(source: str | IO[str] | IO[bytes], parser_id: str = "") -> Tree
     of every sentence must form a valid rooted tree. Range ids ("2-3") and
     empty-node ids ("2.1") are kept verbatim and never parsed.
     """
-    data = source if isinstance(source, str) else source.read()
+    data = _text_bytes(source if isinstance(source, str) else source.read())
+    # a newline before and after the text: line i runs from newline i to i + 1
+    (parsed,) = _scan(b"".join((b"\n", data, b"\n")), [0])
+    return TreebankFile(parser_id, *parsed)
+
+
+def _text_bytes(data: str | bytes) -> bytes:
+    """The UTF-8 bytes of a text, without a byte-order mark and with LF
+    endings; bytes that are not UTF-8 raise a ``ConlluError``."""
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     elif not data.isascii():  # ASCII is UTF-8; other bytes are decoded as a check
@@ -150,8 +162,7 @@ def parse_conllu(source: str | IO[str] | IO[bytes], parser_id: str = "") -> Tree
     data = data.removeprefix(b"\xef\xbb\xbf")  # a byte-order mark
     if b"\r" in data:  # CRLF endings, and a final CR
         data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
-    # a newline before and after the text: line i runs from newline i to i + 1
-    return TreebankFile(parser_id, *_scan(b"".join((b"\n", data, b"\n"))))
+    return data
 
 
 def _read_numbers(
@@ -172,13 +183,15 @@ def _read_numbers(
     return ok, value
 
 
-def _scan(buf: bytes):
-    """(sentence ids, spans, offsets, heads, raw, fields) of the valid
-    file whose bytes, between two newlines, are ``buf``.
+def _scan(buf: bytes | bytearray, segments: Sequence[int]):
+    """Per file, (sentence ids, spans, offsets, heads, raw, fields) of the
+    valid files whose bytes, each between two newlines, are ``buf`` from
+    each of the offsets ``segments`` to the next (the last to the end).
 
     Otherwise raises the error a reader going line by line meets first:
     that of the first ``bad`` line, or of the first ``broken`` block, met
-    at the blank line after it (at the last line for the last block).
+    at the blank line after it (at the last line for the last block). Its
+    line is counted from the start of ``buf``.
     """
     raw = np.frombuffer(buf, dtype=np.uint8)
     sep = np.flatnonzero(raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
@@ -247,15 +260,30 @@ def _scan(buf: bytes):
             m = _SENT_ID.match(buf[start:stop].decode("utf-8", "surrogatepass"))
             if m:
                 found[b] = m.group(1).strip()
-    ids = tuple(sid or f"s{b + 1}" for b, sid in enumerate(found))
+    spans = newlines[blocks] + 1
+    bounds = [*segments, len(buf)]
+    first = np.searchsorted(spans[:, 0], bounds).tolist()  # each file's first block, then the end
     broken = (q == 0) | ~check_trees(heads, offsets)
-    if len(set(ids)) < n_blocks:
-        seen: dict[str, int] = {}
-        broken |= [seen.setdefault(sid, b) != b for b, sid in enumerate(ids)]
+    ids: list[str] = []
+    for a, z in zip(first, first[1:]):  # ids are numbered and unique within a file
+        names = [sid or f"s{b}" for b, sid in enumerate(found[a:z], 1)]
+        if len(set(names)) < z - a:
+            seen: dict[str, int] = {}
+            broken[a:z] |= [seen.setdefault(sid, b) != b for b, sid in enumerate(names)]
+        ids += names
     if not (bad.any() or broken.any()):
         fields = tabs.compress(numeric, axis=1)
         fields[::2] += 1  # FORM and HEAD start one byte after their tab
-        return ids, newlines[blocks] + 1, offsets, heads, raw, fields
+        if len(segments) == 1:  # nothing to split
+            return [(tuple(ids), spans, offsets, heads, raw, fields)]
+        word = offsets[first].tolist()  # each file's first word, then the end
+        parts = []
+        for a, z, w, x, s, e in zip(first, first[1:], word, word[1:], bounds, bounds[1:]):
+            spans[a:z] -= s  # positions in the file's own bytes
+            fields[:, w:x] -= s
+            parts.append((tuple(ids[a:z]), spans[a:z], offsets[a : z + 1] - w,
+                          heads[w:x], raw[s:e], fields[:, w:x]))
+        return parts
 
     line_no = int(np.argmax(bad)) + 1 if bad.any() else len(newlines)
     b = int(np.argmax(broken))
@@ -297,6 +325,29 @@ def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFil
             return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
     except ConlluError as e:
         raise ConlluError(e.line_no, e.message, p) from None
+
+
+def load_treebanks(paths: Sequence[str | Path]) -> list[TreebankFile]:
+    """``[load_treebank(p) for p in paths]``, from one scan of all the files.
+
+    Each file's text, read and checked as ``parse_conllu`` reads a binary
+    file, is placed between two newlines after the one before. If a file
+    cannot be read or the scan fails, the files are loaded one at a time,
+    so the first that fails raises the error ``load_treebank`` raises.
+    """
+    paths = [Path(p) for p in paths]
+    buf, segments = bytearray(), []
+    try:
+        for p in paths:  # a file's bytes live until they are copied into buf
+            segments.append(len(buf))
+            buf += b"\n"
+            with open(p, "rb") as fh:
+                buf += _text_bytes(fh.read())
+            buf += b"\n"
+        parsed = _scan(buf, segments)
+    except (ConlluError, OSError):
+        return [load_treebank(p) for p in paths]
+    return [TreebankFile(p.stem, *part) for p, part in zip(paths, parsed)]
 
 
 def write_conllu(treebank: TreebankFile, heads: np.ndarray | None = None) -> str:

@@ -335,6 +335,28 @@ def test_parse_errors_name_their_file(tmp_path, capsys):
     assert not (tmp_path / "filtered").exists()
 
 
+def test_a_directory_reports_its_first_failing_file(tmp_path, capsys):
+    # file 2 of 3 is malformed and file 3 cannot be read: the error is file 2's
+    text = conllu_text([("s1", ["a", "b"], [0, 1]), ("s2", ["c"], [0])])
+    write(tmp_path / "parsers" / "p1.conllu", text)
+    bad = write(tmp_path / "parsers" / "p2.conllu", text.replace("\t0\t", "\t3\t", 1))
+    unreadable = tmp_path / "parsers" / "p3.conllu"
+    unreadable.mkdir()
+    argv = ["aggregate", "--inputs", str(tmp_path / "parsers"), "--method", "mst",
+            "--out", str(tmp_path / "mst.conllu")]
+    assert run(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 2: bad head sequence (3, 1): out-of-range\n"
+    )
+    # with file 2 mended, the unreadable file's OSError is the error
+    write(bad, text)
+    assert run(argv) == EXIT_ERROR
+    with pytest.raises(OSError) as err:
+        open(unreadable, "rb")
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "mst.conllu").exists()
+
+
 def test_preprocess_rejects_thin_ensembles(tmp_path, capsys):
     # eight parser files against the default nine-parser floor
     text = conllu_text([(f"s{i}", ["a", "b"], [0, 1]) for i in range(60)])

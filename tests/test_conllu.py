@@ -15,6 +15,7 @@ from treeagg.conllu import (
     build_ensemble,
     check_segmentation,
     load_treebank,
+    load_treebanks,
     parse_conllu,
     save_treebank,
     write_conllu,
@@ -222,7 +223,9 @@ def test_a_lone_surrogate_parses_and_writes_but_is_not_saved(tmp_path, monkeypat
     (tmp_path / "in").mkdir()
     for k in range(2):
         (tmp_path / "in" / f"p{k}.conllu").write_text("")
-    monkeypatch.setattr(cli, "load_treebank", lambda path: replace(tb, parser_id=path.stem))
+    monkeypatch.setattr(
+        cli, "load_treebanks", lambda paths: [replace(tb, parser_id=p.stem) for p in paths]
+    )
     argv = ["aggregate", "--inputs", str(tmp_path / "in"), "--method", "mst",
             "--out", str(tmp_path / "mst.conllu")]
     assert cli.run(argv) == cli.EXIT_ERROR
@@ -540,6 +543,50 @@ def test_scan_agrees_with_the_line_loop(text):
     ]
     assert got == expected
     assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]
+
+
+@st.composite
+def parser_file_bytes(draw):
+    """The bytes of a ``mutated_conllu`` text, which may start with a
+    byte-order mark or hold a byte that is not UTF-8, or of an empty file."""
+    kind = draw(st.sampled_from(("text", "text", "bom", "not_utf8", "empty")))
+    if kind == "empty":
+        return b""
+    data = draw(mutated_conllu()).encode("utf-8")
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind == "not_utf8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(parser_file_bytes(), min_size=1, max_size=4))
+def test_one_scan_loads_files_as_they_load_one_at_a_time(tmp_path_factory, contents):
+    # the files share sent_ids (b0, b1, ... and the defaults s1, s2, ...),
+    # and a sent_id mutation may repeat one within a file
+    paths = [tmp_path_factory.getbasetemp() / f"p{k}.conllu" for k in range(len(contents))]
+    for path, data in zip(paths, contents):
+        path.write_bytes(data)
+    try:
+        expected = [load_treebank(p) for p in paths]
+    except ConlluError as e:
+        with pytest.raises(ConlluError) as err:
+            load_treebanks(paths)
+        assert (type(err.value), str(err.value), err.value.line_no) == (type(e), str(e), e.line_no)
+        return
+    got = load_treebanks(paths)
+    assert len(got) == len(expected)
+    for tb, one in zip(got, expected):
+        assert (tb.parser_id, tb.sentence_ids) == (one.parser_id, one.sentence_ids)
+        for name in ("spans", "offsets", "heads", "raw", "fields"):
+            a, b = getattr(tb, name), getattr(one, name)
+            assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), name
+        # word k of each sentence under word k - 1: a tree that moves most heads
+        chain = np.concatenate([np.arange(q) for q in [0, *one.lengths.tolist()]])
+        for heads in (None, chain):
+            assert write_conllu(tb, heads) == write_conllu(one, heads)
 
 
 @settings(max_examples=300, deadline=None)
