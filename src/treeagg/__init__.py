@@ -51,13 +51,13 @@ from .crh import (
     CrhState,
     crh_run,
     crh_trees,
-    truth_update,
 )
 from .edges import (
     EdgeLabelMatrix,
     label_matrix,
     majority_vote,
     trees_from_scores,
+    vote_mass,
 )
 from .evaluation import (
     MethodDiff,
@@ -128,9 +128,9 @@ __all__ = [
     "save_treebank",
     "summarize",
     "trees_from_scores",
-    "truth_update",
     "uas",
     "validate_tree",
+    "vote_mass",
     "vote_mst",
     "write_conllu",
 ]

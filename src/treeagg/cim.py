@@ -44,12 +44,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct vote rows as floats, in byte order, with their counts."""
+def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct vote rows as floats, in byte order, with their counts and
+    the index of each one's first row."""
     rows = np.ascontiguousarray(labels, dtype=np.int8)
     rows = rows.view(np.dtype((np.void, rows.shape[1])))  # far faster than axis=0
     _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    return labels[first].astype(np.float64), counts
+    return labels[first].astype(np.float64), counts, first
 
 
 # FISTA's momentum M_s, s steps after a restart, and its weight (M_s - 1) / M_{s+1}
@@ -62,29 +63,29 @@ def fit_l1_logistic(
     design: np.ndarray,
     targets: np.ndarray,
     penalty: float,
+    counts: np.ndarray,
+    use: np.ndarray,
     tol: float = 1e-6,
-    counts: np.ndarray | None = None,
-    use: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """k L1-penalized logistic regressions on one design, by proximal gradient (FISTA).
 
-    ``design`` is (n, q), ``targets`` (k, n) in {-1, +1}; problem a uses the columns
-    set in row a of the (k, q) mask ``use`` (``None``: all). Each minimizes mean
-    log-loss plus ``penalty * ||w||_1`` with an unpenalized intercept, with its own
-    step (from the largest eigenvalue of its masked Gram matrix) and momentum,
-    restarted when a step turns back against the last (the gradient restart of
-    O'Donoghue & Candès 2015). A problem freezes, with its iterate, once the KKT
-    residual of the nonsmooth optimality conditions is within ``tol``. Returns
-    intercepts (k,), coefficients (k, q), 0 at unused columns, the iterations the
-    loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and whether all
-    froze. ``counts`` gives each row a multiplicity (``None``: one each), so
-    distinct rows with their counts fit as the full matrix.
+    ``design`` is (n, q), ``targets`` (k, n) in {-1, +1}, and ``counts`` (n,) gives
+    each row a multiplicity, so distinct rows with their counts fit as the full
+    matrix; problem a uses the columns set in row a of the (k, q) mask ``use``.
+    Each minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
+    intercept, with its own step (from the largest eigenvalue of its masked Gram
+    matrix) and momentum, restarted when a step turns back against the last (the
+    gradient restart of O'Donoghue & Candès 2015). A problem freezes, with its
+    iterate, once the KKT residual of the nonsmooth optimality conditions is within
+    ``tol``. Returns intercepts (k,), coefficients (k, q), 0 at unused columns, the
+    iterations the loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and
+    whether all froze.
     """
     (n, q), k = design.shape, len(targets)
-    c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
     total = c.sum()
     X = np.column_stack([np.ones(n), design])
-    keep = np.column_stack([np.ones(k, dtype=bool), np.ones((k, q), bool) if use is None else use])
+    keep = np.column_stack([np.ones(k, dtype=bool), use])
     gram = np.where(keep[:, :, None] & keep[:, None, :], (X.T * c) @ X, 0.0)
     step = 4.0 * total / np.linalg.eigvalsh(gram)[:, -1:]
     # per coordinate: the l1 weight (none on the intercept) and prox radius
@@ -180,15 +181,15 @@ def estimate_correlation_graph(
         l1_penalty = default_l1_penalty(m, n)
     if not 0 <= l1_penalty < np.inf:
         raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
-    labels, counts = _vote_patterns(matrix.labels)
+    labels, counts, first = _vote_patterns(matrix.labels)
     excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
     k = len(active)
     # one design: the active columns, then the majority vote (a function of the
     # row's votes, so one per pattern); column a's problem skips column a
-    design = np.column_stack([labels[:, active], np.where(labels.sum(axis=1) >= 0, 1.0, -1.0)])
+    design = np.column_stack([labels[:, active], majority_vote(matrix)[first]])
     use = ~np.eye(k, k + 1, dtype=bool)
-    fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts=counts, use=use)
+    fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts, use)
     coefs = np.abs(fit[1][:, :k])
     mutual = np.minimum(coefs, coefs.T)
     pairs = zip(*np.nonzero(np.triu(mutual > coef_threshold, 1)))
@@ -360,7 +361,7 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
     labeling's (the usual case on real vote matrices) end this way,
     typically after the first step.
     """
-    labels, counts = _vote_patterns(matrix.labels)
+    labels, counts, _ = _vote_patterns(matrix.labels)
     weights = counts / matrix.n_edges
     mu = np.concatenate([[means.mu00], means.mu0_plus])
     theta = np.zeros(matrix.m + 1)

@@ -181,7 +181,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         if not state.converged:
             warning = f"crh stopped after {state.iterations} iterations without converging"
             print(f"warning: {warning}", file=sys.stderr)
-        heads = crh_mod.crh_trees(state, matrix, ensemble, single_root)
+        heads = crh_mod.crh_trees(state, matrix, ensemble)
     else:
         opts = cim_mod.CimOptions(
             l1_penalty=args.cim_l1,

@@ -317,12 +317,12 @@ def _line_error(line: str, expected_id: int) -> str:
     return f"unrecognized token id {cols[0]!r}"
 
 
-def load_treebank(path: str | Path, parser_id: str | None = None) -> TreebankFile:
-    """Parse the file at ``path``; an error names the file."""
+def load_treebank(path: str | Path) -> TreebankFile:
+    """Parse the file at ``path``, its stem the parser id; an error names the file."""
     p = Path(path)
     try:
         with open(p, "rb") as fh:
-            return parse_conllu(fh, parser_id if parser_id is not None else p.stem)
+            return parse_conllu(fh, p.stem)
     except ConlluError as e:
         raise ConlluError(e.line_no, e.message, p) from None
 
@@ -399,16 +399,6 @@ def save_treebank(
     Path(path).write_bytes(write_conllu(treebank, heads).encode("utf-8"))
 
 
-def aligned_tokens(
-    files: Sequence[TreebankFile], positions: np.ndarray
-) -> list[np.ndarray]:
-    """Per file, the flat indices of the tokens of the sentences at
-    ``positions``, which must have the same token counts in every file."""
-    q = files[0].lengths[positions]
-    within = concat_ranges(np.zeros_like(q), q)  # each token's index in its sentence
-    return [np.repeat(f.offsets[positions], q) + within for f in files]
-
-
 def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     """Per-sentence agreement flags: same token count and identical forms.
 
@@ -423,7 +413,7 @@ def check_segmentation(files: Sequence[TreebankFile]) -> list[bool]:
     q = np.stack([f.lengths for f in files])
     same = (q == q[0]).all(axis=0)
     keep = np.flatnonzero(same)
-    forms = [f.fields[:2, t] for f, t in zip(files, aligned_tokens(files, keep))]
+    forms = [f.fields[:2, concat_ranges(f.offsets[keep], q[0, keep])] for f in files]
     size = np.stack([stop - start for start, stop in forms])
     differ = (size != size[0]).any(axis=0)
     # FORMs of one byte length in every file are compared byte by byte

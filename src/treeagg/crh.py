@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, tree_labels, trees_from_scores
+from .edges import EdgeLabelMatrix, majority_vote, tree_labels, trees_from_scores, vote_mass
 from .trees import ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
@@ -47,17 +47,7 @@ class CrhState:
     iterations: int
     converged: bool
     objective_history: tuple[float, ...] = ()
-
-
-def truth_update(weights: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
-    """Weighted per-edge majority vote; exact ties break toward +1."""
-    score = matrix.labels.astype(np.float64) @ weights
-    return np.where(score >= 0, 1, -1).astype(np.int8)
-
-
-def _votes(weights: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
-    """Per edge, the weight mass of the parsers that vote for it."""
-    return (matrix.labels == 1).astype(np.float64) @ weights
+    enforce_single_root: bool = True  # the run's rule, which crh_trees decodes under
 
 
 def _uas_costs(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
@@ -94,11 +84,11 @@ def crh_run(
         if uas_mode:
             assert ensemble is not None
             heads = trees_from_scores(
-                matrix, _votes(weights, matrix), ensemble, opts.enforce_single_root
+                matrix, vote_mass(matrix, weights), ensemble, opts.enforce_single_root
             )
             truths = tree_labels(matrix, heads, ensemble.offsets)
             return truths, _uas_costs(truths, matrix) + opts.eps
-        truths = truth_update(weights, matrix)
+        truths = majority_vote(matrix, weights)
         return truths, (matrix.labels != truths[:, None]).sum(axis=0) + opts.eps
 
     # start from the unweighted vote: the majority vote, or in uas mode
@@ -121,21 +111,17 @@ def crh_run(
             converged = True
             break
     return CrhState(
-        weights, truths, objective, iteration, converged, tuple(history)
+        weights, truths, objective, iteration, converged, tuple(history),
+        opts.enforce_single_root,
     )
 
 
-def crh_trees(
-    state: CrhState,
-    matrix: EdgeLabelMatrix,
-    ensemble: ParseEnsemble,
-    enforce_single_root: bool = True,
-) -> np.ndarray:
+def crh_trees(state: CrhState, matrix: EdgeLabelMatrix, ensemble: ParseEnsemble) -> np.ndarray:
     """Decode consensus trees from converged weights, as flat heads over
-    ``ensemble.offsets``.
+    ``ensemble.offsets``, under the single-root rule of the state's run.
 
     Edge scores are weight mass on +1 votes normalized by total weight, so
     they live in [0, 1] like the probabilistic aggregators' scores.
     """
-    scores = _votes(state.weights, matrix) / state.weights.sum()
-    return trees_from_scores(matrix, scores, ensemble, enforce_single_root)
+    scores = vote_mass(matrix, state.weights) / state.weights.sum()
+    return trees_from_scores(matrix, scores, ensemble, state.enforce_single_root)

@@ -96,10 +96,16 @@ def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     )
 
 
-def majority_vote(matrix: EdgeLabelMatrix) -> np.ndarray:
-    """Per-edge majority label; exact ties break toward +1."""
-    sums = matrix.labels.astype(np.int64).sum(axis=1)
-    return np.where(sums >= 0, 1, -1).astype(np.int8)
+def majority_vote(matrix: EdgeLabelMatrix, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-edge majority label under per-parser ``weights`` (``None``: one
+    each, whose sums are exact integers); exact ties break toward +1."""
+    w = np.ones(matrix.m) if weights is None else weights
+    return np.where(matrix.labels.astype(np.float64) @ w >= 0, 1, -1).astype(np.int8)
+
+
+def vote_mass(matrix: EdgeLabelMatrix, weights: np.ndarray) -> np.ndarray:
+    """Per edge, the weight mass of the parsers that vote for it."""
+    return (matrix.labels == 1).astype(np.float64) @ weights
 
 
 def sentence_rows(matrix: EdgeLabelMatrix) -> Iterator[tuple[str, slice]]:

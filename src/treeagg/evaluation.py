@@ -16,8 +16,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .conllu import TreebankFile, aligned_tokens, check_segmentation
-from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores
+from .conllu import TreebankFile, check_segmentation
+from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores, vote_mass
 from .trees import ParseEnsemble, concat_ranges
 
 
@@ -68,10 +68,11 @@ def preprocess(
         return PreprocessResult(None, None, log)
     seg_ok = np.flatnonzero(check_segmentation([*files, gold]))
     seg_dropped = total - len(seg_ok)
-    # the same segmentation, so the same token positions in every file
-    heads = np.stack([f.heads[t] for f, t in zip(files, aligned_tokens(files, seg_ok))])
+    # the same segmentation, so the same token counts in every file
+    q = files[0].lengths[seg_ok]
+    heads = np.stack([f.heads[concat_ranges(f.offsets[seg_ok], q)] for f in files])
     differ = (heads != heads[0]).any(axis=0)
-    sent = np.repeat(np.arange(len(seg_ok)), files[0].lengths[seg_ok])
+    sent = np.repeat(np.arange(len(seg_ok)), q)
     disputed = np.bincount(sent[differ], minlength=len(seg_ok)) > 0
     agree_dropped = len(seg_ok) - int(disputed.sum())
     kept = seg_ok[disputed].tolist()
@@ -188,7 +189,7 @@ def vote_mst(
     """
     if matrix is None:
         matrix = label_matrix(ensemble)
-    votes = (matrix.labels == 1).sum(axis=1).astype(np.float64)
+    votes = vote_mass(matrix, np.ones(matrix.m))
     return trees_from_scores(matrix, votes, ensemble, enforce_single_root)
 
 

@@ -28,7 +28,7 @@ from treeagg.arborescence import max_arborescence
 from treeagg.cim import IsingParams, _canonical_value_grad, fit_canonical_params, infer_scores
 from treeagg.cli import EXIT_REJECTED, run
 from treeagg.conllu import parse_conllu, write_conllu
-from treeagg.crh import crh_run, truth_update
+from treeagg.crh import crh_run
 from treeagg.edges import majority_vote
 from treeagg.evaluation import preprocess, summarize
 
@@ -175,7 +175,7 @@ def test_criterion_5_crh_properties(acceptance_log, corpus):
             for _ in range(5):
                 w = weight_update(truths, matrix)
                 norm_worst = max(norm_worst, abs(np.exp(-w).sum() - 1.0))
-                truths = truth_update(w, matrix)
+                truths = majority_vote(matrix, w)
 
     equal = np.ones((40, 4), dtype=np.int8)
     for k in range(4):  # disjoint two-row error blocks: equal costs

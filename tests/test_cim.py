@@ -78,10 +78,13 @@ def ci_columns(accuracies, n, rng, truth=None):
 # ---------------------------------------------------------------- l1 fit
 
 
-def fit_one(X, y, penalty, **kwargs):
-    """The batched solver on a single problem (k = 1)."""
+def fit_one(X, y, penalty, counts=None, tol=1e-6):
+    """The batched solver on a single problem (k = 1) using every column;
+    ``counts`` defaults to one each."""
+    counts = np.ones(len(X)) if counts is None else counts
+    use = np.ones((1, X.shape[1]), dtype=bool)
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        X, y[None], penalty, **kwargs
+        X, y[None], penalty, counts, use, tol
     )
     return float(intercepts[0]), coefs[0], iterations, converged
 
@@ -183,7 +186,7 @@ def test_batch_runs_until_its_last_problem_freezes():
     # problem j regresses column j on the other three
     others = [[c for c in range(4) if c != j] for j in range(4)]
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        votes, votes.T, 0.02, counts=counts, use=~np.eye(4, dtype=bool)
+        votes, votes.T, 0.02, counts, ~np.eye(4, dtype=bool)
     )
     reference = [
         reference_l1_logistic(votes[:, o], votes[:, j], 0.02, counts=counts)
@@ -212,7 +215,7 @@ def test_restart_pays_on_a_near_duplicate_column():
     penalty = default_l1_penalty(6, 400)
     use = ~np.eye(6, 7, dtype=bool)  # column j's problem skips column j
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        np.column_stack([votes, mv]), votes.T, penalty, use=use
+        np.column_stack([votes, mv]), votes.T, penalty, np.ones(400), use
     )
     reference = [reference_l1_logistic(X, votes[:, j], penalty) for j, X in enumerate(designs)]
     assert converged and all(ok for _, _, _, ok in reference)
@@ -225,13 +228,14 @@ def test_restart_pays_on_a_near_duplicate_column():
 
 
 def check_one_design_batch(design, targets, penalty, counts, use):
-    """The one-design batch against ``reference_l1_logistic`` per problem."""
-    intercepts, coefs, iterations, converged = fit_l1_logistic(
-        design, targets, penalty, counts=counts, use=use
-    )
+    """The one-design batch against ``reference_l1_logistic`` per problem;
+    ``use`` None means every problem uses every column."""
     k, q = len(targets), design.shape[1]
-    assert intercepts.shape == (k,) and coefs.shape == (k, q)
     mask = np.ones((k, q), dtype=bool) if use is None else use
+    intercepts, coefs, iterations, converged = fit_l1_logistic(
+        design, targets, penalty, counts, mask
+    )
+    assert intercepts.shape == (k,) and coefs.shape == (k, q)
     reference = [
         reference_l1_logistic(design[:, mask[a]], targets[a], penalty, counts=counts)
         for a in range(k)

@@ -11,7 +11,9 @@ import pytest
 from helpers import conllu_text
 from treeagg import cim
 from treeagg.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
-from treeagg.conllu import load_treebank
+from treeagg.conllu import build_ensemble, load_treebank, load_treebanks
+from treeagg.crh import CrhOptions, crh_run
+from treeagg.edges import label_matrix, tree_labels
 
 
 def write(path: Path, text: str) -> Path:
@@ -828,6 +830,74 @@ def test_cim_with_triplet_min_zero_skips_zero_covariances(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     diagnostics = json.loads((tmp_path / "diag.json").read_text())
     assert all(0 < abs(v) < 1 for v in diagnostics["mu0_plus"].values())
+
+
+def root_children(path: Path) -> list[int]:
+    """Per sentence of the file, how many words attach to the root."""
+    return [s.tree.heads.count(0) for s in load_treebank(path).sentences]
+
+
+@pytest.fixture
+def noisy_parsers(tmp_path, capsys):
+    """The parser directory of a corpus on which every method's best trees
+    have several roots somewhere."""
+    assert run(["synth", "--out-dir", str(tmp_path / "corpus"), "--sentences", "10",
+                "--tokens", "4:6", "--rates", "0.3,0.4,0.5,0.6", "--seed", "2"]) == EXIT_OK
+    capsys.readouterr()
+    return tmp_path / "corpus" / "parsers"
+
+
+@pytest.mark.parametrize(
+    "method", (["mst"], ["crh", "--crh-distance", "uas"], ["cim"]), ids=("mst", "crh", "cim")
+)
+def test_no_single_root_lets_a_sentence_keep_several_roots(tmp_path, noisy_parsers, capsys, method):
+    aggregate = ["aggregate", "--inputs", str(noisy_parsers), "--method", *method]
+    single, several = tmp_path / "single.conllu", tmp_path / "several.conllu"
+    assert run([*aggregate, "--out", str(single)]) == EXIT_OK
+    assert run([*aggregate, "--out", str(several), "--no-single-root"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert set(root_children(single)) == {1}
+    assert max(root_children(several)) > 1
+
+
+def test_crh_uas_truths_and_written_trees_share_the_single_root_rule(
+    tmp_path, noisy_parsers, capsys
+):
+    ensemble = build_ensemble(load_treebanks(sorted(noisy_parsers.glob("*.conllu"))))
+    matrix = label_matrix(ensemble)
+    for single_root in (True, False):
+        out = tmp_path / f"crh-{single_root}.conllu"
+        assert run(["aggregate", "--inputs", str(noisy_parsers), "--method", "crh",
+                    "--crh-distance", "uas", "--out", str(out)]
+                   + ([] if single_root else ["--no-single-root"])) == EXIT_OK
+        opts = CrhOptions(distance="uas", enforce_single_root=single_root)
+        state = crh_run(matrix, opts, ensemble)
+        assert state.enforce_single_root == single_root
+        # the last truth step decoded the written trees' edges
+        written = load_treebank(out).heads
+        assert (tree_labels(matrix, written, ensemble.offsets) == state.truths).all()
+    assert capsys.readouterr().err == ""
+    assert max(root_children(tmp_path / "crh-False.conllu")) > 1
+
+
+def test_cim_no_collapse_keeps_a_duplicate_parser_its_own_column(tmp_path, capsys):
+    assert run(["synth", "--out-dir", str(tmp_path / "corpus"), "--sentences", "40",
+                "--tokens", "6:9", "--rates", "0.1,0.2,0.3", "--seed", "4",
+                "--duplicate-of", "0"]) == EXIT_OK
+    aggregate = ["aggregate", "--inputs", str(tmp_path / "corpus" / "parsers"),
+                 "--method", "cim", "--out", str(tmp_path / "pred.conllu")]
+    assert run([*aggregate, "--diagnostics", str(tmp_path / "collapsed.json")]) == EXIT_OK
+    assert run([*aggregate, "--diagnostics", str(tmp_path / "apart.json"),
+                "--cim-no-collapse"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    collapsed = json.loads((tmp_path / "collapsed.json").read_text())
+    apart = json.loads((tmp_path / "apart.json").read_text())
+    parsers = ["parser_1", "parser_2", "parser_3", "parser_4"]
+    assert collapsed["components"] == [["parser_1", "parser_4"], ["parser_2"], ["parser_3"]]
+    assert ["parser_1", "parser_4"] in collapsed["correlation_edges"]
+    assert apart["components"] == [[p] for p in parsers]
+    assert apart["correlation_edges"] == []
+    assert list(apart["mu0_plus"]) == parsers
 
 
 def test_usage_error_exits_two():

@@ -306,11 +306,10 @@ def test_load_and_save(tmp_path):
     path = tmp_path / "sample.conllu"
     path.write_text(FULL_FIXTURE, encoding="utf-8")
     tb = load_treebank(path)
-    assert tb.parser_id == "sample"  # stem is the default id
+    assert tb.parser_id == "sample"  # the stem is the id
     out = tmp_path / "copy.conllu"
     save_treebank(tb, out)
     assert out.read_text(encoding="utf-8") == FULL_FIXTURE
-    assert load_treebank(path, "other").parser_id == "other"
 
 
 def test_subset_picks_positions():
@@ -440,7 +439,7 @@ def test_text_binary_and_loaded_sources_parse_alike(tmp_path_factory, source, bo
     path = tmp_path_factory.getbasetemp() / "source.conllu"
     path.write_bytes(text.encode("utf-8"))
     parsed = [parse_conllu(text, "p"), parse_conllu(io.BytesIO(text.encode("utf-8")), "p"),
-              load_treebank(path, "p")]
+              replace(load_treebank(path), parser_id="p")]
     for tb in parsed:
         assert file_contents(tb) == file_contents(parsed[0])
         assert tb.fields.tolist() == parsed[0].fields.tolist()

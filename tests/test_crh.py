@@ -11,16 +11,15 @@ from treeagg.crh import (
     CrhOptions,
     CrhState,
     _uas_costs,
-    _votes,
     crh_run,
     crh_trees,
-    truth_update,
 )
 from treeagg.edges import (
     label_matrix,
     majority_vote,
     tree_labels,
     trees_from_scores,
+    vote_mass,
 )
 from treeagg.synth import SynthConfig, generate
 
@@ -74,8 +73,8 @@ def test_truth_update_hand_cases():
     matrix = placeholder_matrix(labels)
     # unanimous row stays +1; [+1,-1,-1] under weights [2,1,1] is a 2 vs 2
     # tie resolved to +1; [+1,+1,-1] under [1,1,3] is 2 vs 3
-    assert truth_update(np.array([2.0, 1.0, 1.0]), matrix).tolist() == [1, 1, 1]
-    assert truth_update(np.array([1.0, 1.0, 3.0]), matrix).tolist() == [1, -1, -1]
+    assert majority_vote(matrix, np.array([2.0, 1.0, 1.0])).tolist() == [1, 1, 1]
+    assert majority_vote(matrix, np.array([1.0, 1.0, 3.0])).tolist() == [1, -1, -1]
 
 
 def test_identical_parsers_converge_immediately():
@@ -216,7 +215,7 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
     )
     matrix = label_matrix(res.ensemble)
     weights = rng.uniform(0.1, 3.0, m)
-    votes = _votes(weights, matrix)
+    votes = vote_mass(matrix, weights)
     heads = trees_from_scores(matrix, votes, res.ensemble, single_root)
     costs = _uas_costs(tree_labels(matrix, heads, res.ensemble.offsets), matrix)
     trees = trees_by_id(heads, res.ensemble)

@@ -142,6 +142,9 @@ def test_majority_vote_breaks_ties_up():
     assert mv.tolist() == [1, -1, 1]
     even = np.array([[1, -1], [-1, 1]], dtype=np.int8)
     assert majority_vote(placeholder_matrix(even)).tolist() == [1, 1]
+    # a weighted exact tie, 0.5 against 0.25 + 0.25, where one each gives -1
+    weights = np.array([0.5, 0.25, 0.25])
+    assert majority_vote(placeholder_matrix(labels), weights).tolist() == [1, 1, 1]
 
 
 def test_sentence_rows_yields_contiguous_slices():
