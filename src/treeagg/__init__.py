@@ -74,7 +74,6 @@ from .evaluation import (
 )
 from .synth import SynthConfig, SynthResult, generate
 from .trees import (
-    InvalidTreeError,
     ParseEnsemble,
     validate_tree,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "CrhOptions",
     "CrhState",
     "EdgeLabelMatrix",
-    "InvalidTreeError",
     "IsingParams",
     "MethodDiff",
     "NoArborescenceError",

@@ -1,11 +1,11 @@
 """Maximum spanning arborescence over a sentence's candidate edges.
 
-``best_arcs`` is the one rule for a node's best incoming arc. Decoding
-(``edges.trees_from_scores``) applies it to all sentences at once and
-sends the solver only those whose best arcs are no tree, or have several
-roots under the single-root rule. The solver, Chu-Liu/Edmonds from root
-0, applies it at every contraction level, held as arrays; it never
-recurses and returns a plain tuple of heads.
+``refuse_arcs`` is the one rule for a candidate arc and ``best_arcs`` for
+a node's best incoming arc. Decoding (``edges.trees_from_scores``)
+applies both to all sentences at once and sends the solver, as arc
+arrays, only those whose best arcs are no tree, or have several roots
+under the single-root rule. The solver, Chu-Liu/Edmonds from root 0,
+applies ``best_arcs`` at every level, held as arrays; it never recurses.
 """
 
 from __future__ import annotations
@@ -21,34 +21,41 @@ class NoArborescenceError(ValueError):
     """The graph has no spanning arborescence under the requested rooting."""
 
 
-@dataclass(frozen=True)
-class WeightedTokenGraph:
-    """Candidate arcs (head, dependent) -> weight over tokens 1..q.
+def refuse_arcs(heads: np.ndarray, deps: np.ndarray, weights: np.ndarray, q) -> None:
+    """Raise ``ValueError`` for the first arc that breaks the rule over
+    tokens 1..q: a whole head in 0..q, a whole dependent in 1..q, no
+    self-loop, a finite weight. ``q`` is one count or one per arc."""
+    q = np.broadcast_to(q, np.shape(heads))
+    in_range = (heads >= 0) & (heads <= q) & (deps >= 1) & (deps <= q)
+    in_range &= (np.trunc(heads) == heads) & (np.trunc(deps) == deps)
+    bad = np.flatnonzero(~(in_range & (heads != deps) & np.isfinite(weights)))
+    if bad.size:
+        i = bad[0]
+        h, d = (int(x) if float(x).is_integer() else float(x) for x in (heads[i], deps[i]))
+        if not in_range[i]:
+            raise ValueError(f"arc ({h}, {d}) outside token range 0..{q[i]}")
+        if h == d:
+            raise ValueError(f"self-loop arc on token {d}")
+        raise ValueError(f"non-finite weight on arc ({h}, {d})")
 
-    Arcs are deduplicated keeping the larger weight, sorted, and validated:
-    finite weights, heads in 0..q, dependents in 1..q, no self-loops.
-    """
+
+@dataclass(frozen=True, eq=False)
+class WeightedTokenGraph:
+    """Candidate arcs over tokens 1..q, one (head, dependent, weight) row
+    each, checked by ``refuse_arcs`` and sorted by (head, dependent). A
+    repeated pair keeps every row; the solver takes the larger weight."""
 
     q: int
-    arcs: tuple[tuple[int, int, float], ...]
+    arcs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError("graph needs at least one token")
-        best: dict[tuple[int, int], float] = {}
-        for h, d, w in self.arcs:
-            if not 1 <= d <= self.q or not 0 <= h <= self.q:
-                raise ValueError(f"arc ({h}, {d}) outside token range 0..{self.q}")
-            if h == d:
-                raise ValueError(f"self-loop arc on token {d}")
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValueError(f"non-finite weight on arc ({h}, {d})")
-            if (h, d) not in best or w > best[(h, d)]:
-                best[(h, d)] = w
-        object.__setattr__(
-            self, "arcs", tuple((h, d, best[(h, d)]) for h, d in sorted(best))
-        )
+        a = np.array(self.arcs, dtype=np.float64).reshape(len(self.arcs), 3)
+        refuse_arcs(a[:, 0], a[:, 1], a[:, 2], self.q)
+        a = a[np.lexsort((a[:, 1], a[:, 0]))]
+        a.setflags(write=False)
+        object.__setattr__(self, "arcs", a)
 
 
 def best_arcs(heads: np.ndarray, deps: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -62,10 +69,10 @@ def best_arcs(heads: np.ndarray, deps: np.ndarray, weights: np.ndarray, n: int) 
     return best
 
 
-def _solve(q: int, arcs: np.ndarray | tuple) -> tuple[tuple[int, ...], float]:
+def _solve(q: int, a: np.ndarray) -> tuple[tuple[int, ...], float]:
     """Chu-Liu/Edmonds from root 0 over tokens 1..q, without recursion:
     the chosen heads, and the total weight of their arcs summed in
-    dependent order. ``arcs`` holds rows (head, dependent, weight).
+    dependent order. ``a`` holds rows (head, dependent, weight).
 
     A level is arrays of heads, dependents and weights over nodes 0..n-1,
     the nodes merged into a cycle having no arcs left. While the best arcs
@@ -74,7 +81,6 @@ def _solve(q: int, arcs: np.ndarray | tuple) -> tuple[tuple[int, ...], float]:
     its dependent. Unwinding the levels opens each cycle: all its best
     arcs but the one into the node the chosen entering arc reaches.
     """
-    a = np.asarray(arcs, dtype=np.float64).reshape(-1, 3)
     h, d, w = a[:, 0].astype(np.intp), a[:, 1].astype(np.intp), a[:, 2]
     live = np.ones(q + 1, dtype=bool)  # the nodes not merged into a cycle
     stack = []
@@ -127,11 +133,10 @@ def max_arborescence(
     ascending r, until a bound falls below the best total, which that root
     can then neither beat nor tie.
     """
-    arcs = np.array(graph.arcs, dtype=np.float64).reshape(-1, 3)
     if not enforce_single_root:
-        return _solve(graph.q, arcs)[0]
+        return _solve(graph.q, graph.arcs)[0]
 
-    h, d, w = arcs.T
+    h, d, w = graph.arcs.T
     from_root = h == 0
     if not from_root.any():
         raise NoArborescenceError("no arc out of the root")
@@ -146,7 +151,7 @@ def max_arborescence(
         if best is not None and bounds[i] < best[0]:
             break
         try:
-            heads, total = _solve(graph.q, arcs[~from_root | (d == children[i])])
+            heads, total = _solve(graph.q, graph.arcs[~from_root | (d == children[i])])
         except NoArborescenceError:
             continue
         key = (total, tuple(-h for h in heads))

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arborescence import WeightedTokenGraph, best_arcs, max_arborescence
+from .arborescence import WeightedTokenGraph, best_arcs, max_arborescence, refuse_arcs
 from .trees import ParseEnsemble, check_trees
 
 
@@ -143,25 +143,23 @@ def trees_from_scores(
     """
     if matrix.sentence_ids != ensemble.sentence_ids:
         raise ValueError("the matrix and the ensemble hold different sentences")
+    w = np.asarray(scores, dtype=np.float64)
+    if w.shape != matrix.heads.shape:
+        raise ValueError(f"scores of shape {w.shape} for {matrix.n_edges} rows: need one per row")
     offsets = ensemble.offsets
     q = np.diff(offsets)
-    w = np.asarray(scores, dtype=np.float64)
     h, d = matrix.heads, matrix.deps
     sent = np.repeat(np.arange(len(q)), np.diff(matrix.offsets))
-    # rows the graph would refuse send their sentence to it, which raises
-    valid = (h >= 0) & (h <= q[sent]) & (d >= 1) & (d <= q[sent]) & (h != d) & np.isfinite(w)
-    rows, tok = np.flatnonzero(valid), offsets[sent] + d - 1
-    best = best_arcs(h[rows], tok[rows], w[rows], offsets[-1])
-    heads = np.append(h[rows].astype(np.int64), -1)[best]  # -1: no candidate arc
+    refuse_arcs(h, d, w, q[sent])
+    best = best_arcs(h, offsets[sent] + d - 1, w, offsets[-1])
+    heads = np.append(h.astype(np.int64), -1)[best]  # -1: no candidate arc
     accepted = (q > 0) & check_trees(heads, offsets)
-    accepted &= np.bincount(sent[~valid], minlength=len(q)) == 0
     if enforce_single_root:
         roots = np.repeat(np.arange(len(q)), q)[heads == 0]
         accepted &= np.bincount(roots, minlength=len(q)) == 1
     for i in np.flatnonzero(~accepted).tolist():
         r = slice(matrix.offsets[i], matrix.offsets[i + 1])
-        arcs = tuple(zip(h[r].tolist(), d[r].tolist(), w[r].tolist()))
-        graph = WeightedTokenGraph(int(q[i]), arcs)
+        graph = WeightedTokenGraph(int(q[i]), np.column_stack((h[r], d[r], w[r])))
         heads[offsets[i] : offsets[i + 1]] = max_arborescence(graph, enforce_single_root)
     return heads
 

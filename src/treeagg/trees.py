@@ -20,10 +20,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 
-class InvalidTreeError(ValueError):
-    """Raised when a head sequence does not encode a rooted dependency tree."""
-
-
 @dataclass(frozen=True)
 class TreeCheck:
     ok: bool
@@ -108,7 +104,7 @@ class DepTree:
         object.__setattr__(self, "heads", tuple(int(h) for h in self.heads))
         check = validate_tree(self.heads, len(self.heads))
         if not check.ok:
-            raise InvalidTreeError(f"bad head sequence {self.heads!r}: {check.reason}")
+            raise ValueError(f"bad head sequence {self.heads!r}: {check.reason}")
 
     def __len__(self) -> int:
         return len(self.heads)

@@ -29,7 +29,7 @@ from treeagg.conllu import (
     TreebankFile,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
-from treeagg.trees import DepTree, InvalidTreeError, ParseEnsemble, find_cycles
+from treeagg.trees import DepTree, ParseEnsemble, find_cycles
 
 
 def ensemble_of(
@@ -93,9 +93,19 @@ def trees_by_id(heads: np.ndarray, ensemble: ParseEnsemble) -> dict[str, DepTree
     return dict(zip(ensemble.sentence_ids, map(DepTree, per_sentence(heads, ensemble.offsets))))
 
 
+def arcs_of(graph: WeightedTokenGraph) -> list[tuple[int, int, float]]:
+    """The graph's arcs as (head, dependent, weight) in (head, dependent)
+    order, a repeated pair once with its larger weight."""
+    best: dict[tuple[int, int], float] = {}
+    for h, d, w in graph.arcs.tolist():
+        key = (int(h), int(d))
+        best[key] = max(w, best.get(key, -math.inf))
+    return [(h, d, w) for (h, d), w in sorted(best.items())]
+
+
 def tree_weight(graph: WeightedTokenGraph, heads: Sequence[int]) -> float:
     """Total weight of a tree's arcs under the graph, summed in dependent order."""
-    lookup = {(h, d): w for h, d, w in graph.arcs}
+    lookup = {(h, d): w for h, d, w in arcs_of(graph)}
     total = 0.0
     for d, h in enumerate(heads, start=1):
         if (h, d) not in lookup:
@@ -259,7 +269,7 @@ def reference_parse_conllu(text: str) -> list[tuple]:
         seen_ids.add(sid)
         try:
             DepTree(heads)
-        except InvalidTreeError as e:
+        except ValueError as e:
             raise ConlluError(first_word_line, str(e)) from None
         sentences.append((sid, tuple(block), tuple(words), tuple(forms), tuple(heads)))
 
@@ -330,7 +340,7 @@ def brute_force_arborescence(
         raise ValueError(f"exhaustive search capped at 8 tokens, got {q}")
     cand: list[list[int]] = [[] for _ in range(q)]
     weight = np.full((q + 1, q + 1), -np.inf)
-    for h, d, w in graph.arcs:
+    for h, d, w in arcs_of(graph):
         cand[d - 1].append(h)
         weight[h, d] = w
     for d, heads in enumerate(cand, start=1):
@@ -456,7 +466,7 @@ def reference_max_arborescence(
     contraction loop replaced: one call per contracted cycle, each chosen
     arc lifted through a chain of parent arcs. It recurses as deep as the
     cycles nest, so it is for small graphs only."""
-    arcs = [_Arc(h, d, w, None) for h, d, w in graph.arcs]
+    arcs = [_Arc(h, d, w, None) for h, d, w in arcs_of(graph)]
     nodes = list(range(graph.q + 1))
     if not enforce_single_root:
         return _heads_from(_recursive_solve(nodes, arcs), graph.q)
@@ -793,14 +803,14 @@ def reference_random_single_root_tree(q: int, rng: np.random.Generator) -> tuple
 def reference_single_root(graph: WeightedTokenGraph) -> tuple[int, ...]:
     """``max_arborescence`` under the single-root rule with no bound: one
     solve per root arc, every root arc, in ascending order."""
-    root_children = sorted({d for h, d, _ in graph.arcs if h == 0})
+    a = graph.arcs
+    root_children = sorted(set(a[a[:, 0] == 0, 1].astype(int).tolist()))
     if not root_children:
         raise NoArborescenceError("no arc out of the root")
     best: tuple[float, tuple[int, ...]] | None = None
     for r in root_children:
-        restricted = tuple((h, d, w) for h, d, w in graph.arcs if h != 0 or d == r)
         try:
-            heads, total = _solve(graph.q, restricted)
+            heads, total = _solve(graph.q, a[(a[:, 0] != 0) | (a[:, 1] == r)])
         except NoArborescenceError:
             continue
         key = (total, tuple(-h for h in heads))

@@ -42,10 +42,26 @@ def test_graph_validation():
         WeightedTokenGraph(2, ((0, 1, float("nan")),))
 
 
+def test_graph_refuses_a_head_between_tokens():
+    # the solver would read head 0.5 as the root: two root arcs under the
+    # single-root rule
+    with pytest.raises(ValueError, match=r"arc \(0.5, 2\) outside token range 0..2"):
+        WeightedTokenGraph(2, ((0, 1, 1.0), (0.5, 2, 5.0), (1, 2, 1.0)))
+    with pytest.raises(ValueError, match=r"arc \(0, 1.5\) outside token range 0..2"):
+        WeightedTokenGraph(2, ((0, 1.5, 1.0),))
+
+
 def test_graph_dedupes_keeping_larger_weight():
-    g = WeightedTokenGraph(2, ((0, 1, 1.0), (0, 1, 3.0), (0, 2, 2.0)))
-    assert g.arcs == ((0, 1, 3.0), (0, 2, 2.0))
-    assert tree_weight(g, (0, 0)) == 5.0  # the kept 3.0 plus 2.0
+    # a repeated pair keeps both its rows, and its larger weight wins in the
+    # solver and in tree_weight: were (0, 1) worth 1.0, the best tree would
+    # be (2, 0) under either rule
+    arcs = ((0, 1, 1.0), (2, 1, 2.0), (0, 1, 3.0), (0, 2, 1.0), (1, 2, 0.5))
+    for listed in (arcs, arcs[::-1]):
+        g = WeightedTokenGraph(2, listed)
+        assert g.arcs[:, :2].tolist() == [[0, 1], [0, 1], [0, 2], [1, 2], [2, 1]]
+        assert max_arborescence(g) == (0, 1)
+        assert max_arborescence(g, enforce_single_root=False) == (0, 0)
+        assert tree_weight(g, (0, 1)) == 3.5 and tree_weight(g, (0, 0)) == 4.0
 
 
 def test_tree_weight_requires_arcs_present():

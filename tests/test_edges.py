@@ -1,6 +1,7 @@
 """Edge-level reduction: candidate unions, vote matrix, majority labels,
 and decoding trees from edge scores."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -208,7 +209,7 @@ def decode_spying(matrix, scores, ensemble, single_root):
     solved = []
 
     def spy(graph, enforce_single_root):
-        solved.append(graph.arcs)
+        solved.append(tuple(map(tuple, graph.arcs.tolist())))
         return max_arborescence(graph, enforce_single_root)
 
     with mock.patch.object(edges, "max_arborescence", spy):
@@ -261,6 +262,26 @@ def test_decode_refuses_what_the_graph_refuses():
     empty = ensemble_of(("p",), {})
     out = trees_from_scores(label_matrix(empty), np.zeros(0), empty)
     assert out.dtype == np.int64 and out.shape == (0,)
+
+
+def test_a_bad_row_raises_before_any_sentence_is_solved():
+    # sentence s cannot be solved (token 3 has no candidate arc) and comes
+    # first; t's one row has no finite score, which raises first
+    matrix, w, _ = scored_matrix({"s": {(0, 1): 1.0, (1, 2): 1.0}, "t": {(0, 1): 1.0}})
+    ens = ensemble_of(("p",), {"s": (DepTree((0, 1, 2)),), "t": (DepTree((0,)),)})
+    with pytest.raises(NoArborescenceError):
+        trees_from_scores(matrix, w, ens)
+    w[2] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite weight on arc \(0, 1\)"):
+        trees_from_scores(matrix, w, ens)
+
+
+def test_decode_wants_one_score_per_row():
+    matrix, w, ens = scored_matrix({"s": {(0, 1): 1.0, (1, 2): 1.0}, "t": {(0, 1): 1.0}})
+    for scores in (w[:, None], w[None, :], w[:-1], np.append(w, 1.0)):
+        message = f"scores of shape {scores.shape} for 3 rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trees_from_scores(matrix, scores, ens)
 
 
 def test_decode_refuses_a_matrix_of_other_sentences():
