@@ -140,6 +140,9 @@ def max_arborescence(
     from_root = h == 0
     if not from_root.any():
         raise NoArborescenceError("no arc out of the root")
+    missing = np.flatnonzero(np.bincount(d.astype(np.intp), minlength=graph.q + 1)[1:] == 0)
+    if missing.size:  # as _solve says it, not once per root
+        raise NoArborescenceError(f"node {missing[0] + 1} has no incoming arc")
     best_in = np.full(graph.q + 1, -np.inf)  # each dependent's best arc from a token
     np.maximum.at(best_in, d[~from_root].astype(np.intp), w[~from_root])
     children = d[from_root].astype(np.intp)  # ascending, as the arcs are sorted

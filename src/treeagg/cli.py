@@ -78,23 +78,24 @@ def _write_json(path: str, payload: object) -> None:
     )
 
 
+def _round_floats(value: object) -> object:
+    """``value`` with every float in it rounded to 2 decimals, for display."""
+    if isinstance(value, float):
+        return round(value, 2)
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    return value
+
+
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     files = _load_parser_dir(args.inputs)
     gold = load_treebank(args.gold)
     result = preprocess(files, gold, args.min_sentences, args.min_parsers)
     log = result.log
-    payload = {
-        "total": log.total,
-        "seg_dropped": log.seg_dropped,
-        "agree_dropped": log.agree_dropped,
-        "kept": log.kept,
-        "n_parsers": log.n_parsers,
-        "rejected": log.rejected,
-    }
     out_dir = Path(args.out_dir)
     (out_dir / "parsers").mkdir(parents=True, exist_ok=True)
-    _write_json(str(out_dir / "filters.json"), payload)
-    if result.rejected:
+    _write_json(str(out_dir / "filters.json"), asdict(log))
+    if log.rejected is not None:
         print(f"treebank rejected: {log.rejected}", file=sys.stderr)
         return EXIT_REJECTED
     assert result.files is not None and result.gold is not None
@@ -115,14 +116,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     result = rank_and_select(
         ensemble, gold, args.sample_size, args.top_k, args.seed
     )
-    payload = {
-        "selected": list(result.selected),
-        "table": [[p, u] for p, u in result.table],
-        "sample_positions": list(result.sample_positions),
-        "seed": args.seed,
-    }
-    if result.warning:
-        payload["warning"] = result.warning
+    payload = asdict(result)
+    if result.warning is None:
+        del payload["warning"]
+    else:
         print(result.warning, file=sys.stderr)
     _write_json(args.out, payload)
     return EXIT_OK
@@ -235,7 +232,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         selected_parsers=selected,
         filters=filters,
     )
-    _write_json(args.out, report.to_json())
+    _write_json(args.out, asdict(report))
     return EXIT_OK
 
 
@@ -264,16 +261,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for method, value in r.methods.items():
                 per_method.setdefault(method, []).append(value)
         payload["groups"][group] = {
-            method: summarize(vals, group).rounded()
-            for method, vals in sorted(per_method.items())
+            method: asdict(summarize(vals, group)) for method, vals in sorted(per_method.items())
         }
         diffs = method_diffs(members, args.primary)
         if diffs:
-            payload["diffs"][group] = {
-                b: {**asdict(d), "diffs": {t: round(v, 2) for t, v in d.diffs.items()}}
-                for b, d in diffs.items()
-            }
-    _write_json(args.out, payload)
+            payload["diffs"][group] = {b: asdict(d) for b, d in diffs.items()}
+    _write_json(args.out, _round_floats(payload))
     return EXIT_OK
 
 

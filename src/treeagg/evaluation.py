@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,16 +23,14 @@ from .trees import ParseEnsemble, concat_ranges
 
 @dataclass(frozen=True)
 class FilterLog:
+    """One treebank's filter counts, the keys of ``filters.json``."""
+
     total: int
     seg_dropped: int
     agree_dropped: int
-    kept_positions: tuple[int, ...]
+    kept: int
     n_parsers: int
     rejected: str | None = None
-
-    @property
-    def kept(self) -> int:
-        return len(self.kept_positions)
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,6 @@ class PreprocessResult:
     files: tuple[TreebankFile, ...] | None
     gold: TreebankFile | None
     log: FilterLog
-
-    @property
-    def rejected(self) -> bool:
-        return self.log.rejected is not None
 
 
 def preprocess(
@@ -62,7 +56,7 @@ def preprocess(
     total = len(gold)
     if len(files) < min_parsers:
         log = FilterLog(
-            total, 0, 0, (), len(files),
+            total, 0, 0, 0, len(files),
             f"{len(files)} parsers, need at least {min_parsers}",
         )
         return PreprocessResult(None, None, log)
@@ -78,11 +72,11 @@ def preprocess(
     kept = seg_ok[disputed].tolist()
     if len(kept) < min_sentences:
         log = FilterLog(
-            total, seg_dropped, agree_dropped, tuple(kept), len(files),
+            total, seg_dropped, agree_dropped, len(kept), len(files),
             f"{len(kept)} surviving sentences, need at least {min_sentences}",
         )
         return PreprocessResult(None, None, log)
-    log = FilterLog(total, seg_dropped, agree_dropped, tuple(kept), len(files))
+    log = FilterLog(total, seg_dropped, agree_dropped, len(kept), len(files))
     return PreprocessResult(
         tuple(f.subset(kept) for f in files), gold.subset(kept), log
     )
@@ -131,9 +125,12 @@ def uas(
 
 @dataclass(frozen=True)
 class RankResult:
+    """A seeded ranking, the keys of ``selected.json`` less an unset ``warning``."""
+
     selected: tuple[str, ...]
     table: tuple[tuple[str, float], ...]
     sample_positions: tuple[int, ...]
+    seed: int
     warning: str | None = None
 
 
@@ -174,7 +171,7 @@ def rank_and_select(
         warning = f"asked for top {top_k} of {ensemble.m} parsers; keeping all"
     order = sorted(range(ensemble.m), key=lambda k: -table[k][1])
     selected = tuple(ensemble.parser_ids[k] for k in order[:top_k])
-    return RankResult(selected, tuple(table), tuple(positions), warning)
+    return RankResult(selected, tuple(table), tuple(positions), seed, warning)
 
 
 def vote_mst(
@@ -203,15 +200,6 @@ class SummaryReport:
     median: float
     std: float
 
-    def rounded(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "mean": round(self.mean, 2),
-            "median": round(self.median, 2),
-            "std": round(self.std, 2),
-        }
-
 
 def summarize(values: Sequence[float], group: str = "all") -> SummaryReport:
     """Mean, median, and population standard deviation of UAS values.
@@ -232,7 +220,7 @@ def summarize(values: Sequence[float], group: str = "all") -> SummaryReport:
 
 @dataclass(frozen=True)
 class TreebankReport:
-    """Evaluation record for one treebank, JSON-shaped via ``to_json``."""
+    """Evaluation record for one treebank, the keys of ``report.json``."""
 
     treebank: str
     n_sentences: int
@@ -240,12 +228,9 @@ class TreebankReport:
     selected_parsers: tuple[str, ...] = ()
     filters: Mapping[str, int] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, data: Mapping) -> "TreebankReport":
-        """Read back ``to_json``'s dict; a value that does not convert
+        """Read back the record's ``asdict``; a value that does not convert
         raises ``ValueError`` or ``TypeError``."""
         treebank, methods, filters = data["treebank"], data["methods"], data.get("filters", {})
         if not isinstance(treebank, str):

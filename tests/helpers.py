@@ -27,6 +27,7 @@ from treeagg.conllu import (
     N_COLUMNS,
     ConlluError,
     TreebankFile,
+    parse_conllu,
 )
 from treeagg.edges import EdgeLabelMatrix, majority_vote
 from treeagg.trees import DepTree, ParseEnsemble, find_cycles
@@ -226,6 +227,38 @@ def conllu_text(sentences: list[tuple[str, list[str], list[int]]]) -> str:
             )
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
+
+
+def build_file(heads_per_sentence, parser_id):
+    """A parsed file of sentences s1, s2, ... with these heads."""
+    sentences = []
+    for i, heads in enumerate(heads_per_sentence):
+        forms = [f"w{j + 1}" for j in range(len(heads))]
+        sentences.append((f"s{i + 1}", forms, heads))
+    return parse_conllu(conllu_text(sentences), parser_id)
+
+
+def sixty_sentence_fixture():
+    """60 sentences: 5 segmentation mismatches, 10 full agreements."""
+    a, b, g = [], [], []
+    for i in range(60):
+        if i < 5:  # parser B tokenizes an extra word
+            a.append([0, 1, 2])
+            b.append([0, 1, 2, 3])
+            g.append([0, 1, 2])
+        elif i < 15:  # parsers agree exactly
+            a.append([0, 1, 1])
+            b.append([0, 1, 1])
+            g.append([0, 1, 2])
+        else:
+            a.append([0, 1, 2])
+            b.append([0, 1, 1])
+            g.append([0, 1, 2])
+    return (
+        build_file(a, "pa"),
+        build_file(b, "pb"),
+        build_file(g, "gold"),
+    )
 
 
 def reference_parse_conllu(text: str) -> list[tuple]:
@@ -474,6 +507,10 @@ def reference_max_arborescence(
     root_children = sorted({a.dep for a in arcs if a.head == 0})
     if not root_children:
         raise NoArborescenceError("no arc out of the root")
+    entered = {a.dep for a in arcs}
+    for d in range(1, graph.q + 1):
+        if d not in entered:
+            raise NoArborescenceError(f"node {d} has no incoming arc")
     best: tuple[float, tuple[int, ...]] | None = None
     for r in root_children:
         restricted = [a for a in arcs if a.head != 0 or a.dep == r]
@@ -807,6 +844,9 @@ def reference_single_root(graph: WeightedTokenGraph) -> tuple[int, ...]:
     root_children = sorted(set(a[a[:, 0] == 0, 1].astype(int).tolist()))
     if not root_children:
         raise NoArborescenceError("no arc out of the root")
+    missing = sorted(set(range(1, graph.q + 1)) - set(a[:, 1].astype(int).tolist()))
+    if missing:
+        raise NoArborescenceError(f"node {missing[0]} has no incoming arc")
     best: tuple[float, tuple[int, ...]] | None = None
     for r in root_children:
         try:

@@ -175,11 +175,14 @@ def test_equal_weight_ties_without_a_cycle_give_the_smallest_sequence():
 
 
 def test_missing_arcs_are_detected():
+    # a token no arc enters is named under either rule, not reported as
+    # every root's solve failing
     partial = WeightedTokenGraph(2, ((0, 1, 1.0),))
-    with pytest.raises(NoArborescenceError, match="no incoming arc"):
-        max_arborescence(partial, enforce_single_root=False)
-    with pytest.raises(NoArborescenceError, match="single-rooted"):
-        max_arborescence(partial)
+    no_arc_into_3 = WeightedTokenGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 0.5), (2, 1, 0.3)))
+    for g, node in ((partial, 2), (no_arc_into_3, 3)):
+        for single_root in (True, False):
+            with pytest.raises(NoArborescenceError, match=f"^node {node} has no incoming arc$"):
+                max_arborescence(g, single_root)
     rootless = WeightedTokenGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))
     with pytest.raises(NoArborescenceError, match="no arc out of the root"):
         max_arborescence(rootless)

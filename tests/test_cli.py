@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from treeagg.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECTED, run
 from treeagg.conllu import build_ensemble, load_treebank, load_treebanks
 from treeagg.crh import CrhOptions, crh_run
 from treeagg.edges import label_matrix, tree_labels
+from treeagg.evaluation import preprocess, rank_and_select
 
 
 def write(path: Path, text: str) -> Path:
@@ -577,6 +579,29 @@ def test_rank_with_top_k_above_the_parser_count_keeps_every_parser(tmp_path, cor
     ranking = json.loads(out.read_text())
     assert ranking["warning"] == warning
     assert sorted(ranking["selected"]) == ["parser_1", "parser_2", "parser_3"]
+
+
+def test_filters_and_selection_files_are_their_records_fields(tmp_path, corpus):
+    # filters.json is a FilterLog, selected.json a RankResult without an
+    # unset warning
+    files = load_treebanks(sorted((corpus / "parsers").glob("*.conllu")))
+    gold = load_treebank(corpus / "gold.conllu")
+    inputs = ["--inputs", str(corpus / "parsers"), "--gold", str(corpus / "gold.conllu")]
+    for floor, code in ((1, EXIT_OK), (100, EXIT_REJECTED)):
+        out = tmp_path / f"filtered-{floor}"
+        argv = ["preprocess", *inputs, "--out-dir", str(out), "--min-sentences", str(floor),
+                "--min-parsers", "3"]
+        assert run(argv) == code
+        log = preprocess(files, gold, floor, 3).log
+        assert json.loads((out / "filters.json").read_text()) == asdict(log)
+    for top_k, warned in ((2, False), (5, True)):
+        out = tmp_path / f"selected-{top_k}.json"
+        argv = ["rank", *inputs, "--top-k", str(top_k), "--seed", "4", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        fields = asdict(rank_and_select(build_ensemble(files), gold, top_k=top_k, seed=4))
+        if not warned:
+            assert fields.pop("warning") is None
+        assert json.loads(out.read_text()) == json.loads(json.dumps(fields))
 
 
 def test_evaluate_pred_without_a_name_errors(tmp_path, corpus, capsys):

@@ -269,7 +269,7 @@ def test_a_bad_row_raises_before_any_sentence_is_solved():
     # first; t's one row has no finite score, which raises first
     matrix, w, _ = scored_matrix({"s": {(0, 1): 1.0, (1, 2): 1.0}, "t": {(0, 1): 1.0}})
     ens = ensemble_of(("p",), {"s": (DepTree((0, 1, 2)),), "t": (DepTree((0,)),)})
-    with pytest.raises(NoArborescenceError):
+    with pytest.raises(NoArborescenceError, match="node 3 has no incoming arc"):
         trees_from_scores(matrix, w, ens)
     w[2] = np.nan
     with pytest.raises(ValueError, match=r"non-finite weight on arc \(0, 1\)"):

@@ -2,15 +2,23 @@
 
 import json
 import random
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conllu_text, ensemble_of, file_contents, head_sequences, trees_by_id
+from helpers import (
+    build_file,
+    ensemble_of,
+    file_contents,
+    head_sequences,
+    sixty_sentence_fixture,
+    trees_by_id,
+)
 from treeagg.arborescence import NoArborescenceError
-from treeagg.conllu import parse_conllu
+from treeagg.cli import EXIT_OK, run
 from treeagg.edges import EdgeLabelMatrix, label_matrix
 from treeagg.evaluation import (
     MethodDiff,
@@ -28,14 +36,6 @@ from treeagg.trees import DepTree
 
 
 # ------------------------------------------------------------------ uas
-
-
-def build_file(heads_per_sentence, parser_id):
-    sentences = []
-    for i, heads in enumerate(heads_per_sentence):
-        forms = [f"w{j + 1}" for j in range(len(heads))]
-        sentences.append((f"s{i + 1}", forms, heads))
-    return parse_conllu(conllu_text(sentences), parser_id)
 
 
 def test_uas_counts_matching_heads():
@@ -81,37 +81,16 @@ def test_uas_input_validation():
 # ----------------------------------------------------------- preprocess
 
 
-def sixty_sentence_fixture():
-    """60 sentences: 5 segmentation mismatches, 10 full agreements."""
-    a, b, g = [], [], []
-    for i in range(60):
-        if i < 5:  # parser B tokenizes an extra word
-            a.append([0, 1, 2])
-            b.append([0, 1, 2, 3])
-            g.append([0, 1, 2])
-        elif i < 15:  # parsers agree exactly
-            a.append([0, 1, 1])
-            b.append([0, 1, 1])
-            g.append([0, 1, 2])
-        else:
-            a.append([0, 1, 2])
-            b.append([0, 1, 1])
-            g.append([0, 1, 2])
-    return (
-        build_file(a, "pa"),
-        build_file(b, "pb"),
-        build_file(g, "gold"),
-    )
-
-
 def test_preprocess_filters_and_counts():
     fa, fb, gold = sixty_sentence_fixture()
     result = preprocess([fa, fb], gold, min_sentences=40, min_parsers=2)
     assert result.log.total == 60
     assert result.log.seg_dropped == 5
     assert result.log.agree_dropped == 10
-    assert result.log.kept_positions == tuple(range(15, 60))
+    assert result.log.kept == 45
     assert result.log.rejected is None
+    assert result.gold.sentence_ids == gold.sentence_ids[15:]
+    assert [f.sentence_ids for f in result.files] == [gold.sentence_ids[15:]] * 2
     assert [len(f) for f in result.files] == [45, 45]
     assert len(result.gold) == 45
 
@@ -122,7 +101,7 @@ def test_preprocess_is_idempotent():
     second = preprocess(first.files, first.gold, min_sentences=40, min_parsers=2)
     assert second.log.seg_dropped == 0
     assert second.log.agree_dropped == 0
-    assert len(second.log.kept_positions) == 45
+    assert second.log.kept == 45
     assert list(map(file_contents, second.files)) == list(map(file_contents, first.files))
     assert file_contents(second.gold) == file_contents(first.gold)
 
@@ -134,7 +113,10 @@ def test_preprocess_rejects_thin_treebanks():
     assert rejected.files is None
     assert rejected.gold is None
     assert "45 surviving sentences" in rejected.log.rejected
-    assert rejected.log.kept_positions == tuple(range(15, 60))
+    # the same survivors as a run whose floor they meet
+    kept = preprocess([fa, fb], gold, min_sentences=45, min_parsers=2)
+    assert kept.gold.sentence_ids == gold.sentence_ids[15:]
+    assert replace(rejected.log, rejected=None) == kept.log
 
 
 def test_preprocess_rejects_too_few_parsers():
@@ -276,16 +258,26 @@ def test_summarize_hand_values():
     assert report.group == "all"
 
 
-def test_summarize_single_value_and_rounding():
+def test_summarize_single_value_and_rounding(tmp_path):
     report = summarize([77.337], group="low-resource")
     assert report.mean == report.median == 77.337
     assert report.std == 0.0
-    assert report.rounded() == {
-        "group": "low-resource",
-        "n": 1,
-        "mean": 77.34,
-        "median": 77.34,
-        "std": 0.0,
+    # summary.json rounds every float to 2 decimals, diffs included
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(asdict(TreebankReport("xx", 9, {"cim": 77.337, "mst": 70.0}))))
+    groups = tmp_path / "groups.json"
+    groups.write_text(json.dumps({"low-resource": ["xx"]}))
+    out = tmp_path / "summary.json"
+    argv = ["report", "--reports", str(path), "--groups", str(groups), "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert json.loads(out.read_text()) == {
+        "groups": {"low-resource": {
+            "cim": {"group": "low-resource", "n": 1, "mean": 77.34, "median": 77.34, "std": 0.0},
+            "mst": {"group": "low-resource", "n": 1, "mean": 70.0, "median": 70.0, "std": 0.0},
+        }},
+        "diffs": {"low-resource": {
+            "mst": {"diffs": {"xx": 7.34}, "positive": 1, "negative": 0, "zero": 0},
+        }},
     }
 
 
@@ -310,10 +302,10 @@ def test_treebank_report_json_roundtrip():
         selected_parsers=("pa", "pb"),
         filters={"seg_dropped": 5, "agree_dropped": 10},
     )
-    wire = json.loads(json.dumps(report.to_json()))
+    wire = json.loads(json.dumps(asdict(report)))
     assert TreebankReport.from_json(wire) == report
     bare = TreebankReport("yy", 50, {"cim": 80.0})
-    assert TreebankReport.from_json(json.loads(json.dumps(bare.to_json()))) == bare
+    assert TreebankReport.from_json(json.loads(json.dumps(asdict(bare)))) == bare
 
 
 def test_method_diffs_signs_and_counts():

@@ -3,7 +3,9 @@
 A fixed script runs in-process through ``cli.run``: four ``synth`` corpora
 (three small ones and the acceptance corpus), then on each ``preprocess``,
 ``rank``, ``aggregate`` with every method and rule, ``evaluate`` and
-``report``, and a few malformed inputs. ``tests/outputs_manifest.json``
+``report``, and the paths that write or print a record's optional parts
+(a rank warning, a thinned treebank's rejection, a grouped report) and a
+few malformed inputs. ``tests/outputs_manifest.json``
 holds each step's exit code, stdout and stderr and the SHA-256 of every
 file the script leaves behind. A change that alters output bytes on
 purpose regenerates the manifest with
@@ -83,6 +85,9 @@ FAULTS = {
     "not-utf8": _GOOD.encode("utf-8").replace("中".encode("utf-8")[:1], b"\xff", 1),
 }
 
+# the second group names no report, so the summary leaves it out
+GROUPS = {"small": ["dup", "short", "long"], "absent": ["no-such-treebank"]}
+
 
 def script() -> list[tuple[str, list[str]]]:
     """The steps in order, as (name, argv) with paths relative to the
@@ -114,12 +119,21 @@ def script() -> list[tuple[str, list[str]]]:
             "--inputs", f"{c}/parsers", "--selected", f"{name}/selected.json",
             "--exclude-punct", "--filters", f"{name}/filtered/filters.json",
             "--treebank", name, "--out", f"{name}/report.json"]))
-    steps.append(("report", [
-        "report", "--reports", *(f"{name}/report.json" for name in CORPORA),
-        "--out", "summary.json"]))
+    reports = [f"{name}/report.json" for name in CORPORA]
+    steps.append(("report", ["report", "--reports", *reports, "--out", "summary.json"]))
+    steps.append(("report-groups", [
+        "report", "--reports", *reports, "--groups", "groups.json", "--primary", "crh",
+        "--out", "summary-groups.json"]))
+    # "short" has 5 parsers
+    steps.append(("short/rank-all", [
+        "rank", "--inputs", "short/filtered/parsers", "--gold", "short/filtered/gold.conllu",
+        "--seed", "3", "--top-k", "9", "--out", "short/selected-all.json"]))
     steps.append(("rejected/preprocess", [
         "preprocess", "--inputs", "short/corpus/parsers", "--gold", "short/corpus/gold.conllu",
         "--out-dir", "rejected", "--min-sentences", "10", "--min-parsers", "9"]))
+    steps.append(("thin/preprocess", [
+        "preprocess", "--inputs", "short/corpus/parsers", "--gold", "short/corpus/gold.conllu",
+        "--out-dir", "thin", "--min-sentences", "1000", "--min-parsers", "3"]))
     for fault in FAULTS:
         steps.append((f"{fault}/aggregate", [
             "aggregate", "--inputs", f"faults/{fault}", "--method", "mst",
@@ -127,7 +141,8 @@ def script() -> list[tuple[str, list[str]]]:
     return steps
 
 
-def _write_faults(root: Path) -> None:
+def _write_inputs(root: Path) -> None:
+    (root / "groups.json").write_text(json.dumps(GROUPS), encoding="utf-8")
     for fault, text in FAULTS.items():
         d = root / "faults" / fault
         d.mkdir(parents=True)
@@ -156,7 +171,7 @@ def _digest(path: Path) -> str:
 def record(root: Path) -> dict:
     """Run the script in ``root``: each step's exit code, stdout and
     stderr, and the digest of every file left in ``root``."""
-    _write_faults(root)
+    _write_inputs(root)
     steps = {}
     cwd = os.getcwd()
     os.chdir(root)

@@ -23,6 +23,8 @@ import treeagg
 import treeagg.cim
 import treeagg.crh
 import treeagg.cli  # noqa: F401  (the workloads call treeagg.cli.run)
+import treeagg.evaluation
+from helpers import sixty_sentence_fixture
 from treeagg.cim import _L1_MAX_ITERATIONS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,6 +115,20 @@ def test_tracer_sees_the_write_under_a_saved_file(tmp_path):
         tracer.uninstall()
     assert tracer.counts["conllu.write_conllu.calls"] == 1
     assert tracer.counts["conllu.parse_conllu.calls"] == 0
+
+
+def test_tracer_counts_the_sentences_a_preprocess_keeps():
+    # evaluation.kept_ratio divides these counts, read off preprocess's log
+    fa, fb, gold = sixty_sentence_fixture()
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        treeagg.evaluation.preprocess([fa, fb], gold, min_sentences=40, min_parsers=2)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["evaluation.preprocess.calls"] == 1
+    assert tracer.counts["evaluation.sentences"] == 60
+    assert tracer.counts["evaluation.kept"] == 45
 
 
 def test_every_name_the_benchmark_reads_resolves():
