@@ -21,7 +21,6 @@ from .arborescence import (
     max_arborescence,
 )
 from .cim import (
-    CimOptions,
     CimResult,
     CollapseMap,
     CorrelationGraph,
@@ -81,7 +80,6 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CimOptions",
     "CimResult",
     "CollapseMap",
     "ConlluError",

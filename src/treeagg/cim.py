@@ -446,20 +446,6 @@ def infer_scores(params: IsingParams, matrix: EdgeLabelMatrix) -> np.ndarray:
     return _sigmoid(x)
 
 
-@dataclass(frozen=True)
-class CimOptions:
-    l1_penalty: float | None = None
-    coef_threshold: float = 1.0
-    collapse: bool = True
-    triplet_min: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name in ("coef_threshold", "triplet_min"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-
-
 @dataclass(frozen=True, eq=False)
 class CimResult:
     graph: CorrelationGraph
@@ -499,19 +485,21 @@ class CimResult:
         }
 
 
-def cim_run(matrix: EdgeLabelMatrix, opts: CimOptions = CimOptions()) -> CimResult:
-    """Full aggregation pass: correlation graph, collapse, estimate, score.
+def cim_run(matrix: EdgeLabelMatrix, collapse: bool = True) -> CimResult:
+    """Full aggregation pass: correlation graph, collapse, estimate, score,
+    every estimator at its defaults. Without ``collapse`` every parser keeps
+    its own column.
 
     The majority vote used for mean-parameter estimation is recomputed on
     the collapsed matrix so duplicated parsers cannot double-vote.
     """
     _require_edges(matrix)
-    if opts.collapse:
-        graph = estimate_correlation_graph(matrix, opts.l1_penalty, opts.coef_threshold)
+    if collapse:
+        graph = estimate_correlation_graph(matrix)
     else:
         graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
     reduced, cmap = collapse_correlated(matrix, graph)
-    means = estimate_mean_params(reduced, triplet_min=opts.triplet_min)
+    means = estimate_mean_params(reduced)
     params = fit_canonical_params(means, reduced)
     if not params.converged:
         # Divergent fit: the estimated moments are not soft-achievable.

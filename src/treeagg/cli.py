@@ -141,17 +141,10 @@ def _read_json(path: str, *keys: str, build: Callable[[dict], Any] = dict) -> An
         raise ValueError(f"{path}: {e}") from e
 
 
-def _selected_ids(path: str | None) -> list[str] | None:
+def _selected_ids(path: str | None) -> tuple[str, ...] | None:
     if path is None:
         return None
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(data, dict):
-        if "selected" not in data:
-            raise ValueError(f"{path}: missing key 'selected'")
-        data = data["selected"]
-    if not (isinstance(data, list) and all(isinstance(s, str) for s in data)):
-        raise ValueError(f"{path}: expected a list of parser ids, got {data!r}")
-    return data
+    return _read_json(path, "selected", build=lambda d: string_list(d["selected"], "'selected'"))
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
@@ -168,25 +161,14 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     if args.method == "mst":
         heads = vote_mst(ensemble, single_root, matrix)
     elif args.method == "crh":
-        opts = crh_mod.CrhOptions(
-            distance=args.crh_distance,
-            max_iterations=args.crh_max_iter,
-            eps=args.crh_eps,
-            enforce_single_root=single_root,
-        )
+        opts = crh_mod.CrhOptions(args.crh_distance, single_root)
         state = crh_mod.crh_run(matrix, opts, ensemble)
         if not state.converged:
             warning = f"crh stopped after {state.iterations} iterations without converging"
             print(f"warning: {warning}", file=sys.stderr)
         heads = crh_mod.crh_trees(state, matrix, ensemble)
     else:
-        opts = cim_mod.CimOptions(
-            l1_penalty=args.cim_l1,
-            coef_threshold=args.cim_coef_threshold,
-            collapse=not args.cim_no_collapse,
-            triplet_min=args.cim_triplet_min,
-        )
-        result = cim_mod.cim_run(matrix, opts)
+        result = cim_mod.cim_run(matrix, collapse=not args.cim_no_collapse)
         if not result.graph.converged:
             warning = f"cim's correlation fit stopped after {result.graph.iterations} iterations"
             print(f"warning: {warning} without converging", file=sys.stderr)
@@ -215,7 +197,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.inputs:
         sel = _selected_ids(args.selected)
         files = _load_parser_dir(args.inputs, sel)
-        selected = tuple(sel or ())
+        selected = sel or ()
         per_parser = {
             f.parser_id: uas(f, gold, exclude) for f in files
         }
@@ -341,12 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrix", help="write the edge/vote matrix here")
     p.add_argument("--diagnostics", help="write estimation diagnostics here (cim)")
     p.add_argument("--crh-distance", choices=crh_mod.DISTANCE_MODES, default="edge")
-    p.add_argument("--crh-max-iter", type=int, default=100)
-    p.add_argument("--crh-eps", type=float, default=1e-8)
-    p.add_argument("--cim-l1", type=float, default=None)
-    p.add_argument("--cim-coef-threshold", type=float, default=1.0)
     p.add_argument("--cim-no-collapse", action="store_true")
-    p.add_argument("--cim-triplet-min", type=float, default=0.01)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("evaluate", help="score predictions against gold")

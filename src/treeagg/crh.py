@@ -21,20 +21,18 @@ from .trees import ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
 _TOL = 1e-9  # crh_run stops once the objective drops by less than this
+_MAX_ITERATIONS = 100  # or after this many rounds
+_EPS = 1e-8  # added to every parser's cost, so no weight is infinite
 
 
 @dataclass(frozen=True)
 class CrhOptions:
     distance: str = "edge"
-    max_iterations: int = 100
-    eps: float = 1e-8
     enforce_single_root: bool = True
 
     def __post_init__(self) -> None:
         if self.distance not in DISTANCE_MODES:
             raise ValueError(f"distance must be one of {DISTANCE_MODES}")
-        if self.max_iterations < 1 or not 0 < self.eps < np.inf:
-            raise ValueError("bad CRH options")
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def crh_run(
     """Alternate weight and truth updates from a majority-vote start.
 
     Stops when the truths stop changing or the objective decrease falls
-    below ``_TOL``, or after ``opts.max_iterations`` rounds. The "uas"
+    below ``_TOL``, or after ``_MAX_ITERATIONS`` rounds. The "uas"
     distance needs the ensemble only to decode each step's trees.
     """
     if matrix.m < 2:
@@ -76,8 +74,6 @@ def crh_run(
     uas_mode = opts.distance == "uas"
     if uas_mode and ensemble is None:
         raise ValueError('distance "uas" needs the ensemble')
-    if not np.isfinite(matrix.m * (matrix.n_edges + opts.eps)):  # bounds every cost sum
-        raise ValueError(f"crh eps {opts.eps:g} overflows the sum of {matrix.m} parsers' costs")
 
     def step(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The truth step for ``weights``, and the costs of its truths."""
@@ -87,9 +83,9 @@ def crh_run(
                 matrix, vote_mass(matrix, weights), ensemble, opts.enforce_single_root
             )
             truths = tree_labels(matrix, heads, ensemble.offsets)
-            return truths, _uas_costs(truths, matrix) + opts.eps
+            return truths, _uas_costs(truths, matrix) + _EPS
         truths = majority_vote(matrix, weights)
-        return truths, (matrix.labels != truths[:, None]).sum(axis=0) + opts.eps
+        return truths, (matrix.labels != truths[:, None]).sum(axis=0) + _EPS
 
     # start from the unweighted vote: the majority vote, or in uas mode
     # the unweighted vote trees
@@ -98,7 +94,7 @@ def crh_run(
     objective = np.inf
     history: list[float] = []
     converged = False
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         weights = -np.log(costs / costs.sum())
         new_truths, costs = step(weights)
         new_objective = float(weights @ costs)

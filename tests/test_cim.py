@@ -6,6 +6,7 @@ moment fit against the stationarity conditions it claims to solve, and
 inference against exhaustive enumeration of the joint model.
 """
 
+import functools
 import itertools
 import math
 
@@ -18,7 +19,6 @@ from treeagg import cim
 from treeagg.cim import (
     _FIT_MAX_ITERATIONS,
     _L1_MAX_ITERATIONS,
-    CimOptions,
     CorrelationGraph,
     IsingParams,
     cim_run,
@@ -33,7 +33,8 @@ from treeagg.cim import (
     plugin_canonical_params,
 )
 from treeagg.conllu import build_ensemble
-from treeagg.crh import CrhOptions, crh_run
+from treeagg.crh import _MAX_ITERATIONS as _CRH_MAX_ITERATIONS
+from treeagg.crh import crh_run
 from treeagg.edges import label_matrix, majority_vote
 from treeagg.synth import SynthConfig, generate
 from treeagg.trees import DepTree
@@ -409,9 +410,16 @@ def test_graph_rejects_a_negative_or_non_finite_penalty():
     for penalty in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="l1_penalty must be finite and non-negative"):
             estimate_correlation_graph(matrix, l1_penalty=penalty)
-        with pytest.raises(ValueError, match="l1_penalty"):
-            cim_run(matrix, CimOptions(l1_penalty=penalty))
     estimate_correlation_graph(matrix, l1_penalty=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_graph_with_an_l1_penalty_near_the_largest_float_has_no_edges():
+    # the prox radius step * penalty overflows to inf, which zeroes every
+    # coefficient without a warning
+    synth = generate(SynthConfig(10, (5, 6), (0.1, 0.2, 0.3, 0.4), seed=2))
+    graph = estimate_correlation_graph(label_matrix(synth.ensemble), l1_penalty=1e308)
+    assert graph.edges == frozenset() and graph.converged
 
 
 def test_graph_needs_a_candidate_edge():
@@ -513,7 +521,7 @@ def test_collapse_and_moments_equal_the_per_column_oracles(case, triplet_min):
         ) == reference_mean_params(votes, triplet_min)
 
 
-def test_a_zero_covariance_is_no_triplet_denominator():
+def test_a_zero_covariance_is_no_triplet_denominator(monkeypatch):
     # seed 20's corpus has a pair of parser columns with covariance exactly
     # 0: even with triplet_min 0 it is no denominator, or NaN moments would
     # reach the scores
@@ -523,7 +531,14 @@ def test_a_zero_covariance_is_no_triplet_denominator():
     means = labels.mean(axis=0)
     covariances = labels.T @ labels / len(labels) - np.outer(means, means)
     assert (covariances[np.triu_indices(matrix.m, 1)] == 0).any()
-    result = cim_run(matrix, CimOptions(triplet_min=0.0))
+    params = estimate_mean_params(matrix, triplet_min=0.0)
+    assert all(0 < abs(v) < 1 for v in params.mu0_plus)
+    assert np.isfinite(infer_scores(plugin_canonical_params(params), matrix)).all()
+    # and through the full pass, which takes the estimator's default
+    monkeypatch.setattr(
+        cim, "estimate_mean_params", functools.partial(estimate_mean_params, triplet_min=0.0)
+    )
+    result = cim_run(matrix)
     assert np.isfinite(result.params.mu0_plus).all()
     assert np.isfinite(result.scores).all()
 
@@ -805,7 +820,7 @@ def test_a_stalled_line_search_ends_the_fit_and_takes_the_plugin(monkeypatch):
 def test_run_without_collapse_keeps_every_column():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)
-    out = cim_run(matrix, CimOptions(collapse=False))
+    out = cim_run(matrix, collapse=False)
     assert out.reduced is matrix
     assert out.collapse_map.components == tuple((j,) for j in range(matrix.m))
 
@@ -832,7 +847,7 @@ def test_diagnostics_expose_every_stage():
     # the batched l1 solve ran and froze every problem
     assert diag["correlation_fit"] == {"iterations": out.graph.iterations, "converged": True}
     assert 0 < out.graph.iterations <= _L1_MAX_ITERATIONS
-    plain = cim_run(label_matrix(result.ensemble), CimOptions(collapse=False))
+    plain = cim_run(label_matrix(result.ensemble), collapse=False)
     assert plain.diagnostics()["correlation_fit"] == {"iterations": 0, "converged": True}
 
 
@@ -842,10 +857,8 @@ def test_scores_are_equivariant_under_column_permutation():
     for j in range(4):
         labels[rng.random(500) < 0.6, j] = 1
     perm = [2, 0, 3, 1]
-    base = cim_run(placeholder_matrix(labels), CimOptions(collapse=False))
-    moved = cim_run(
-        placeholder_matrix(labels[:, perm]), CimOptions(collapse=False)
-    )
+    base = cim_run(placeholder_matrix(labels), collapse=False)
+    moved = cim_run(placeholder_matrix(labels[:, perm]), collapse=False)
     assert np.abs(base.scores - moved.scores).max() < 1e-9
     for i, j in enumerate(perm):
         assert moved.params.theta0_plus[i] == pytest.approx(
@@ -916,7 +929,7 @@ def test_solvers_end_within_their_caps_on_degenerate_matrices(kind, m, monkeypat
     graph = estimate_correlation_graph(matrix)
     fit = fit_canonical_params(estimate_mean_params(matrix), matrix)
     assert fit.iterations <= _FIT_MAX_ITERATIONS
-    assert crh_run(matrix).iterations <= CrhOptions().max_iterations
+    assert crh_run(matrix).iterations <= _CRH_MAX_ITERATIONS
     assert cim_run(matrix).params.iterations <= _FIT_MAX_ITERATIONS
     assert len(l1_iterations) == 2  # one batched solve per graph
     assert all(it <= _L1_MAX_ITERATIONS for it in l1_iterations)

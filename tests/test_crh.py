@@ -1,12 +1,14 @@
 """Truth-discovery aggregation: weight/truth updates and convergence."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeagg import crh
 from treeagg.crh import (
     CrhOptions,
     CrhState,
@@ -156,9 +158,11 @@ def test_duplicating_every_row_keeps_weights_and_iterations(data):
     labels = np.array(votes, dtype=np.int8)
     a = crh_run(placeholder_matrix(labels))
     # costs count rows, so they double with the rows; eps is added to the
-    # costs and doubles too, which keeps every cost ratio exact
+    # costs and doubles too, which keeps every cost ratio exact (patched in
+    # the body: a fixture would not be reset between examples)
     doubled = placeholder_matrix(np.repeat(labels, 2, axis=0))
-    b = crh_run(doubled, CrhOptions(eps=2 * CrhOptions().eps))
+    with mock.patch.object(crh, "_EPS", 2 * crh._EPS):
+        b = crh_run(doubled)
     assert np.array_equal(b.weights, a.weights)
     assert b.iterations == a.iterations
     assert b.objective == 2 * a.objective
@@ -226,11 +230,6 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
 def test_options_validation():
     with pytest.raises(ValueError):
         CrhOptions(distance="cosine")
-    for eps in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="bad CRH options"):
-            CrhOptions(eps=eps)
-    with pytest.raises(ValueError):
-        CrhOptions(max_iterations=0)
 
 
 def test_crh_trees_follows_dominant_weights():
