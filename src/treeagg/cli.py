@@ -36,6 +36,7 @@ from .conllu import TreebankFile, build_ensemble, load_treebank, load_treebanks,
 from .edges import iter_dump_lines, label_matrix
 from .evaluation import (
     TreebankReport,
+    json_number,
     method_diffs,
     preprocess,
     rank_and_select,
@@ -113,9 +114,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     files = _load_parser_dir(args.inputs)
     gold = load_treebank(args.gold)
     ensemble = build_ensemble(files)
-    result = rank_and_select(
-        ensemble, gold, args.sample_size, args.top_k, args.seed
-    )
+    result = rank_and_select(ensemble, gold, top_k=args.top_k, seed=args.seed)
     payload = asdict(result)
     if result.warning is None:
         del payload["warning"]
@@ -193,11 +192,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValueError(f"--pred NAME {name!r} is empty, repeated or an --inputs baseline")
         pred = load_treebank(path)
         methods[name] = uas(pred, gold, exclude)
-    selected: tuple[str, ...] = ()
+    selected = _selected_ids(args.selected)  # None without --inputs
     if args.inputs:
-        sel = _selected_ids(args.selected)
-        files = _load_parser_dir(args.inputs, sel)
-        selected = sel or ()
+        files = _load_parser_dir(args.inputs, selected)
         per_parser = {
             f.parser_id: uas(f, gold, exclude) for f in files
         }
@@ -206,12 +203,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     filters: dict[str, int] = {}
     if args.filters:
         keys = ("seg_dropped", "agree_dropped")
-        filters = _read_json(args.filters, *keys, build=lambda d: {k: int(d[k]) for k in keys})
+        filters = _read_json(
+            args.filters, *keys, build=lambda d: {k: json_number(d[k], repr(k), int) for k in keys}
+        )
     report = TreebankReport(
         treebank=args.treebank or Path(args.gold).stem,
         n_sentences=len(gold),
         methods=methods,
-        selected_parsers=selected,
+        selected_parsers=selected or (),
         filters=filters,
     )
     _write_json(args.out, asdict(report))
@@ -260,7 +259,7 @@ def _parse_tokens(value: str) -> tuple[int, int]:
 def _cmd_synth(args: argparse.Namespace) -> int:
     rates = tuple(float(r) for r in args.rates.split(","))
     config = SynthConfig(
-        n_sentences=args.sentences,
+        sentences=args.sentences,
         tokens=_parse_tokens(args.tokens),
         rates=rates,
         seed=args.seed,
@@ -272,18 +271,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_treebank(result.gold, out_dir / "gold.conllu")
     for f in result.files:
         save_treebank(f, out_dir / "parsers" / f"{f.parser_id}.conllu")
-    _write_json(
-        str(out_dir / "manifest.json"),
-        {
-            "sentences": config.n_sentences,
-            "tokens": list(config.tokens),
-            "rates": list(config.rates),
-            "duplicates": list(config.duplicates),
-            "seed": config.seed,
-            "parsers": [f.parser_id for f in result.files],
-            "accuracies": list(result.accuracies),
-        },
-    )
+    parsers = [f.parser_id for f in result.files]
+    manifest = {**asdict(config), "parsers": parsers, "accuracies": result.accuracies}
+    _write_json(str(out_dir / "manifest.json"), manifest)
     print(f"wrote {config.m} parser files under {out_dir}")
     return EXIT_OK
 
@@ -309,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-size", type=int, default=10)
     p.add_argument("--top-k", type=int, default=9)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_rank)

@@ -274,8 +274,6 @@ def _scan(buf: bytes | bytearray, segments: Sequence[int]):
     if not (bad.any() or broken.any()):
         fields = tabs.compress(numeric, axis=1)
         fields[::2] += 1  # FORM and HEAD start one byte after their tab
-        if len(segments) == 1:  # nothing to split
-            return [(tuple(ids), spans, offsets, heads, raw, fields)]
         word = offsets[first].tolist()  # each file's first word, then the end
         parts = []
         for a, z, w, x, s, e in zip(first, first[1:], word, word[1:], bounds, bounds[1:]):

@@ -37,11 +37,10 @@ class CrhOptions:
 
 @dataclass(frozen=True)
 class CrhState:
-    """Weights, truths, and the objective after the last completed step."""
+    """Weights and truths after the last completed step, and each step's objective."""
 
     weights: np.ndarray
     truths: np.ndarray
-    objective: float
     iterations: int
     converged: bool
     objective_history: tuple[float, ...] = ()
@@ -107,8 +106,7 @@ def crh_run(
             converged = True
             break
     return CrhState(
-        weights, truths, objective, iteration, converged, tuple(history),
-        opts.enforce_single_root,
+        weights, truths, iteration, converged, tuple(history), opts.enforce_single_root
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import statistics
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -230,8 +231,8 @@ class TreebankReport:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "TreebankReport":
-        """Read back the record's ``asdict``; a value that does not convert
-        raises ``ValueError`` or ``TypeError``."""
+        """Read back the record's ``asdict``; a value the record never
+        holds raises ``TypeError``."""
         treebank, methods, filters = data["treebank"], data["methods"], data.get("filters", {})
         if not isinstance(treebank, str):
             raise TypeError(f"'treebank' must be a string, got {treebank!r}")
@@ -239,10 +240,10 @@ class TreebankReport:
             raise TypeError("'methods' and 'filters' must be objects")
         return cls(
             treebank=treebank,
-            n_sentences=int(data["n_sentences"]),
-            methods={k: float(v) for k, v in methods.items()},
+            n_sentences=json_number(data["n_sentences"], "'n_sentences'", int),
+            methods={k: json_number(v, f"method {k!r}") for k, v in methods.items()},
             selected_parsers=string_list(data.get("selected_parsers", []), "'selected_parsers'"),
-            filters={k: int(v) for k, v in filters.items()},
+            filters={k: json_number(v, f"filter {k!r}", int) for k, v in filters.items()},
         )
 
 
@@ -251,6 +252,15 @@ def string_list(value: object, name: str) -> tuple[str, ...]:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise TypeError(f"{name} must be a list of strings, got {value!r}")
     return tuple(value)
+
+
+def json_number(value: object, name: str, kind: type = float) -> float:
+    """``value`` as ``kind``: a JSON number (for int, an integer) in the
+    float range; anything else, a bool too, is a ``TypeError``."""
+    if type(value) not in (int, kind) or not abs(value) <= sys.float_info.max:
+        what = "an integer" if kind is int else "a finite number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .trees import ParseEnsemble, check_trees, find_cycles
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_sentences: int
+    sentences: int
     tokens: tuple[int, int]
     rates: tuple[float, ...]
     seed: int
@@ -32,7 +32,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.tokens
-        if self.n_sentences < 1 or lo < 1 or hi < lo:
+        if self.sentences < 1 or lo < 1 or hi < lo:
             raise ValueError("bad corpus size")
         if not self.rates or any(not 0.0 <= r < 1.0 for r in self.rates):
             raise ValueError("corruption rates must lie in [0, 1)")
@@ -103,7 +103,7 @@ def generate(config: SynthConfig) -> SynthResult:
     base = len(config.rates)
     per_parser: list[list[tuple[int, ...]]] = [[] for _ in range(base)]
     gold_trees: list[tuple[int, ...]] = []
-    for i in range(config.n_sentences):
+    for i in range(config.sentences):
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(i,))
         )
@@ -115,7 +115,7 @@ def generate(config: SynthConfig) -> SynthResult:
             per_parser[j].append(_corrupt(gold, rate, rng))
 
     sources = [*range(base), *config.duplicates]  # the base parser behind each file
-    sids = [f"synth{i + 1:04d}" for i in range(config.n_sentences)]
+    sids = [f"synth{i + 1:04d}" for i in range(config.sentences)]
     gold_file = _treebank("gold", sids, gold_trees)
     width = len(str(config.m))
     files = tuple(

@@ -60,7 +60,7 @@ def corpus() -> CorpusRuns:
     """
     start = time.perf_counter()
     config = SynthConfig(
-        n_sentences=200,
+        sentences=200,
         tokens=(10, 10),
         rates=tuple(np.linspace(0.05, 0.40, 9)),
         seed=7,

@@ -767,7 +767,7 @@ def test_oracle_input_validation():
 
 def small_duplicate_corpus():
     cfg = SynthConfig(
-        n_sentences=60,
+        sentences=60,
         tokens=(9, 9),
         rates=(0.1, 0.2, 0.3, 0.25),
         seed=13,

@@ -503,9 +503,6 @@ def test_empty_parser_selection_errors(tmp_path, capsys):
     ]
     assert run([*rank, "--top-k", "0"]) == EXIT_ERROR
     assert "top_k must be at least 1, got 0" in capsys.readouterr().err
-    for size in ("-1", "0"):
-        assert run([*rank, "--sample-size", size]) == EXIT_ERROR
-        assert f"sample_size must be at least 1, got {size}" in capsys.readouterr().err
     assert not (tmp_path / "sel.json").exists()
 
     # a selection file can also be written by hand
@@ -634,20 +631,26 @@ def test_filters_of_the_wrong_shape_error(tmp_path, corpus, capsys):
 
 
 def test_filters_with_a_value_of_the_wrong_type_error(tmp_path, corpus, capsys):
-    filters = write(
-        tmp_path / "filters.json", json.dumps({"seg_dropped": "x", "agree_dropped": 0})
-    )
-    code = run(
-        [
-            "evaluate",
-            "--gold", str(corpus / "gold.conllu"),
-            "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
-            "--filters", str(filters),
-            "--out", str(tmp_path / "report.json"),
-        ]
-    )
-    assert code == EXIT_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {filters}: invalid literal")
+    for name, counts, message in (
+        ("lettered", {"seg_dropped": "x"}, "'seg_dropped' must be an integer, got 'x'"),
+        ("fractional", {"seg_dropped": 1.7}, "'seg_dropped' must be an integer, got 1.7"),
+        ("boolean", {"agree_dropped": True}, "'agree_dropped' must be an integer, got True"),
+    ):
+        filters = write(
+            tmp_path / f"{name}.json",
+            json.dumps({"seg_dropped": 0, "agree_dropped": 0, **counts}),
+        )
+        code = run(
+            [
+                "evaluate",
+                "--gold", str(corpus / "gold.conllu"),
+                "--pred", f"p1={corpus / 'parsers' / 'parser_1.conllu'}",
+                "--filters", str(filters),
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {filters}: {message}\n"
     assert not (tmp_path / "report.json").exists()
 
 
@@ -655,8 +658,19 @@ def test_reports_with_values_of_the_wrong_type_error(tmp_path, capsys):
     out = tmp_path / "summary.json"
     for name, fields, message in (
         ("listed", {"methods": [90]}, "'methods' and 'filters' must be objects"),
-        ("nulled", {"methods": {"cim": None}}, "float() argument must be"),
-        ("lettered", {"methods": {}, "n_sentences": "x"}, "invalid literal for int()"),
+        ("nulled", {"methods": {"cim": None}}, "method 'cim' must be a finite number, got None"),
+        ("nan", {"methods": {"cim": float("nan")}}, "method 'cim' must be a finite number, got nan"),
+        ("infinite", {"methods": {"cim": float("inf")}}, "method 'cim' must be a finite number"),
+        ("huge", {"methods": {"cim": 10**400}}, "method 'cim' must be a finite number"),
+        ("quoted", {"methods": {"cim": "91"}}, "method 'cim' must be a finite number, got '91'"),
+        ("boolean", {"methods": {"mst": True}}, "method 'mst' must be a finite number, got True"),
+        ("lettered", {"methods": {}, "n_sentences": "x"}, "'n_sentences' must be an integer"),
+        ("fractional", {"methods": {}, "n_sentences": 1.5}, "'n_sentences' must be an integer"),
+        ("yes", {"methods": {}, "n_sentences": True}, "'n_sentences' must be an integer"),
+        ("counted", {"methods": {}, "filters": {"seg_dropped": 1.7}},
+         "filter 'seg_dropped' must be an integer, got 1.7"),
+        ("flagged", {"methods": {}, "filters": {"kept": False}},
+         "filter 'kept' must be an integer, got False"),
     ):
         report = write(
             tmp_path / f"{name}.json",
@@ -765,6 +779,14 @@ def test_solver_settings_are_no_aggregate_flags(flag):
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["aggregate", "--inputs", "p", "--method", "crh",
                                    "--out", "o", *flag])
+    assert excinfo.value.code == 2
+
+
+def test_sample_size_is_no_rank_flag():
+    # rank samples rank_and_select's default of 10 sentences
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["rank", "--inputs", "p", "--gold", "g", "--out", "o",
+                                   "--seed", "1", "--sample-size", "5"])
     assert excinfo.value.code == 2
 
 

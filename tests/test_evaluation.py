@@ -181,6 +181,13 @@ def test_rank_warns_when_asking_for_too_many():
     assert "top 9 of 3" in result.warning
 
 
+def test_rank_requires_a_positive_sample_size():
+    ens, gold = ranked_ensemble()
+    for size in (-1, 0):
+        with pytest.raises(ValueError, match=f"sample_size must be at least 1, got {size}"):
+            rank_and_select(ens, gold, sample_size=size)
+
+
 def test_rank_requires_aligned_gold():
     ens, gold = ranked_ensemble()
     with pytest.raises(ValueError, match="do not align"):

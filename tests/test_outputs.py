@@ -119,6 +119,12 @@ def script() -> list[tuple[str, list[str]]]:
             "--inputs", f"{c}/parsers", "--selected", f"{name}/selected.json",
             "--exclude-punct", "--filters", f"{name}/filtered/filters.json",
             "--treebank", name, "--out", f"{name}/report.json"]))
+    # evaluate without --exclude-punct and --treebank: the treebank is the gold file's stem
+    steps.append(("dup/evaluate-plain", [
+        "evaluate", "--gold", "dup/corpus/gold.conllu",
+        *(a for m in AGGREGATES for a in ("--pred", f"{m}=dup/{m}.conllu")),
+        "--inputs", "dup/corpus/parsers", "--selected", "dup/selected.json",
+        "--filters", "dup/filtered/filters.json", "--out", "dup/report-plain.json"]))
     reports = [f"{name}/report.json" for name in CORPORA]
     steps.append(("report", ["report", "--reports", *reports, "--out", "summary.json"]))
     steps.append(("report-groups", [

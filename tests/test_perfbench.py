@@ -52,7 +52,7 @@ def test_tracer_counts_one_batched_l1_solve_per_cim_run():
     # the benchmark's cim.l1_iterations and cim.l1_converged_ratio read
     # fit_l1_logistic's return through these counts
     synth = treeagg.generate(
-        treeagg.SynthConfig(n_sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
+        treeagg.SynthConfig(sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
     )
     matrix = treeagg.label_matrix(synth.ensemble)
     solver = treeagg.cim.fit_l1_logistic
@@ -73,7 +73,7 @@ def test_tracer_sees_every_decode_of_crh_uas_mode():
     # each uas-mode step decodes its truth trees through trees_from_scores,
     # so edges.decode_s covers them: the start, then one per iteration
     synth = treeagg.generate(
-        treeagg.SynthConfig(n_sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
+        treeagg.SynthConfig(sentences=20, tokens=(6, 9), rates=(0.1, 0.2, 0.3), seed=5)
     )
     matrix = treeagg.label_matrix(synth.ensemble)
     tracer = _spans().Tracer()
@@ -196,7 +196,7 @@ def test_benchmark_outputs_pass_its_own_checks(tmp_path, monkeypatch):
     run = importlib.import_module("run")
     workloads = importlib.import_module("workloads")
     synth = treeagg.generate(
-        treeagg.SynthConfig(n_sentences=12, tokens=(3, 9), rates=(0.1, 0.2, 0.3, 0.4), seed=4)
+        treeagg.SynthConfig(sentences=12, tokens=(3, 9), rates=(0.1, 0.2, 0.3, 0.4), seed=4)
     )
     (tmp_path / "parsers").mkdir()
     gold = tmp_path / "gold.conllu"

@@ -29,7 +29,7 @@ from treeagg.synth import (
 from treeagg.trees import validate_tree
 
 CFG = SynthConfig(
-    n_sentences=150,
+    sentences=150,
     tokens=(8, 14),
     rates=(0.0, 0.1, 0.25, 0.4),
     seed=21,
@@ -140,7 +140,7 @@ def test_corpus_bytes_equal_those_of_the_scalar_sampler(seed, lo, spread):
 def test_different_seed_changes_the_corpus(corpus):
     other = generate(
         SynthConfig(
-            n_sentences=150,
+            sentences=150,
             tokens=(8, 14),
             rates=(0.0, 0.1, 0.25, 0.4),
             seed=22,
@@ -155,7 +155,7 @@ def test_prefix_is_stable_under_corpus_growth(corpus):
     # corpus equal the 50-sentence corpus outright
     small = generate(
         SynthConfig(
-            n_sentences=50,
+            sentences=50,
             tokens=(8, 14),
             rates=(0.0, 0.1, 0.25, 0.4),
             seed=21,
