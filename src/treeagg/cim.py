@@ -30,6 +30,7 @@ from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores
 from .trees import ParseEnsemble
 
 _L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
+_KKT_BATCH = 8  # and the iterates whose KKT residuals it computes together
 _FIT_TOL = 1e-6  # fit_canonical_params' gradient-norm tolerance
 _FIT_MAX_ITERATIONS = 5000  # and its iteration cap
 _PLUGIN_EPS = 1e-3  # plugin_canonical_params' channel clamp
@@ -75,11 +76,12 @@ def fit_l1_logistic(
     Each minimizes mean log-loss plus ``penalty * ||w||_1`` with an unpenalized
     intercept, with its own step (from the largest eigenvalue of its masked Gram
     matrix) and momentum, restarted when a step turns back against the last (the
-    gradient restart of O'Donoghue & Candès 2015). A problem freezes, with its
-    iterate, once the KKT residual of the nonsmooth optimality conditions is within
-    ``tol``. Returns intercepts (k,), coefficients (k, q), 0 at unused columns, the
-    iterations the loop ran (until all froze, at most ``_L1_MAX_ITERATIONS``) and
-    whether all froze.
+    gradient restart of O'Donoghue & Candès 2015). An iteration takes one gradient,
+    at the extrapolated point; every ``_KKT_BATCH`` iterations (and at the cap) the
+    KKT residuals of the nonsmooth optimality conditions at the batch's iterates are
+    computed together, and a problem freezes with its first iterate within ``tol``.
+    Returns intercepts (k,), coefficients (k, q), 0 at unused columns, the iteration
+    of the last freeze (``_L1_MAX_ITERATIONS`` if one never froze) and whether all froze.
     """
     (n, q), k = design.shape, len(targets)
     c = np.asarray(counts, dtype=np.float64)
@@ -101,27 +103,33 @@ def fit_l1_logistic(
     fitted = np.zeros((k, q + 1))
     w = z = np.zeros((k, q + 1))
     gz = offset * scale
-    since_restart, it = np.zeros(k, dtype=np.intp), 0
+    since_restart, it, last, batch = np.zeros(k, dtype=np.intp), 0, 0, []
     while live.size and it < _L1_MAX_ITERATIONS:
         it += 1
         w_next = z - step * gz
-        w_next -= np.clip(w_next, -radius, radius)  # soft threshold
+        w_next -= np.minimum(np.maximum(w_next, -radius), radius)  # soft threshold
         delta = w_next - w
         since_restart[((z - w_next) * delta).sum(axis=1) > 0] = 0  # gradient restart
-        wz = np.concatenate([w_next, w_next + _EXTRAPOLATION[since_restart][:, None] * delta])
+        w, z = w_next, w_next + _EXTRAPOLATION[since_restart][:, None] * delta
         since_restart += 1
-        # the gradients at w (for the KKT check) and at z (for the next step)
-        w, z = wz[: live.size], wz[live.size :]
-        gw, gz = ((np.tanh(wz @ half_XT) @ half_cX).reshape(2, -1, q + 1) + offset) * scale
-        kkt = np.abs(gw + weight * np.sign(w)) - weight * (w == 0)
-        done = (kkt <= tol).all(axis=1)
+        gz = (np.tanh(z @ half_XT) @ half_cX + offset) * scale
+        batch.append(w)
+        if it % _KKT_BATCH and it < _L1_MAX_ITERATIONS:
+            continue
+        # the batch's gradients and KKT residuals, (iterate, live problem, q + 1)
+        ws, batch = np.stack(batch), []
+        gw = (np.tanh(ws.reshape(-1, q + 1) @ half_XT) @ half_cX).reshape(ws.shape)
+        kkt = np.abs((gw + offset) * scale + weight * np.sign(ws)) - weight * (ws == 0)
+        within = (kkt <= tol).all(axis=2)
+        done, first = within.any(axis=0), within.argmax(axis=0)
         if done.any():
-            fitted[live[done]] = w[done]
+            fitted[live[done]] = ws[first[done], done]
+            last = it - len(ws) + 1 + int(first[done].max())
             live, offset, step, radius, scale, w, z, gz, since_restart = (
                 a[~done] for a in (live, offset, step, radius, scale, w, z, gz, since_restart)
             )
     fitted[live] = w
-    return fitted[:, 0], fitted[:, 1:], it, live.size == 0
+    return fitted[:, 0], fitted[:, 1:], it if live.size else last, live.size == 0
 
 
 def _require_edges(matrix: EdgeLabelMatrix) -> None:
@@ -367,7 +375,6 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
     theta = np.zeros(matrix.m + 1)
     value, grad = _canonical_value_grad(theta, labels, weights, mu)
     step = 1.0
-    iterations = 0
     for iterations in range(1, _FIT_MAX_ITERATIONS + 1):
         gnorm2 = float(grad @ grad)
         if math.sqrt(gnorm2) <= _FIT_TOL:
@@ -412,8 +419,7 @@ def plugin_canonical_params(means: IsingParams) -> IsingParams:
     """
     mu00 = min(max(means.mu00, -1.0 + 2 * _PLUGIN_EPS), 1.0 - 2 * _PLUGIN_EPS)
     var_y = 1.0 - mu00**2
-    prior = 0.5 * (math.log1p(mu00) - math.log1p(-mu00))
-    theta00 = prior
+    theta00 = 0.5 * (math.log1p(mu00) - math.log1p(-mu00))  # the prior's log-odds
     theta0 = []
     for col_mean, mu0j in zip(means.mu_plus, means.mu0_plus):
         beta = (mu0j - col_mean * mu00) / var_y

@@ -251,17 +251,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_tokens(value: str) -> tuple[int, int]:
-    lo, _, hi = value.partition(":")
-    return (int(lo), int(hi or lo))
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
-    rates = tuple(float(r) for r in args.rates.split(","))
+    lo, _, hi = args.tokens.partition(":")
     config = SynthConfig(
         sentences=args.sentences,
-        tokens=_parse_tokens(args.tokens),
-        rates=rates,
+        rates=tuple(float(r) for r in args.rates.split(",")),
+        tokens=(int(lo), int(hi or lo)),
         seed=args.seed,
         duplicates=tuple(args.duplicate_of or ()),
     )

@@ -157,8 +157,7 @@ def rank_and_select(
     n = len(ensemble.sentence_ids)
     if len(gold_q) != n:
         raise ValueError("gold trees do not align with the ensemble")
-    take = min(sample_size, n)
-    positions = sorted(random.Random(seed).sample(range(n), take))
+    positions = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
     pos = np.array(positions, dtype=np.int64)
     q = np.diff(ensemble.offsets)[pos]
     sample = ensemble.heads[:, concat_ranges(ensemble.offsets[pos], q)]
@@ -207,9 +206,9 @@ def summarize(values: Sequence[float], group: str = "all") -> SummaryReport:
 
     Nothing is rounded here; rounding happens only at display time.
     """
-    if not values:
-        raise ValueError("no values to summarize")
     vals = [float(v) for v in values]
+    if not vals or not np.isfinite(vals).all():
+        raise ValueError(f"a value is not finite: {vals}" if vals else "no values to summarize")
     return SummaryReport(
         group,
         len(vals),

@@ -667,12 +667,14 @@ def reference_l1_logistic(
     penalty: float,
     tol: float = 1e-6,
     counts: np.ndarray | None = None,
+    max_iterations: int = _L1_MAX_ITERATIONS,
 ) -> tuple[float, np.ndarray, int, bool]:
     """One L1-penalized logistic regression by FISTA, one column at a time.
 
     The per-column loop the batched ``fit_l1_logistic`` replaced: the same
     objective, steps, momentum and KKT stopping rule on an (n, p) design
-    and an (n,) target in {-1, +1}, with the masked two-branch sigmoid.
+    and an (n,) target in {-1, +1}, with the masked two-branch sigmoid,
+    checked after every iteration up to ``max_iterations``.
     """
     n, p = features.shape
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=np.float64)
@@ -695,7 +697,7 @@ def reference_l1_logistic(
     w = np.zeros(p + 1)
     z = w.copy()
     momentum = 1.0
-    for it in range(1, _L1_MAX_ITERATIONS + 1):
+    for it in range(1, max_iterations + 1):
         w_next = z - step * grad(z)
         w_next[1:] = np.sign(w_next[1:]) * np.maximum(np.abs(w_next[1:]) - step * penalty, 0.0)
         if (z - w_next) @ (w_next - w) > 0:
@@ -706,7 +708,7 @@ def reference_l1_logistic(
         g = grad(w)
         if kkt(w, g) <= tol:
             return float(w[0]), w[1:], it, True
-    return float(w[0]), w[1:], _L1_MAX_ITERATIONS, False
+    return float(w[0]), w[1:], max_iterations, False
 
 
 def reference_correlation_graph(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from treeagg import cim
 from treeagg.cim import (
     _FIT_MAX_ITERATIONS,
+    _KKT_BATCH,
     _L1_MAX_ITERATIONS,
     CorrelationGraph,
     IsingParams,
@@ -177,30 +178,54 @@ def test_one_problem_batch_equals_the_per_column_loop(seed, penalty):
     assert it1 == it0
 
 
-def test_batch_runs_until_its_last_problem_freezes():
+def four_column_batch(max_iterations=_L1_MAX_ITERATIONS):
+    """Each of four vote columns regressed on the other three, batched and by
+    ``reference_l1_logistic`` per column."""
     rng = np.random.default_rng(4)
     truth = np.where(rng.random(600) < 0.6, 1, -1)
     votes = np.column_stack(
         [np.where(rng.random(600) < a, truth, -truth) for a in (0.9, 0.8, 0.7, 0.6)]
     ).astype(np.int8)
     counts = rng.integers(1, 5, 600)
-    # problem j regresses column j on the other three
     others = [[c for c in range(4) if c != j] for j in range(4)]
-    intercepts, coefs, iterations, converged = fit_l1_logistic(
-        votes, votes.T, 0.02, counts, ~np.eye(4, dtype=bool)
-    )
+    fit = fit_l1_logistic(votes, votes.T, 0.02, counts, ~np.eye(4, dtype=bool))
     reference = [
-        reference_l1_logistic(votes[:, o], votes[:, j], 0.02, counts=counts)
+        reference_l1_logistic(
+            votes[:, o], votes[:, j], 0.02, counts=counts, max_iterations=max_iterations
+        )
         for j, o in enumerate(others)
     ]
-    assert converged and all(ok for _, _, _, ok in reference)
-    # each problem froze at its own iteration, the loop ran to the last one
-    assert len({it for _, _, it, _ in reference}) > 1
-    assert iterations == max(it for _, _, it, _ in reference)
+    intercepts, coefs, _, _ = fit
     for j, (b, w, _, _) in enumerate(reference):
         assert abs(intercepts[j] - b) <= 1e-12
         assert np.abs(coefs[j, others[j]] - w).max() <= 1e-12
         assert coefs[j, j] == 0.0
+    return fit, reference
+
+
+def test_batch_runs_until_its_last_problem_freezes():
+    (_, _, iterations, converged), reference = four_column_batch()
+    freezes = [it for _, _, it, _ in reference]
+    assert converged and all(ok for _, _, _, ok in reference)
+    # each problem froze at its own iteration, the loop ran to the last one
+    assert len(set(freezes)) > 1
+    assert iterations == max(freezes)
+    # the KKT check runs once per batch of iterates, yet a problem freezes at the
+    # first of them within tol: between checks, two in one batch at two offsets
+    assert any(it % _KKT_BATCH for it in freezes)
+    assert any(
+        a != b and (a - 1) // _KKT_BATCH == (b - 1) // _KKT_BATCH
+        for a, b in itertools.combinations(freezes, 2)
+    )
+
+
+def test_a_cap_inside_a_batch_ends_the_fit_at_the_cap(monkeypatch):
+    # 13 iterations end the second batch after five iterates; two problems
+    # freeze among them, two never do
+    monkeypatch.setattr(cim, "_L1_MAX_ITERATIONS", 13)
+    (_, _, iterations, converged), reference = four_column_batch(max_iterations=13)
+    assert (iterations, converged) == (13, False)
+    assert sorted(ok for _, _, _, ok in reference) == [False, False, True, True]
 
 
 def test_restart_pays_on_a_near_duplicate_column():

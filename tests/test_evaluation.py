@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -299,6 +300,12 @@ def test_summarize_permutation_invariant_and_shift_equivariant():
     assert shifted.std == pytest.approx(base.std)
     with pytest.raises(ValueError, match="no values"):
         summarize([])
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+def test_summarize_refuses_a_non_finite_value(bad):
+    with pytest.raises(ValueError, match=re.escape(f"a value is not finite: [90.0, {bad}]")):
+        summarize([90.0, bad])
 
 
 def test_treebank_report_json_roundtrip():
