@@ -56,7 +56,6 @@ from .edges import (
     label_matrix,
     majority_vote,
     trees_from_scores,
-    vote_mass,
 )
 from .evaluation import (
     MethodDiff,
@@ -126,7 +125,6 @@ __all__ = [
     "trees_from_scores",
     "uas",
     "validate_tree",
-    "vote_mass",
     "vote_mst",
     "write_conllu",
 ]

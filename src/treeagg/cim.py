@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores
+from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble
 
 _L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
@@ -43,15 +43,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def _vote_patterns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct vote rows as floats, in byte order, with their counts and
-    the index of each one's first row."""
-    rows = np.ascontiguousarray(labels, dtype=np.int8)
-    rows = rows.view(np.dtype((np.void, rows.shape[1])))  # far faster than axis=0
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    return labels[first].astype(np.float64), counts, first
 
 
 # FISTA's momentum M_s, s steps after a restart, and its weight (M_s - 1) / M_{s+1}
@@ -189,13 +180,13 @@ def estimate_correlation_graph(
         l1_penalty = default_l1_penalty(m, n)
     if not 0 <= l1_penalty < np.inf:
         raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
-    labels, counts, first = _vote_patterns(matrix.labels)
-    excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
+    votes, counts, _ = matrix.patterns
+    excluded = tuple(j for j in range(m) if np.all(votes[:, j] == votes[0, j]))
     active = [j for j in range(m) if j not in excluded]
     k = len(active)
     # one design: the active columns, then the majority vote (a function of the
     # row's votes, so one per pattern); column a's problem skips column a
-    design = np.column_stack([labels[:, active], majority_vote(matrix)[first]])
+    design = np.column_stack([votes[:, active], majority_vote(votes)])
     use = ~np.eye(k, k + 1, dtype=bool)
     fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts, use)
     coefs = np.abs(fit[1][:, :k])
@@ -225,7 +216,7 @@ def collapse_correlated(
     reach any length below m; row j then marks j's component. Components
     are ordered by their smallest member, so a graph with no edges returns
     the matrix unchanged. The pseudo-column is the within-component
-    majority vote, all of them one product of the vote matrix (exact: it
+    majority vote, all of them one product of the vote patterns (exact: it
     sums small integers); ties go to the member that agrees most often with
     the global majority vote (then to the lowest column index).
     """
@@ -238,8 +229,8 @@ def collapse_correlated(
     leaders = np.flatnonzero(linked.argmax(axis=1) == np.arange(m))  # smallest members
     components = tuple(tuple(np.flatnonzero(linked[j]).tolist()) for j in leaders)
 
-    mv = majority_vote(matrix)
-    agreement = (matrix.labels == mv[:, None]).mean(axis=0)
+    votes, counts, index = matrix.patterns
+    agreement = counts @ (votes == majority_vote(votes)[:, None]) / matrix.n_edges
     reps = np.where(linked[leaders], agreement, -np.inf).argmax(axis=1)
     cmap = CollapseMap(components, tuple(reps.tolist()))
     if len(leaders) == m:
@@ -248,7 +239,7 @@ def collapse_correlated(
     # each member votes twice and the representative once more, so the sum
     # is odd and a tie goes to the representative
     weights = 2.0 * linked[leaders].T + np.eye(m)[:, reps]
-    labels = np.sign(matrix.labels.astype(np.float64) @ weights).astype(np.int8)
+    labels = np.sign(votes @ weights).astype(np.int8)[index]
     ids = tuple("+".join(matrix.parser_ids[j] for j in comp) for comp in components)
     return replace(matrix, labels=labels, parser_ids=ids), cmap
 
@@ -300,12 +291,12 @@ def estimate_mean_params(
     back to the empirical mean of L_j times the majority vote (keeping
     its sign) and the result is flagged.
     """
-    labels = matrix.labels.astype(np.float64)
-    n, m = labels.shape
-    mv_f = majority_vote(matrix).astype(np.float64)
-    pair_means = labels.T @ labels / n
-    mu_plus = labels.mean(axis=0)
-    mu00 = float(mv_f.mean())
+    votes, counts, _ = matrix.patterns  # every moment a count-weighted integer sum
+    n, m = matrix.n_edges, matrix.m
+    mv_f = majority_vote(votes).astype(np.float64)
+    pair_means = (votes.T * counts) @ votes / n
+    mu_plus = counts @ votes / n
+    mu00 = float(counts @ mv_f / n)
     covariances = pair_means - np.outer(mu_plus, mu_plus)
     var_y = 1.0 - mu00**2
 
@@ -318,7 +309,7 @@ def estimate_mean_params(
     usable &= var_y > 0.0
     ratio = covariances[:, k] * covariances[:, l] / np.where(usable, denom, 1.0)
     estimates = np.sqrt(np.abs(ratio))
-    mu0 = mv_f @ labels / n  # the fallback: mean of L_j times the vote
+    mu0 = (counts * mv_f) @ votes / n  # the fallback: mean of L_j times the vote
     for j in np.flatnonzero(usable.any(axis=1)):
         mu0[j] = mu_plus[j] * mu00 + np.median(estimates[j, usable[j]]) * math.sqrt(var_y)
     signs = np.where(mu0 < 0, -1.0, 1.0)
@@ -369,7 +360,7 @@ def fit_canonical_params(means: IsingParams, matrix: EdgeLabelMatrix) -> IsingPa
     labeling's (the usual case on real vote matrices) end this way,
     typically after the first step.
     """
-    labels, counts, _ = _vote_patterns(matrix.labels)
+    labels, counts, _ = matrix.patterns
     weights = counts / matrix.n_edges
     mu = np.concatenate([[means.mu00], means.mu0_plus])
     theta = np.zeros(matrix.m + 1)
@@ -443,13 +434,13 @@ def infer_scores(params: IsingParams, matrix: EdgeLabelMatrix) -> np.ndarray:
     """Posterior probability that each edge's true label is +1.
 
     Pairwise and singleton parser terms cancel when conditioning on the
-    votes, leaving sigmoid(2 * theta00 + 2 * theta0_plus . L).
+    votes, leaving sigmoid(2 * theta00 + 2 * theta0_plus . L), one per pattern.
     """
     if params.theta00 is None or params.theta0_plus is None:
         raise ValueError("canonical parameters not fitted")
-    theta0 = np.asarray(params.theta0_plus)
-    x = 2.0 * params.theta00 + 2.0 * matrix.labels.astype(np.float64) @ theta0
-    return _sigmoid(x)
+    votes, _, index = matrix.patterns
+    x = 2.0 * params.theta00 + 2.0 * weighted_votes(votes, params.theta0_plus)
+    return _sigmoid(x)[index]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, majority_vote, tree_labels, trees_from_scores, vote_mass
+from .edges import EdgeLabelMatrix, majority_vote, tree_labels, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble
 
 DISTANCE_MODES = ("edge", "uas")
@@ -78,12 +78,11 @@ def crh_run(
         """The truth step for ``weights``, and the costs of its truths."""
         if uas_mode:
             assert ensemble is not None
-            heads = trees_from_scores(
-                matrix, vote_mass(matrix, weights), ensemble, opts.enforce_single_root
-            )
+            mass = weighted_votes(matrix.labels == 1, weights)
+            heads = trees_from_scores(matrix, mass, ensemble, opts.enforce_single_root)
             truths = tree_labels(matrix, heads, ensemble.offsets)
             return truths, _uas_costs(truths, matrix) + _EPS
-        truths = majority_vote(matrix, weights)
+        truths = majority_vote(matrix.labels, weights)
         return truths, (matrix.labels != truths[:, None]).sum(axis=0) + _EPS
 
     # start from the unweighted vote: the majority vote, or in uas mode
@@ -117,5 +116,5 @@ def crh_trees(state: CrhState, matrix: EdgeLabelMatrix, ensemble: ParseEnsemble)
     Edge scores are weight mass on +1 votes normalized by total weight, so
     they live in [0, 1] like the probabilistic aggregators' scores.
     """
-    scores = vote_mass(matrix, state.weights) / state.weights.sum()
+    scores = weighted_votes(matrix.labels == 1, state.weights) / state.weights.sum()
     return trees_from_scores(matrix, scores, ensemble, state.enforce_single_root)

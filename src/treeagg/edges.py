@@ -2,10 +2,10 @@
 
 Per sentence, the candidate set is the union of all parsers' edges. Each
 candidate edge becomes one row; parser k's entry is +1 if its tree contains
-the edge and -1 otherwise, so every aggregation method downstream works on
-one {-1, +1} matrix regardless of where the labels came from. The matrix is
-held as parallel arrays: rows of sentence i are ``offsets[i]:offsets[i+1]``
-and row r is the edge ``heads[r] -> deps[r]``.
+the edge and -1 otherwise, held as parallel arrays: rows of sentence i are
+``offsets[i]:offsets[i+1]``, row r is the edge ``heads[r] -> deps[r]``, and
+``patterns`` lists the distinct vote rows; ``weighted_votes`` sums votes one
+column at a time without BLAS, so equal votes get equal sums on every CPU.
 
 Decoding gives every dependent of every sentence its best-scoring head in
 one pass (``arborescence.best_arcs``); only the sentences whose best heads
@@ -18,6 +18,7 @@ are written out as they are (``conllu.write_conllu``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -66,6 +67,15 @@ class EdgeLabelMatrix:
     def m(self) -> int:
         return len(self.parser_ids)
 
+    @cached_property
+    def patterns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct vote rows as floats, in byte order, their counts and
+        each row's index among them; built on first read."""
+        rows = np.ascontiguousarray(self.labels, dtype=np.int8).view(f"V{self.m}")[:, 0]
+        _, first, index, counts = np.unique(  # rows as bytes: far faster than axis=0
+            rows, return_index=True, return_inverse=True, return_counts=True)
+        return self.labels[first].astype(np.float64), counts, index
+
 
 def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     """Build the signed label matrix for an ensemble.
@@ -96,16 +106,17 @@ def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     )
 
 
-def majority_vote(matrix: EdgeLabelMatrix, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-edge majority label under per-parser ``weights`` (``None``: one
-    each, whose sums are exact integers); exact ties break toward +1."""
-    w = np.ones(matrix.m) if weights is None else weights
-    return np.where(matrix.labels.astype(np.float64) @ w >= 0, 1, -1).astype(np.int8)
+def weighted_votes(votes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per row, ``votes[:, j] * weights[j]`` added from j = 0 up, one elementwise
+    step per column and no BLAS: equal rows get equal sums on every CPU."""
+    return sum(votes.T * np.asarray(weights)[:, None], np.zeros(len(votes)))
 
 
-def vote_mass(matrix: EdgeLabelMatrix, weights: np.ndarray) -> np.ndarray:
-    """Per edge, the weight mass of the parsers that vote for it."""
-    return (matrix.labels == 1).astype(np.float64) @ weights
+def majority_vote(votes: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per row of ``votes`` (``matrix.labels`` or its patterns), the majority label under
+    per-column ``weights`` (``None``: one each, summing exactly); exact ties go to +1."""
+    w = np.ones(votes.shape[1]) if weights is None else weights
+    return np.where(weighted_votes(votes, w) >= 0, 1, -1).astype(np.int8)
 
 
 def sentence_rows(matrix: EdgeLabelMatrix) -> Iterator[tuple[str, slice]]:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .conllu import TreebankFile, check_segmentation
-from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores, vote_mass
+from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble, concat_ranges
 
 
@@ -186,7 +186,7 @@ def vote_mst(
     """
     if matrix is None:
         matrix = label_matrix(ensemble)
-    votes = vote_mass(matrix, np.ones(matrix.m))
+    votes = weighted_votes(matrix.labels == 1, np.ones(matrix.m))
     return trees_from_scores(matrix, votes, ensemble, enforce_single_root)
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from .conllu import TreebankFile, build_ensemble, parse_conllu
 from .trees import ParseEnsemble, check_trees, find_cycles
 
+_TREE_TRIES = 100_000  # the gold sampler's cap on whole head vectors drawn
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -55,23 +57,24 @@ class SynthResult:
 def _random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:
     # one vector draw per try: the same stream as q scalar draws
     deps, offsets = np.arange(1, q + 1), np.array([0, q])
-    for _ in range(100_000):
+    for _ in range(_TREE_TRIES):
         heads = rng.integers(0, q, size=q)
         heads += heads >= deps
         if np.count_nonzero(heads == 0) == 1 and check_trees(heads, offsets)[0]:
             return tuple(heads.tolist())
-    raise RuntimeError("tree sampling failed to converge")
+    raise ValueError(f"no single-rooted tree of {q} tokens in {_TREE_TRIES} tries")
 
 
 def _corrupt(gold: tuple[int, ...], rate: float, rng: np.random.Generator) -> tuple[int, ...]:
     q = len(gold)
     prefs = list(gold)
     for d in range(1, q + 1):
-        if rng.random() >= rate:
-            continue
-        options = [h for h in range(q + 1) if h != d and h != gold[d - 1]]
-        if options:
-            prefs[d - 1] = options[int(rng.integers(len(options)))]
+        if rng.random() < rate and q > 1:
+            # the k-th head but d and its gold head: k plus one per excluded head at or below it
+            k = int(rng.integers(q - 1))
+            for excluded in sorted((d, gold[d - 1])):
+                k += k >= excluded
+            prefs[d - 1] = k
     return _repair(prefs)
 
 
@@ -104,9 +107,7 @@ def generate(config: SynthConfig) -> SynthResult:
     per_parser: list[list[tuple[int, ...]]] = [[] for _ in range(base)]
     gold_trees: list[tuple[int, ...]] = []
     for i in range(config.sentences):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(i,))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(i,)))
         lo, hi = config.tokens
         q = int(rng.integers(lo, hi + 1))
         gold = _random_single_root_tree(q, rng)

@@ -721,7 +721,7 @@ def reference_correlation_graph(
         matrix.labels, axis=0, return_index=True, return_counts=True
     )
     labels = patterns.astype(np.float64)
-    mv = majority_vote(matrix)[first].astype(np.float64)
+    mv = majority_vote(matrix.labels)[first].astype(np.float64)
     excluded = tuple(j for j in range(m) if np.all(labels[:, j] == labels[0, j]))
     active = [j for j in range(m) if j not in excluded]
     coef: dict[tuple[int, int], float] = {}
@@ -760,7 +760,7 @@ def reference_collapse(
         groups.setdefault(find(j), []).append(j)
     components = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
 
-    mv = majority_vote(matrix)
+    mv = majority_vote(matrix.labels)
     agreement = (matrix.labels == mv[:, None]).mean(axis=0)
     representatives = tuple(max(comp, key=lambda j: (agreement[j], -j)) for comp in components)
     if all(len(c) == 1 for c in components):
@@ -804,7 +804,7 @@ def reference_mean_params(
     mu0_plus, triplet_fallback)."""
     labels = matrix.labels.astype(np.float64)
     n, m = labels.shape
-    mv_f = majority_vote(matrix).astype(np.float64)
+    mv_f = majority_vote(matrix.labels).astype(np.float64)
     mu_plus = labels.mean(axis=0)
     mu00 = float(mv_f.mean())
     covariances = labels.T @ labels / n - np.outer(mu_plus, mu_plus)
@@ -821,6 +821,24 @@ def reference_mean_params(
             mu0[j] = float((labels[:, j] * mv_f).mean())
     mu0 = np.where(mu0 < 0, -1.0, 1.0) * np.clip(np.abs(mu0), 0.001, 0.999)
     return mu00, tuple(mu_plus.tolist()), tuple(mu0.tolist()), fallback
+
+
+def reference_corrupt_preferences(
+    gold: tuple[int, ...], rate: float, rng: np.random.Generator
+) -> list[int]:
+    """synth's corruption draws with the list of allowed heads built per
+    corrupted token: each token, with probability ``rate``, takes a head
+    drawn uniformly from every node but itself and its gold head. Returns
+    the preferred heads, before repair."""
+    q = len(gold)
+    prefs = list(gold)
+    for d in range(1, q + 1):
+        if rng.random() >= rate:
+            continue
+        options = [h for h in range(q + 1) if h != d and h != gold[d - 1]]
+        if options:
+            prefs[d - 1] = options[int(rng.integers(len(options)))]
+    return prefs
 
 
 def reference_random_single_root_tree(q: int, rng: np.random.Generator) -> tuple[int, ...]:

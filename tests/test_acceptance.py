@@ -171,11 +171,11 @@ def test_criterion_5_crh_properties(acceptance_log, corpus):
             1 for a, b in zip(hist, hist[1:]) if b > a + 1e-9
         )
         if t < 10:  # manual stepping doubles as a normalization probe
-            truths = majority_vote(matrix)
+            truths = majority_vote(matrix.labels)
             for _ in range(5):
                 w = weight_update(truths, matrix)
                 norm_worst = max(norm_worst, abs(np.exp(-w).sum() - 1.0))
-                truths = majority_vote(matrix, w)
+                truths = majority_vote(matrix.labels, w)
 
     equal = np.ones((40, 4), dtype=np.int8)
     for k in range(4):  # disjoint two-row error blocks: equal costs

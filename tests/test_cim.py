@@ -9,6 +9,7 @@ inference against exhaustive enumeration of the joint model.
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_duplicated_column_is_the_only_edge():
     assert graph.strengths[(1, 4)] > 1.0  # far above the default threshold
 
     # the fit on vote patterns and counts equals the regressions on every row
-    mv = majority_vote(matrix)
+    mv = majority_vote(matrix.labels)
 
     def coef(j, k):
         others = [c for c in range(5) if c != j]
@@ -804,7 +805,10 @@ def small_duplicate_corpus():
 def test_run_detects_and_removes_the_duplicate():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)
-    out = cim_run(matrix)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        out = cim_run(matrix)
+    # one pattern table for the given matrix, one more for the collapsed one
+    assert unique.call_count == 2
     assert (1, 4) in out.graph.edges
     assert out.reduced.m == 4
     assert out.reduced.parser_ids == (
@@ -845,7 +849,9 @@ def test_a_stalled_line_search_ends_the_fit_and_takes_the_plugin(monkeypatch):
 def test_run_without_collapse_keeps_every_column():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)
-    out = cim_run(matrix, collapse=False)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        out = cim_run(matrix, collapse=False)
+    assert unique.call_count == 1  # the moments, the fit and the scores share one table
     assert out.reduced is matrix
     assert out.collapse_map.components == tuple((j,) for j in range(matrix.m))
 

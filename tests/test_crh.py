@@ -21,7 +21,7 @@ from treeagg.edges import (
     majority_vote,
     tree_labels,
     trees_from_scores,
-    vote_mass,
+    weighted_votes,
 )
 from treeagg.synth import SynthConfig, generate
 
@@ -75,8 +75,8 @@ def test_truth_update_hand_cases():
     matrix = placeholder_matrix(labels)
     # unanimous row stays +1; [+1,-1,-1] under weights [2,1,1] is a 2 vs 2
     # tie resolved to +1; [+1,+1,-1] under [1,1,3] is 2 vs 3
-    assert majority_vote(matrix, np.array([2.0, 1.0, 1.0])).tolist() == [1, 1, 1]
-    assert majority_vote(matrix, np.array([1.0, 1.0, 3.0])).tolist() == [1, -1, -1]
+    assert majority_vote(matrix.labels, np.array([2.0, 1.0, 1.0])).tolist() == [1, 1, 1]
+    assert majority_vote(matrix.labels, np.array([1.0, 1.0, 3.0])).tolist() == [1, -1, -1]
 
 
 def test_identical_parsers_converge_immediately():
@@ -176,7 +176,7 @@ def test_two_parser_symmetry_is_an_exact_tie():
     # the gold trees
     res = generate(SynthConfig(sentences=40, tokens=(8, 8), rates=(0.0, 0.3), seed=9))
     matrix = label_matrix(res.ensemble)
-    assert (majority_vote(matrix) == 1).all()
+    assert (majority_vote(matrix.labels) == 1).all()
     state = crh_run(matrix)
     assert state.weights[0] == state.weights[1] == pytest.approx(math.log(2))
 
@@ -218,7 +218,7 @@ def test_uas_costs_equal_the_per_sentence_recount(seed, m, single_root):
     )
     matrix = label_matrix(res.ensemble)
     weights = rng.uniform(0.1, 3.0, m)
-    votes = vote_mass(matrix, weights)
+    votes = weighted_votes(matrix.labels == 1, weights)
     heads = trees_from_scores(matrix, votes, res.ensemble, single_root)
     costs = _uas_costs(tree_labels(matrix, heads, res.ensemble.offsets), matrix)
     trees = trees_by_id(heads, res.ensemble)
@@ -239,7 +239,7 @@ def test_crh_trees_follows_dominant_weights():
     # hand-built state: nearly all weight on parser 1
     state = CrhState(
         weights=np.array([50.0, 0.1, 0.1]),
-        truths=majority_vote(matrix),
+        truths=majority_vote(matrix.labels),
         iterations=1,
         converged=True,
     )

@@ -1,7 +1,9 @@
-"""Edge-level reduction: candidate unions, vote matrix, majority labels,
-and decoding trees from edge scores."""
+"""Edge-level reduction: candidate unions, vote matrix, vote sums and
+majority labels, and decoding trees from edge scores."""
 
+import importlib
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeagg import edges
+from treeagg import crh, edges, evaluation
 from treeagg.arborescence import NoArborescenceError, WeightedTokenGraph, max_arborescence
+from treeagg.cim import cim_run
+from treeagg.conllu import build_ensemble, parse_conllu
+from treeagg.crh import crh_run, crh_trees
 from treeagg.edges import (
     EdgeLabelMatrix,
     iter_dump_lines,
@@ -19,7 +24,9 @@ from treeagg.edges import (
     sentence_rows,
     tree_labels,
     trees_from_scores,
+    weighted_votes,
 )
+from treeagg.evaluation import vote_mst
 from treeagg.trees import DepTree, validate_tree
 
 from helpers import (
@@ -139,13 +146,86 @@ def test_majority_vote_breaks_ties_up():
     labels = np.array(
         [[1, 1, -1], [1, -1, -1], [1, 1, 1]], dtype=np.int8
     )
-    mv = majority_vote(placeholder_matrix(labels))
+    mv = majority_vote(labels)
     assert mv.tolist() == [1, -1, 1]
     even = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    assert majority_vote(placeholder_matrix(even)).tolist() == [1, 1]
+    assert majority_vote(even).tolist() == [1, 1]
     # a weighted exact tie, 0.5 against 0.25 + 0.25, where one each gives -1
     weights = np.array([0.5, 0.25, 0.25])
-    assert majority_vote(placeholder_matrix(labels), weights).tolist() == [1, 1, 1]
+    assert majority_vote(labels, weights).tolist() == [1, 1, 1]
+
+
+def _in_column_order(votes: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Each row's weighted votes as Python floats, added left to right."""
+    sums = []
+    for row in votes.tolist():
+        total = 0.0
+        for v, w in zip(row, weights.tolist()):
+            total += v * w
+        sums.append(total)
+    return sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vote_sums_add_the_columns_in_order(data):
+    n, m = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 8))
+    cells = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n * m, max_size=n * m))
+    labels = np.array(cells, dtype=np.int8).reshape(n, m)
+    weights = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    # the weighted sum, the weight mass of the +1 voters, and both after a
+    # reversed copy of the rows: every row the same IEEE additions, wherever it sits
+    for votes in (labels, labels == 1):
+        sums = weighted_votes(votes, weights)
+        assert sums.dtype == np.float64 and sums.shape == (n,)
+        assert sums.tolist() == _in_column_order(votes, weights)
+        stacked = weighted_votes(np.concatenate([votes, votes[::-1]]), weights)
+        assert stacked.tobytes() == np.concatenate([sums, sums[::-1]]).tobytes()
+    expected = [1 if s >= 0 else -1 for s in _in_column_order(labels, weights)]
+    assert majority_vote(labels, weights).tolist() == expected
+    # one vote each: the integer count, exact ties toward +1
+    assert majority_vote(labels).tolist() == np.where(labels.sum(axis=1) >= 0, 1, -1).tolist()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload, seed, job", [("cim_mixed", 7, 0), ("protocol_sweep", 1, 14)])
+def test_equal_votes_get_equal_scores_wherever_their_rows_sit(workload, seed, job, monkeypatch):
+    # benchmark treebanks where a BLAS product of the vote rows gave two rows
+    # with the same votes cim scores that differ in their last bits
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.import_module("workloads").WORKLOADS[workload].jobs(seed)[job]
+    tb = importlib.import_module("corpus").make_treebank(spec.spec, spec.seed)
+    matrix = label_matrix(build_ensemble([parse_conllu(text, pid) for pid, text in tb.parsers]))
+    decoded = []  # the scores mst and crh hand their decoder, in call order
+
+    def record(matrix, scores, ensemble, enforce_single_root=True):
+        decoded.append(np.asarray(scores, dtype=np.float64))
+
+    monkeypatch.setattr(evaluation, "trees_from_scores", record)
+    monkeypatch.setattr(crh, "trees_from_scores", record)
+
+    def row_scores(votes: EdgeLabelMatrix) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per method, each row's score and the votes that should fix it."""
+        vote_mst(None, matrix=votes)  # the recorder decodes nothing, so no ensemble
+        crh_trees(crh_run(votes), votes, None)
+        cim = cim_run(votes)
+        return {
+            "mst": (decoded[-2], votes.labels),
+            "crh": (decoded[-1], votes.labels),
+            "cim": (cim.scores, cim.reduced.labels),
+        }
+
+    base = row_scores(matrix)
+    order = np.random.default_rng(seed).permutation(matrix.n_edges)
+    moved = row_scores(placeholder_matrix(matrix.labels[order], matrix.parser_ids))
+    for method, (scores, votes) in base.items():
+        _, group = np.unique(votes, axis=0, return_inverse=True)
+        one = np.empty(group.max() + 1)
+        one[group.ravel()] = scores  # one score per group: any row's is every row's
+        assert scores.tobytes() == one[group.ravel()].tobytes(), method
+        assert moved[method][0].tobytes() == scores[order].tobytes(), method
 
 
 def test_sentence_rows_yields_contiguous_slices():

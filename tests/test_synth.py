@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from helpers import (
     blocks_of,
     lines_of,
+    reference_corrupt_preferences,
     reference_random_single_root_tree,
     reference_repair,
     words_of,
 )
 from treeagg import synth
+from treeagg.cli import run
 from treeagg.conllu import write_conllu
 from treeagg.evaluation import uas
 from treeagg.synth import (
@@ -135,6 +137,31 @@ def test_corpus_bytes_equal_those_of_the_scalar_sampler(seed, lo, spread):
         scalar = generate(config)
     for mine, theirs in zip((vector.gold, *vector.files), (scalar.gold, *scalar.files)):
         assert write_conllu(mine) == write_conllu(theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.sampled_from((0.0, 0.3, 0.9)))
+@example(seed=0, q=1, rate=0.9)  # a lone token has no other head to draw
+def test_corruption_draws_the_allowed_head_of_the_list_rule(seed, q, rate):
+    # the k-th allowed head computed arithmetically is the list's k-th
+    # entry: the same preferences, and the stream left at the same place
+    gold = _random_single_root_tree(q, np.random.default_rng(seed))
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    preferred = []
+    with mock.patch.object(synth, "_repair", preferred.append):
+        synth._corrupt(gold, rate, rng)
+    assert preferred == [reference_corrupt_preferences(gold, rate, ref)]
+    assert rng.random() == ref.random()
+
+
+def test_gold_sampler_out_of_tries_is_an_error_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(synth, "_TREE_TRIES", 0)
+    with pytest.raises(ValueError, match="no single-rooted tree of 5 tokens in 0 tries"):
+        _random_single_root_tree(5, np.random.default_rng(0))
+    argv = ["synth", "--out-dir", str(tmp_path), "--sentences", "2", "--tokens", "5:5",
+            "--rates", "0.1", "--seed", "1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: no single-rooted tree of 5 tokens in 0 tries\n"
 
 
 def test_different_seed_changes_the_corpus(corpus):
