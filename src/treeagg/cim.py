@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .edges import EdgeLabelMatrix, majority_vote, trees_from_scores, weighted_votes
+from .edges import EdgeLabelMatrix, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble
 
 _L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
@@ -186,7 +186,7 @@ def estimate_correlation_graph(
     k = len(active)
     # one design: the active columns, then the majority vote (a function of the
     # row's votes, so one per pattern); column a's problem skips column a
-    design = np.column_stack([votes[:, active], majority_vote(votes)])
+    design = np.column_stack([votes[:, active], matrix.pattern_majority])
     use = ~np.eye(k, k + 1, dtype=bool)
     fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts, use)
     coefs = np.abs(fit[1][:, :k])
@@ -230,7 +230,7 @@ def collapse_correlated(
     components = tuple(tuple(np.flatnonzero(linked[j]).tolist()) for j in leaders)
 
     votes, counts, index = matrix.patterns
-    agreement = counts @ (votes == majority_vote(votes)[:, None]) / matrix.n_edges
+    agreement = counts @ (votes == matrix.pattern_majority[:, None]) / matrix.n_edges
     reps = np.where(linked[leaders], agreement, -np.inf).argmax(axis=1)
     cmap = CollapseMap(components, tuple(reps.tolist()))
     if len(leaders) == m:
@@ -293,7 +293,7 @@ def estimate_mean_params(
     """
     votes, counts, _ = matrix.patterns  # every moment a count-weighted integer sum
     n, m = matrix.n_edges, matrix.m
-    mv_f = majority_vote(votes).astype(np.float64)
+    mv_f = matrix.pattern_majority.astype(np.float64)
     pair_means = (votes.T * counts) @ votes / n
     mu_plus = counts @ votes / n
     mu00 = float(counts @ mv_f / n)

@@ -17,10 +17,11 @@ token lines together as digit fields, and checks every sentence's tree
 together (``trees.check_trees``). A failed check flags its lines or
 sentence blocks rather than stopping the scan, and the error raised, with
 its line number, is the one a reader going line by line would meet first.
-A line is decoded only to be read alone: a comment, for its sentence id, a
-line that may be all whitespace, and the line or block an error names.
-``load_treebanks`` scans several files as one, each between two newlines,
-so a parser directory pays the scan's fixed cost once.
+Sentence ids are read in one decode where a block's first line is
+``# sent_id = ID``, ID starting and ending in printable ASCII; other blocks'
+comments are searched one by one. A line is decoded alone only if it may
+be all whitespace or an error names it. ``load_treebanks`` scans several
+files as one, each between two newlines: a directory pays one fixed cost.
 """
 
 from __future__ import annotations
@@ -50,7 +51,10 @@ N_COLUMNS = 10
 HEAD_COLUMN = 6
 # ID and HEAD fields up to this many digits are read as int64 arrays
 _MAX_DIGITS = 18
-_POWERS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1)
+# "# sent_id = " and an id that starts and ends in printable ASCII: bytes 0 to 12
+# (up to the newline, which fails) and the last byte have (byte - low) <= span
+_SID_AT, _SID_BACK = np.array([[*range(13), np.iinfo(np.int64).max // 2], [0] * 13 + [1]])
+_SID_LOW, _SID_SPAN = np.array([list(b"# sent_id = !!"), [0] * 12 + [93, 93]], dtype=np.uint8)
 _NEWLINE, _TAB, _HASH, _ZERO, _NINE = b"\n\t#09"
 
 
@@ -171,7 +175,7 @@ def _read_numbers(
     """For each field ``raw[start:stop]``: whether it is 1 to _MAX_DIGITS
     ASCII digits, and then its value."""
     length = stop - start
-    width = min(int(length.max(initial=0)), _MAX_DIGITS)
+    width = min(int(length.max(initial=1)), _MAX_DIGITS)
     # digits x fields, right-aligned: row j holds the digit worth 10 ** (width - 1 - j)
     rows = np.arange(width)[:, None]
     inside = rows >= width - length
@@ -179,7 +183,10 @@ def _read_numbers(
     is_digit = digit <= _NINE - _ZERO
     # (is_digit >= inside): every byte inside the field is a digit
     ok = (length > 0) & (length <= _MAX_DIGITS) & (is_digit >= inside).all(axis=0)
-    value = _POWERS[_MAX_DIGITS - width :] @ (digit * (is_digit & inside))
+    first, *rest = digit * (is_digit & inside)
+    value = first.astype(np.int64)
+    for row in rest:  # Horner's rule
+        value = value * 10 + row
     return ok, value
 
 
@@ -194,8 +201,9 @@ def _scan(buf: bytes | bytearray, segments: Sequence[int]):
     line is counted from the start of ``buf``.
     """
     raw = np.frombuffer(buf, dtype=np.uint8)
-    sep = np.flatnonzero(raw - _TAB <= _NEWLINE - _TAB)  # tabs and newlines
-    eol = np.flatnonzero(raw[sep] == _NEWLINE)  # the newlines, as indices in sep
+    # x.nonzero()[0] rather than np.flatnonzero(x), which adds two Python calls
+    sep = (raw - _TAB <= _NEWLINE - _TAB).nonzero()[0]  # tabs and newlines
+    eol = (raw[sep] == _NEWLINE).nonzero()[0]  # the newlines, as indices in sep
     newlines = sep[eol]
 
     def line(i: int) -> str:
@@ -208,7 +216,7 @@ def _scan(buf: bytes | bytearray, segments: Sequence[int]):
     digit = first - _ZERO <= _NINE - _ZERO  # wraps below "0"
     # a line of any other first byte is blank if it is all whitespace, else a
     # token line that the checks below reject
-    for i in np.flatnonzero(~(blank | comment | digit)).tolist():
+    for i in (~(blank | comment | digit)).nonzero()[0].tolist():
         blank[i] = line(i).isspace()
     filled = ~blank
     token = filled & ~comment
@@ -217,11 +225,11 @@ def _scan(buf: bytes | bytearray, segments: Sequence[int]):
     # blocks start and stop where a line's filled flag changes
     padded = np.concatenate(([False], filled, [False]))
     edge = padded[1:] != padded[:-1]
-    blocks = np.flatnonzero(edge).reshape(-1, 2)
+    blocks = edge.nonzero()[0].reshape(-1, 2)
     block_of = np.cumsum(edge[:-1]) >> 1  # a block's lines follow 2k + 1 edges
     n_blocks = len(blocks)
 
-    tok = np.flatnonzero(token)
+    tok = token.nonzero()[0]
     t0 = eol[tok] + 1  # the separator that ends the ID field
     ten = eol[tok + 1] - t0 == N_COLUMNS - 1
     if not ten.all():
@@ -244,44 +252,51 @@ def _scan(buf: bytes | bytearray, segments: Sequence[int]):
     rank = np.arange(len(words)) - offsets[sent] + 1
     bad[words] |= (ident[numeric] != rank) | (first[words] == _ZERO)
     digits, heads = digits[numeric], heads[numeric]
-    for k in np.flatnonzero(~digits).tolist():
+    for k in (~digits).nonzero()[0].tolist():
         field = line(words[k]).split("\t")[HEAD_COLUMN]
         if field.isascii() and field.isdigit():
             heads[k] = min(int(field), np.iinfo(np.int64).max)
         else:
             bad[words[k]] = True
 
-    found: list[str | None] = [None] * n_blocks
-    marks = np.flatnonzero(comment)
-    for b, start, stop in zip(
-        block_of[marks].tolist(), starts[marks].tolist(), newlines[marks + 1].tolist()
-    ):
-        if found[b] is None:
-            m = _SENT_ID.match(buf[start:stop].decode("utf-8", "surrogatepass"))
-            if m:
-                found[b] = m.group(1).strip()
+    # where a block's first line is "# sent_id = ID" and ID starts and ends in printable
+    # ASCII, ID is what the regex and strip read: all such IDs are decoded at once
     spans = newlines[blocks] + 1
+    stop = newlines[blocks[:, 0] + 1]  # of each block's first line
+    at = np.minimum(spans[:, :1] + _SID_AT, stop[:, None] - _SID_BACK)
+    canonical = ((raw[at] - _SID_LOW) <= _SID_SPAN).all(axis=1)
+    start = spans[canonical, 0] + 12  # each ID, with its newline
+    ids = bytes(raw[concat_ranges(start, stop[canonical] + 1 - start)])
+    ids = ids.decode("utf-8", "surrogatepass").split("\n")[:-1]
+    if len(ids) < n_blocks:  # the other blocks search their comments: the first match wins
+        named = dict(zip(np.flatnonzero(canonical).tolist(), ids))
+        for b, i in np.column_stack((block_of, np.arange(len(starts))))[comment].tolist():
+            if b not in named and (m := _SENT_ID.match(line(i))):
+                named[b] = m.group(1).strip()
+        ids = [named.get(b) for b in range(n_blocks)]
     bounds = [*segments, len(buf)]
     first = np.searchsorted(spans[:, 0], bounds).tolist()  # each file's first block, then the end
     broken = (q == 0) | ~check_trees(heads, offsets)
-    ids: list[str] = []
     for a, z in zip(first, first[1:]):  # ids are numbered and unique within a file
-        names = [sid or f"s{b}" for b, sid in enumerate(found[a:z], 1)]
+        names = ids[a:z]
+        if not all(names):
+            names = ids[a:z] = [sid or f"s{b}" for b, sid in enumerate(names, 1)]
         if len(set(names)) < z - a:
             seen: dict[str, int] = {}
             broken[a:z] |= [seen.setdefault(sid, b) != b for b, sid in enumerate(names)]
-        ids += names
     if not (bad.any() or broken.any()):
         fields = tabs.compress(numeric, axis=1)
         fields[::2] += 1  # FORM and HEAD start one byte after their tab
+        if len(segments) > 1:  # positions in each file's own bytes
+            shift = np.repeat(segments, np.diff(first))
+            spans -= shift[:, None]
+            fields -= shift[sent]
         word = offsets[first].tolist()  # each file's first word, then the end
-        parts = []
-        for a, z, w, x, s, e in zip(first, first[1:], word, word[1:], bounds, bounds[1:]):
-            spans[a:z] -= s  # positions in the file's own bytes
-            fields[:, w:x] -= s
-            parts.append((tuple(ids[a:z]), spans[a:z], offsets[a : z + 1] - w,
-                          heads[w:x], raw[s:e], fields[:, w:x]))
-        return parts
+        return [
+            (tuple(ids[a:z]), spans[a:z], offsets[a : z + 1] - w, heads[w:x], raw[s:e],
+             fields[:, w:x])
+            for a, z, w, x, s, e in zip(first, first[1:], word, word[1:], bounds, bounds[1:])
+        ]
 
     line_no = int(np.argmax(bad)) + 1 if bad.any() else len(newlines)
     b = int(np.argmax(broken))
@@ -333,7 +348,7 @@ def load_treebanks(paths: Sequence[str | Path]) -> list[TreebankFile]:
     cannot be read or the scan fails, the files are loaded one at a time,
     so the first that fails raises the error ``load_treebank`` raises.
     """
-    paths = [Path(p) for p in paths]
+    paths = [p if isinstance(p, Path) else Path(p) for p in paths]
     buf, segments = bytearray(), []
     try:
         for p in paths:  # a file's bytes live until they are copied into buf

@@ -76,6 +76,11 @@ class EdgeLabelMatrix:
             rows, return_index=True, return_inverse=True, return_counts=True)
         return self.labels[first].astype(np.float64), counts, index
 
+    @cached_property
+    def pattern_majority(self) -> np.ndarray:
+        """The majority vote of each row of ``patterns[0]``; built on first read."""
+        return majority_vote(self.patterns[0])
+
 
 def label_matrix(ensemble: ParseEnsemble) -> EdgeLabelMatrix:
     """Build the signed label matrix for an ensemble.

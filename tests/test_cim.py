@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeagg import cim
+from treeagg import cim, edges
 from treeagg.cim import (
     _FIT_MAX_ITERATIONS,
     _KKT_BATCH,
@@ -805,10 +805,12 @@ def small_duplicate_corpus():
 def test_run_detects_and_removes_the_duplicate():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+            mock.patch.object(edges, "majority_vote", wraps=majority_vote) as vote:
         out = cim_run(matrix)
-    # one pattern table for the given matrix, one more for the collapsed one
-    assert unique.call_count == 2
+    # one pattern table and its majority vote for the given matrix, one more
+    # of each for the collapsed one
+    assert (unique.call_count, vote.call_count) == (2, 2)
     assert (1, 4) in out.graph.edges
     assert out.reduced.m == 4
     assert out.reduced.parser_ids == (
@@ -849,9 +851,12 @@ def test_a_stalled_line_search_ends_the_fit_and_takes_the_plugin(monkeypatch):
 def test_run_without_collapse_keeps_every_column():
     result = small_duplicate_corpus()
     matrix = label_matrix(result.ensemble)
-    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+            mock.patch.object(edges, "majority_vote", wraps=majority_vote) as vote:
         out = cim_run(matrix, collapse=False)
-    assert unique.call_count == 1  # the moments, the fit and the scores share one table
+    # the collapse, the moments, the fit and the scores share one table, and the
+    # collapse and the moments its majority vote
+    assert (unique.call_count, vote.call_count) == (1, 1)
     assert out.reduced is matrix
     assert out.collapse_map.components == tuple((j,) for j in range(matrix.m))
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeagg import cli
+from treeagg import cli, conllu
 from treeagg.conllu import (
+    _SENT_ID,
     HEAD_COLUMN,
     ConlluError,
     build_ensemble,
@@ -465,9 +466,16 @@ _MUTANT_IDS = (
     "0", "1", "2", "3", "4", "01", "x", "1a", "1-2", "2.1", "1.", "-1", "١", "10",
     "9" * 20,
 )
+# sent_id lines on both sides of the form read in one decode ("# sent_id = ID", ID
+# starting and ending in printable ASCII), and one after a comment in its block
+_SENT_ID_LINES = (
+    "# sent_id = b0", "# sent_id = b1", "# sent_id = s1", "# sent_id = s2", "# sent_id =  ",
+    "# sent_id = b1 ", "# sent_id =  b1", "#sent_id = b1", "# sent_id =\tb1", "# sent_id = \u00e9",
+    "# sent_id = b1\x1c", "# sent_id = a b", "# sent_id = !", "# newdoc id = d\n# sent_id = b1",
+)
 _INSERTED = (
-    "", " ", "\t", "\x1c", " ", "# sent_id = b0", "# sent_id =  ", "#", "# c",
-    "x", " 1", "1-2" + "\t_" * 9, "1.1" + "\t_" * 9, "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
+    "", " ", "\t", "\x1c", " ", *_SENT_ID_LINES, "#", "# c", "x", " 1",
+    "1-2" + "\t_" * 9, "1.1" + "\t_" * 9, "1\ta\t_\t_\t_\t_\t0\t_\t_\t_",
     "#\u00a0sent_id\u00a0=\u00a0\u00e9", "\u00a0", "# sent_id = \u4e2d",
 )
 
@@ -476,9 +484,10 @@ _INSERTED = (
 def mutated_conllu(draw):
     """Text from ``conllu_files`` with up to three mutations: a new HEAD or
     ID on a token line, or the same value zero-padded; a column more or
-    less; an inserted, deleted or copied line; a sent_id comment at the
-    start of a block. The final newline is dropped at random. Between them
-    they earn every ``ConlluError``; many texts stay valid."""
+    less; an inserted, deleted or copied line; a sent_id comment, alone or
+    after another, at the start of a block. The final newline is dropped at
+    random. Between them they earn every ``ConlluError``; many texts stay
+    valid."""
     blocks, final_blank, crlf = draw(conllu_files())
     lines = "\n\n".join("\n".join(b) for b, _ in blocks).split("\n")
     if final_blank:
@@ -504,7 +513,7 @@ def mutated_conllu(draw):
         elif kind == "columns":
             cols = cols[:-1] if len(cols) > 1 and draw(st.booleans()) else cols + ["_"]
         elif kind == "insert":
-            lines.insert(i, draw(st.sampled_from(_INSERTED)))
+            lines[i:i] = draw(st.sampled_from(_INSERTED)).split("\n")
             continue
         elif kind == "delete" and len(lines) > 1:
             del lines[i]
@@ -513,8 +522,8 @@ def mutated_conllu(draw):
             cols = draw(st.sampled_from(lines)).split("\t")
         elif kind == "sid":
             starts = [j for j in range(len(lines)) if j == 0 or not lines[j - 1]]
-            sid = draw(st.sampled_from(("b0", "b1", "s1", "s2", "b1 ", " ")))
-            lines.insert(draw(st.sampled_from(starts)), f"# sent_id = {sid}")
+            at = draw(st.sampled_from(starts))
+            lines[at:at] = draw(st.sampled_from(_SENT_ID_LINES)).split("\n")
             continue
         lines[i] = "\t".join(cols)
     text = "\n".join(lines) + draw(st.sampled_from(("\n", "")))
@@ -544,6 +553,14 @@ def test_scan_agrees_with_the_line_loop(text):
     assert tb.heads.tolist() == [h for *_, heads in expected for h in heads]
 
 
+def test_each_sent_id_form_is_read_as_the_line_loop_reads_it():
+    # every form once, whatever the draws above
+    for comment in _SENT_ID_LINES:
+        text = f"{comment}\n{_word(1, 0)}\n"
+        expected = tuple(sid for sid, *_ in reference_parse_conllu(text))
+        assert parse_conllu(text).sentence_ids == expected, comment
+
+
 @st.composite
 def parser_file_bytes(draw):
     """The bytes of a ``mutated_conllu`` text, which may start with a
@@ -561,7 +578,7 @@ def parser_file_bytes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(parser_file_bytes(), min_size=1, max_size=4))
+@given(st.lists(parser_file_bytes(), min_size=1, max_size=12))
 def test_one_scan_loads_files_as_they_load_one_at_a_time(tmp_path_factory, contents):
     # the files share sent_ids (b0, b1, ... and the defaults s1, s2, ...),
     # and a sent_id mutation may repeat one within a file
@@ -586,6 +603,32 @@ def test_one_scan_loads_files_as_they_load_one_at_a_time(tmp_path_factory, conte
         chain = np.concatenate([np.arange(q) for q in [0, *one.lengths.tolist()]])
         for heads in (None, chain):
             assert write_conllu(tb, heads) == write_conllu(one, heads)
+
+
+def test_canonical_sentence_ids_are_read_without_the_pattern(tmp_path, monkeypatch):
+    class Counted:
+        calls = 0
+
+        def match(self, line):
+            Counted.calls += 1
+            return _SENT_ID.match(line)
+
+    monkeypatch.setattr(conllu, "_SENT_ID", Counted())
+    paths = []
+    for k in range(10):
+        sentences = [(f"p{k}-{i}", ["a", "b"], [2, 0]) for i in range(1, 30)]
+        paths.append(tmp_path / f"p{k:02d}.conllu")
+        paths[-1].write_text(conllu_text(sentences), encoding="utf-8")
+    files = load_treebanks(paths)
+    assert Counted.calls == 0
+    assert [f.sentence_ids for f in files] == [
+        tuple(f"p{k}-{i}" for i in range(1, 30)) for k in range(10)
+    ]
+    # an id that strip shortens: only that block's comments are searched alone
+    text = paths[3].read_text(encoding="utf-8")
+    paths[3].write_text(text.replace("p3-7\n", "p3-7 \n"), encoding="utf-8")
+    assert load_treebanks(paths)[3].sentence_ids == files[3].sentence_ids
+    assert Counted.calls == 1
 
 
 @settings(max_examples=300, deadline=None)
