@@ -29,8 +29,11 @@ import numpy as np
 from .edges import EdgeLabelMatrix, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble
 
-_L1_MAX_ITERATIONS = 2000  # fit_l1_logistic's iteration cap
+_COEF_THRESHOLD = 1.0  # estimate_correlation_graph's edge threshold on |coefficient|
+_L1_TOL = 1e-6  # fit_l1_logistic's KKT tolerance
+_L1_MAX_ITERATIONS = 2000  # and its iteration cap
 _KKT_BATCH = 8  # and the iterates whose KKT residuals it computes together
+_TRIPLET_MIN = 0.01  # estimate_mean_params' smallest triplet denominator
 _FIT_TOL = 1e-6  # fit_canonical_params' gradient-norm tolerance
 _FIT_MAX_ITERATIONS = 5000  # and its iteration cap
 _PLUGIN_EPS = 1e-3  # plugin_canonical_params' channel clamp
@@ -57,7 +60,6 @@ def fit_l1_logistic(
     penalty: float,
     counts: np.ndarray,
     use: np.ndarray,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """k L1-penalized logistic regressions on one design, by proximal gradient (FISTA).
 
@@ -70,7 +72,7 @@ def fit_l1_logistic(
     gradient restart of O'Donoghue & Candès 2015). An iteration takes one gradient,
     at the extrapolated point; every ``_KKT_BATCH`` iterations (and at the cap) the
     KKT residuals of the nonsmooth optimality conditions at the batch's iterates are
-    computed together, and a problem freezes with its first iterate within ``tol``.
+    computed together, and a problem freezes with its first iterate within ``_L1_TOL``.
     Returns intercepts (k,), coefficients (k, q), 0 at unused columns, the iteration
     of the last freeze (``_L1_MAX_ITERATIONS`` if one never froze) and whether all froze.
     """
@@ -111,7 +113,7 @@ def fit_l1_logistic(
         ws, batch = np.stack(batch), []
         gw = (np.tanh(ws.reshape(-1, q + 1) @ half_XT) @ half_cX).reshape(ws.shape)
         kkt = np.abs((gw + offset) * scale + weight * np.sign(ws)) - weight * (ws == 0)
-        within = (kkt <= tol).all(axis=2)
+        within = (kkt <= _L1_TOL).all(axis=2)
         done, first = within.any(axis=0), within.argmax(axis=0)
         if done.any():
             fitted[live[done]] = ws[first[done], done]
@@ -124,8 +126,11 @@ def fit_l1_logistic(
 
 
 def _require_edges(matrix: EdgeLabelMatrix) -> None:
+    """cim's input rule, with or without the correlation graph."""
     if matrix.n_edges == 0:
         raise ValueError("cim needs at least one candidate edge")
+    if matrix.m < 2:
+        raise ValueError("need at least two parsers")
 
 
 def default_l1_penalty(m: int, n: int) -> float:
@@ -137,29 +142,30 @@ class CorrelationGraph:
     """Undirected correlation edges between parser columns.
 
     An edge (j, k) requires the regression coefficient of k when
-    predicting j AND of j when predicting k to both exceed the threshold
-    in magnitude; ``strengths`` records the smaller of the two. Constant
-    columns are excluded from every regression and listed.
+    predicting j AND of j when predicting k to both exceed
+    ``_COEF_THRESHOLD`` in magnitude; ``strengths`` records the smaller of
+    the two for each edge. Constant columns are excluded from every
+    regression and listed.
     """
 
     parser_ids: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
     strengths: Mapping[tuple[int, int], float]
     excluded: tuple[int, ...] = ()
     iterations: int = 0  # the batched l1 solve's; 0 and True when none ran
     converged: bool = True
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.strengths)
 
-def estimate_correlation_graph(
-    matrix: EdgeLabelMatrix,
-    l1_penalty: float | None = None,
-    coef_threshold: float = 1.0,
-) -> CorrelationGraph:
+
+def estimate_correlation_graph(matrix: EdgeLabelMatrix) -> CorrelationGraph:
     """Neighborhood selection over parser columns.
 
     Each active column is regressed on the other active columns plus the
     majority-vote column (a stand-in for the unseen true label, so that
-    agreement through sheer accuracy does not read as correlation).
+    agreement through sheer accuracy does not read as correlation), at the
+    penalty ``default_l1_penalty(m, n)``.
 
     The threshold separates coefficient scales, not significance. Tree
     ensembles carry structural coupling the majority-vote feature cannot
@@ -172,14 +178,8 @@ def estimate_correlation_graph(
     patterns weighted by their counts (the same fits as on every row, far
     cheaper); column a's problem masks column a.
     """
-    n, m = matrix.labels.shape
-    if m < 2:
-        raise ValueError("need at least two parsers")
     _require_edges(matrix)
-    if l1_penalty is None:
-        l1_penalty = default_l1_penalty(m, n)
-    if not 0 <= l1_penalty < np.inf:
-        raise ValueError(f"l1_penalty must be finite and non-negative, got {l1_penalty}")
+    n, m = matrix.labels.shape
     votes, counts, _ = matrix.patterns
     excluded = tuple(j for j in range(m) if np.all(votes[:, j] == votes[0, j]))
     active = [j for j in range(m) if j not in excluded]
@@ -188,14 +188,12 @@ def estimate_correlation_graph(
     # row's votes, so one per pattern); column a's problem skips column a
     design = np.column_stack([votes[:, active], matrix.pattern_majority])
     use = ~np.eye(k, k + 1, dtype=bool)
-    fit = fit_l1_logistic(design, design[:, :k].T, l1_penalty, counts, use)
+    fit = fit_l1_logistic(design, design[:, :k].T, default_l1_penalty(m, n), counts, use)
     coefs = np.abs(fit[1][:, :k])
     mutual = np.minimum(coefs, coefs.T)
-    pairs = zip(*np.nonzero(np.triu(mutual > coef_threshold, 1)))
+    pairs = zip(*np.nonzero(np.triu(mutual > _COEF_THRESHOLD, 1)))
     strengths = {(active[a], active[b]): float(mutual[a, b]) for a, b in pairs}
-    return CorrelationGraph(
-        matrix.parser_ids, frozenset(strengths), strengths, excluded, *fit[2:]
-    )
+    return CorrelationGraph(matrix.parser_ids, strengths, excluded, *fit[2:])
 
 
 @dataclass(frozen=True)
@@ -267,9 +265,7 @@ class IsingParams:
     plugin: bool = False
 
 
-def estimate_mean_params(
-    matrix: EdgeLabelMatrix, triplet_min: float = 0.01
-) -> IsingParams:
+def estimate_mean_params(matrix: EdgeLabelMatrix) -> IsingParams:
     """Triplet method-of-moments estimates of the mean parameters.
 
     Writing E[L_j | Y] = alpha_j + beta_j * Y, conditional independence
@@ -277,7 +273,7 @@ def estimate_mean_params(
     beta_j * beta_k * Var(Y) for j != k, whatever the class balance, so
     for any pair (k, l) not involving j, sqrt(|c_jk * c_jl / c_kl|)
     estimates beta_j * sd(Y). Each column takes the median of these over
-    the pairs whose denominator is nonzero and at least ``triplet_min`` in
+    the pairs whose denominator is nonzero and at least ``_TRIPLET_MIN`` in
     magnitude, all columns and pairs as one array. The moment of interest
     follows as
 
@@ -305,7 +301,7 @@ def estimate_mean_params(
     k, l = np.triu_indices(m, 1)
     denom = covariances[k, l]
     column = np.arange(m)[:, None]
-    usable = (k != column) & (l != column) & (np.abs(denom) >= triplet_min) & (denom != 0)
+    usable = (k != column) & (l != column) & (np.abs(denom) >= _TRIPLET_MIN) & (denom != 0)
     usable &= var_y > 0.0
     ratio = covariances[:, k] * covariances[:, l] / np.where(usable, denom, 1.0)
     estimates = np.sqrt(np.abs(ratio))
@@ -483,9 +479,8 @@ class CimResult:
 
 
 def cim_run(matrix: EdgeLabelMatrix, collapse: bool = True) -> CimResult:
-    """Full aggregation pass: correlation graph, collapse, estimate, score,
-    every estimator at its defaults. Without ``collapse`` every parser keeps
-    its own column.
+    """Full aggregation pass: correlation graph, collapse, estimate, score.
+    Without ``collapse`` every parser keeps its own column.
 
     The majority vote used for mean-parameter estimation is recomputed on
     the collapsed matrix so duplicated parsers cannot double-vote.
@@ -494,7 +489,7 @@ def cim_run(matrix: EdgeLabelMatrix, collapse: bool = True) -> CimResult:
     if collapse:
         graph = estimate_correlation_graph(matrix)
     else:
-        graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
+        graph = CorrelationGraph(matrix.parser_ids, {})
     reduced, cmap = collapse_correlated(matrix, graph)
     means = estimate_mean_params(reduced)
     params = fit_canonical_params(means, reduced)

@@ -41,10 +41,13 @@ class CrhState:
 
     weights: np.ndarray
     truths: np.ndarray
-    iterations: int
     converged: bool
-    objective_history: tuple[float, ...] = ()
+    objective_history: tuple[float, ...]
     enforce_single_root: bool = True  # the run's rule, which crh_trees decodes under
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)  # one objective per round
 
 
 def _uas_costs(truths: np.ndarray, matrix: EdgeLabelMatrix) -> np.ndarray:
@@ -92,7 +95,7 @@ def crh_run(
     objective = np.inf
     history: list[float] = []
     converged = False
-    for iteration in range(1, _MAX_ITERATIONS + 1):
+    for _ in range(_MAX_ITERATIONS):
         weights = -np.log(costs / costs.sum())
         new_truths, costs = step(weights)
         new_objective = float(weights @ costs)
@@ -104,9 +107,7 @@ def crh_run(
         if unchanged or small_drop:
             converged = True
             break
-    return CrhState(
-        weights, truths, iteration, converged, tuple(history), opts.enforce_single_root
-    )
+    return CrhState(weights, truths, converged, tuple(history), opts.enforce_single_root)
 
 
 def crh_trees(state: CrhState, matrix: EdgeLabelMatrix, ensemble: ParseEnsemble) -> np.ndarray:

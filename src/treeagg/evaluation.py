@@ -21,6 +21,8 @@ from .conllu import TreebankFile, check_segmentation
 from .edges import EdgeLabelMatrix, label_matrix, trees_from_scores, weighted_votes
 from .trees import ParseEnsemble, concat_ranges
 
+_SAMPLE_SIZE = 10  # rank_and_select's sentence sample
+
 
 @dataclass(frozen=True)
 class FilterLog:
@@ -61,6 +63,8 @@ def preprocess(
             f"{len(files)} parsers, need at least {min_parsers}",
         )
         return PreprocessResult(None, None, log)
+    if not files:
+        raise ValueError("no parser files")
     seg_ok = np.flatnonzero(check_segmentation([*files, gold]))
     seg_dropped = total - len(seg_ok)
     # the same segmentation, so the same token counts in every file
@@ -138,12 +142,11 @@ class RankResult:
 def rank_and_select(
     ensemble: ParseEnsemble,
     gold_trees: TreebankFile,
-    sample_size: int = 10,
     top_k: int = 9,
     seed: int = 0,
 ) -> RankResult:
-    """Rank parsers by UAS against the gold file on a seeded sentence
-    sample; keep the top k.
+    """Rank parsers by UAS against the gold file on a seeded sample of
+    ``_SAMPLE_SIZE`` sentences; keep the top k.
 
     ``gold_trees`` holds the ensemble's sentences in the ensemble's order.
     Sampling is uniform without replacement over the (already filtered)
@@ -151,13 +154,11 @@ def rank_and_select(
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     gold, gold_q = gold_trees.heads, gold_trees.lengths
     n = len(ensemble.sentence_ids)
     if len(gold_q) != n:
         raise ValueError("gold trees do not align with the ensemble")
-    positions = sorted(random.Random(seed).sample(range(n), min(sample_size, n)))
+    positions = sorted(random.Random(seed).sample(range(n), min(_SAMPLE_SIZE, n)))
     pos = np.array(positions, dtype=np.int64)
     q = np.diff(ensemble.offsets)[pos]
     sample = ensemble.heads[:, concat_ranges(ensemble.offsets[pos], q)]

@@ -6,7 +6,6 @@ moment fit against the stationarity conditions it claims to solve, and
 inference against exhaustive enumeration of the joint model.
 """
 
-import functools
 import itertools
 import math
 from unittest import mock
@@ -81,13 +80,13 @@ def ci_columns(accuracies, n, rng, truth=None):
 # ---------------------------------------------------------------- l1 fit
 
 
-def fit_one(X, y, penalty, counts=None, tol=1e-6):
+def fit_one(X, y, penalty, counts=None):
     """The batched solver on a single problem (k = 1) using every column;
     ``counts`` defaults to one each."""
     counts = np.ones(len(X)) if counts is None else counts
     use = np.ones((1, X.shape[1]), dtype=bool)
     intercepts, coefs, iterations, converged = fit_l1_logistic(
-        X, y[None], penalty, counts, use, tol
+        X, y[None], penalty, counts, use
     )
     return float(intercepts[0]), coefs[0], iterations, converged
 
@@ -121,12 +120,13 @@ def test_intercept_absorbs_class_imbalance():
     assert intercept == pytest.approx(math.log(9.0), abs=0.05)
 
 
-def test_kkt_residual_recomputed_from_scratch():
+def test_kkt_residual_recomputed_from_scratch(monkeypatch):
+    monkeypatch.setattr(cim, "_L1_TOL", 1e-8)
     rng = np.random.default_rng(5)
     X = np.where(rng.random((600, 4)) < 0.5, 1.0, -1.0)
     y = np.where(rng.random(600) < 0.6, 1.0, -1.0)
     lam = 0.02
-    intercept, w, _, converged = fit_one(X, y, penalty=lam, tol=1e-8)
+    intercept, w, _, converged = fit_one(X, y, penalty=lam)
     assert converged
     # mean log-loss gradient at the returned point
     s = 1.0 / (1.0 + np.exp(y * (intercept + X @ w)))
@@ -329,12 +329,11 @@ def test_extrapolation_table_is_the_momentum_recurrence():
 # ---------------------------------------------------- correlation graph
 
 
-def test_independent_columns_give_empty_graph():
+def test_independent_columns_give_empty_graph(monkeypatch):
+    monkeypatch.setattr(cim, "default_l1_penalty", lambda m, n: 0.5)
     rng = np.random.default_rng(11)
     labels = np.where(rng.random((10000, 4)) < 0.5, 1, -1).astype(np.int8)
-    graph = estimate_correlation_graph(
-        placeholder_matrix(labels), l1_penalty=0.5
-    )
+    graph = estimate_correlation_graph(placeholder_matrix(labels))
     assert graph.edges == frozenset()
     assert graph.excluded == ()
 
@@ -398,14 +397,14 @@ def test_constant_column_is_excluded():
 @given(vote_arrays(), st.randoms(use_true_random=False))
 def test_graph_ignores_row_order_and_duplication(votes, rnd):
     def graph(labels):
-        return estimate_correlation_graph(
-            placeholder_matrix(labels), l1_penalty=0.02
-        )
+        return estimate_correlation_graph(placeholder_matrix(labels))
 
-    base = graph(votes)
     order = list(range(len(votes)))
     rnd.shuffle(order)
-    for other in (graph(votes[order]), graph(np.repeat(votes, 2, axis=0))):
+    with mock.patch.object(cim, "default_l1_penalty", lambda m, n: 0.02):
+        base = graph(votes)
+        others = (graph(votes[order]), graph(np.repeat(votes, 2, axis=0)))
+    for other in others:
         assert other.edges == base.edges
         assert other.excluded == base.excluded
         assert other.strengths == pytest.approx(base.strengths, abs=1e-9)
@@ -416,8 +415,11 @@ def test_graph_ignores_row_order_and_duplication(votes, rnd):
 def test_batched_graph_equals_per_column_fits(votes, penalty):
     matrix = placeholder_matrix(votes)
     if penalty is None:
+        graph = estimate_correlation_graph(matrix)
         penalty = default_l1_penalty(matrix.m, matrix.n_edges)
-    graph = estimate_correlation_graph(matrix, l1_penalty=penalty)
+    else:
+        with mock.patch.object(cim, "default_l1_penalty", lambda m, n: penalty):
+            graph = estimate_correlation_graph(matrix)
     edges, strengths, excluded = reference_correlation_graph(matrix, penalty)
     assert graph.edges == edges
     assert graph.excluded == excluded
@@ -430,22 +432,15 @@ def test_graph_needs_two_parsers():
         estimate_correlation_graph(placeholder_matrix(labels))
 
 
-def test_graph_rejects_a_negative_or_non_finite_penalty():
-    labels = np.array([[1, 1, -1], [1, -1, 1], [-1, 1, 1], [1, 1, 1]], dtype=np.int8)
-    matrix = placeholder_matrix(labels)
-    for penalty in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="l1_penalty must be finite and non-negative"):
-            estimate_correlation_graph(matrix, l1_penalty=penalty)
-    estimate_correlation_graph(matrix, l1_penalty=0.0)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_graph_with_an_l1_penalty_near_the_largest_float_has_no_edges():
+def test_an_l1_penalty_near_the_largest_float_zeroes_every_coefficient():
     # the prox radius step * penalty overflows to inf, which zeroes every
-    # coefficient without a warning
+    # coefficient without a warning (the suite makes a RuntimeWarning an error)
     synth = generate(SynthConfig(10, (5, 6), (0.1, 0.2, 0.3, 0.4), seed=2))
-    graph = estimate_correlation_graph(label_matrix(synth.ensemble), l1_penalty=1e308)
-    assert graph.edges == frozenset() and graph.converged
+    votes, counts, _ = label_matrix(synth.ensemble).patterns
+    _, coefs, _, converged = fit_l1_logistic(
+        votes, votes.T, 1e308, counts, ~np.eye(4, dtype=bool)
+    )
+    assert (coefs == 0.0).all() and converged
 
 
 def test_graph_needs_a_candidate_edge():
@@ -476,12 +471,7 @@ def test_collapse_component_by_rowwise_majority():
     matrix = placeholder_matrix(
         HAND_LABELS.copy(), parser_ids=("a", "b", "c", "d", "e")
     )
-    graph = CorrelationGraph(
-        matrix.parser_ids,
-        frozenset({(0, 1), (1, 2)}),
-        {(0, 1): 2.0, (1, 2): 2.0},
-        (),
-    )
+    graph = CorrelationGraph(matrix.parser_ids, {(0, 1): 2.0, (1, 2): 2.0})
     reduced, cmap = collapse_correlated(matrix, graph)
     assert reduced.parser_ids == ("a+b+c", "d", "e")
     assert cmap.components == ((0, 1, 2), (3,), (4,))
@@ -499,7 +489,7 @@ def test_collapse_without_edges_is_identity():
     matrix = placeholder_matrix(
         np.where(rng.random((30, 3)) < 0.5, 1, -1).astype(np.int8)
     )
-    graph = CorrelationGraph(matrix.parser_ids, frozenset(), {}, ())
+    graph = CorrelationGraph(matrix.parser_ids, {})
     reduced, cmap = collapse_correlated(matrix, graph)
     assert reduced is matrix
     assert cmap.components == ((0,), (1,), (2,))
@@ -526,7 +516,7 @@ def graphs_over_votes(draw):
         pairs = st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
         edges |= {tuple(sorted(p)) for p in draw(st.lists(pairs, max_size=3))}
     matrix = placeholder_matrix(labels)
-    return matrix, CorrelationGraph(matrix.parser_ids, frozenset(edges), {}, ())
+    return matrix, CorrelationGraph(matrix.parser_ids, dict.fromkeys(edges, 2.0))
 
 
 @settings(max_examples=400, deadline=None)
@@ -540,7 +530,8 @@ def test_collapse_and_moments_equal_the_per_column_oracles(case, triplet_min):
     assert reduced.parser_ids == ref.parser_ids
     assert reduced.labels.dtype == np.int8 and np.array_equal(reduced.labels, ref.labels)
     for votes in (matrix, reduced):
-        params = estimate_mean_params(votes, triplet_min)
+        with mock.patch.object(cim, "_TRIPLET_MIN", triplet_min):
+            params = estimate_mean_params(votes)
         # the same IEEE operations: equal bits, and never a NaN
         assert (
             params.mu00, params.mu_plus, params.mu0_plus, params.triplet_fallback
@@ -549,21 +540,19 @@ def test_collapse_and_moments_equal_the_per_column_oracles(case, triplet_min):
 
 def test_a_zero_covariance_is_no_triplet_denominator(monkeypatch):
     # seed 20's corpus has a pair of parser columns with covariance exactly
-    # 0: even with triplet_min 0 it is no denominator, or NaN moments would
-    # reach the scores
+    # 0: even with a _TRIPLET_MIN of 0 it is no denominator, or NaN moments
+    # would reach the scores
+    monkeypatch.setattr(cim, "_TRIPLET_MIN", 0.0)
     synth = generate(SynthConfig(2, (3, 5), (0.2, 0.4, 0.5, 0.6), seed=20))
     matrix = label_matrix(synth.ensemble)
     labels = matrix.labels.astype(np.float64)
     means = labels.mean(axis=0)
     covariances = labels.T @ labels / len(labels) - np.outer(means, means)
     assert (covariances[np.triu_indices(matrix.m, 1)] == 0).any()
-    params = estimate_mean_params(matrix, triplet_min=0.0)
+    params = estimate_mean_params(matrix)
     assert all(0 < abs(v) < 1 for v in params.mu0_plus)
     assert np.isfinite(infer_scores(plugin_canonical_params(params), matrix)).all()
-    # and through the full pass, which takes the estimator's default
-    monkeypatch.setattr(
-        cim, "estimate_mean_params", functools.partial(estimate_mean_params, triplet_min=0.0)
-    )
+    # and through the full pass
     result = cim_run(matrix)
     assert np.isfinite(result.params.mu0_plus).all()
     assert np.isfinite(result.scores).all()

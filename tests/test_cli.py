@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -774,8 +773,8 @@ def test_reports_of_the_wrong_shape_error(tmp_path, capsys):
     ids=lambda flag: flag[0],
 )
 def test_solver_settings_are_no_aggregate_flags(flag):
-    # crh's cap and eps and cim's estimator settings are module constants
-    # and function defaults; aggregate varies only the method choices
+    # crh's cap and eps and cim's estimator settings are module constants;
+    # aggregate varies only the method choices
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["aggregate", "--inputs", "p", "--method", "crh",
                                    "--out", "o", *flag])
@@ -783,7 +782,7 @@ def test_solver_settings_are_no_aggregate_flags(flag):
 
 
 def test_sample_size_is_no_rank_flag():
-    # rank samples rank_and_select's default of 10 sentences
+    # rank samples rank_and_select's constant 10 sentences
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["rank", "--inputs", "p", "--gold", "g", "--out", "o",
                                    "--seed", "1", "--sample-size", "5"])
@@ -839,13 +838,11 @@ def test_cim_warns_when_its_correlation_fit_stops_without_converging(
 
 def test_cim_with_triplet_min_zero_skips_zero_covariances(tmp_path, capsys, monkeypatch):
     # this corpus has a zero covariance between two parser columns, which
-    # must be no triplet denominator even with a triplet_min of 0
+    # must be no triplet denominator even with a _TRIPLET_MIN of 0
     assert run(["synth", "--out-dir", str(tmp_path), "--sentences", "2", "--tokens", "3:5",
                 "--rates", "0.2,0.4,0.5,0.6", "--seed", "20"]) == EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(
-        cim, "estimate_mean_params", partial(cim.estimate_mean_params, triplet_min=0.0)
-    )
+    monkeypatch.setattr(cim, "_TRIPLET_MIN", 0.0)
     assert run(["aggregate", "--inputs", str(tmp_path / "parsers"), "--method", "cim",
                 "--out", str(tmp_path / "pred.conllu"),
                 "--diagnostics", str(tmp_path / "diag.json")]) == EXIT_OK
@@ -920,6 +917,20 @@ def test_cim_no_collapse_keeps_a_duplicate_parser_its_own_column(tmp_path, capsy
     assert apart["components"] == [[p] for p in parsers]
     assert apart["correlation_edges"] == []
     assert list(apart["mu0_plus"]) == parsers
+
+
+def test_one_parser_is_too_few_for_crh_and_cim_with_or_without_collapse(
+    tmp_path, corpus, capsys
+):
+    one = tmp_path / "one"
+    one.mkdir()
+    (one / "parser_1.conllu").write_bytes((corpus / "parsers" / "parser_1.conllu").read_bytes())
+    out = tmp_path / "pred.conllu"
+    aggregate = ["aggregate", "--inputs", str(one), "--out", str(out)]
+    for flags in (["crh"], ["cim"], ["cim", "--cim-no-collapse"]):
+        assert run([*aggregate, "--method", *flags]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: need at least two parsers\n"
+    assert not out.exists()
 
 
 def test_usage_error_exits_two():

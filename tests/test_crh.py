@@ -240,8 +240,8 @@ def test_crh_trees_follows_dominant_weights():
     state = CrhState(
         weights=np.array([50.0, 0.1, 0.1]),
         truths=majority_vote(matrix.labels),
-        iterations=1,
         converged=True,
+        objective_history=(0.0,),
     )
     trees = trees_by_id(crh_trees(state, matrix, res.ensemble), res.ensemble)
     assert trees == trees_by_id(res.ensemble.heads[0], res.ensemble)

@@ -18,6 +18,7 @@ from helpers import (
     sixty_sentence_fixture,
     trees_by_id,
 )
+from treeagg import evaluation
 from treeagg.arborescence import NoArborescenceError
 from treeagg.cli import EXIT_OK, run
 from treeagg.edges import EdgeLabelMatrix, label_matrix
@@ -126,6 +127,10 @@ def test_preprocess_rejects_too_few_parsers():
     assert rejected.files is None
     assert rejected.gold is None
     assert "1 parsers, need at least 2" in rejected.log.rejected
+    # no files at all: rejected by the count first, refused when it allows none
+    assert preprocess([], gold, min_parsers=1).log.rejected == "0 parsers, need at least 1"
+    with pytest.raises(ValueError, match="no parser files"):
+        preprocess([], gold, min_sentences=1, min_parsers=0)
 
 
 # ----------------------------------------------------------------- rank
@@ -144,9 +149,10 @@ def ranked_ensemble(n=20):
     return ensemble_of(("exact", "half", "off"), trees), build_file(gold, "gold")
 
 
-def test_rank_orders_by_sample_uas():
+def test_rank_orders_by_sample_uas(monkeypatch):
+    monkeypatch.setattr(evaluation, "_SAMPLE_SIZE", 5)
     ens, gold = ranked_ensemble()
-    result = rank_and_select(ens, gold, sample_size=5, top_k=2, seed=0)
+    result = rank_and_select(ens, gold, top_k=2, seed=0)
     # fixed stdlib sample for seed 0 over 20 sentences
     assert result.sample_positions == (1, 8, 12, 13, 15)
     assert result.selected == ("exact", "half")
@@ -156,37 +162,33 @@ def test_rank_orders_by_sample_uas():
     assert result.warning is None
 
 
-def test_rank_is_deterministic_per_seed():
+def test_rank_is_deterministic_per_seed(monkeypatch):
+    monkeypatch.setattr(evaluation, "_SAMPLE_SIZE", 7)
     ens, gold = ranked_ensemble()
-    a = rank_and_select(ens, gold, sample_size=7, top_k=3, seed=11)
-    b = rank_and_select(ens, gold, sample_size=7, top_k=3, seed=11)
+    a = rank_and_select(ens, gold, top_k=3, seed=11)
+    b = rank_and_select(ens, gold, top_k=3, seed=11)
     assert a == b
     assert a.sample_positions == tuple(
         sorted(random.Random(11).sample(range(20), 7))
     )
 
 
-def test_rank_ties_keep_ensemble_order():
+def test_rank_ties_keep_ensemble_order(monkeypatch):
+    monkeypatch.setattr(evaluation, "_SAMPLE_SIZE", 4)
     g = DepTree((0, 1))
     trees = {f"s{i}": (g, g, g) for i in range(12)}
     ens = ensemble_of(("later_file", "earlier_score", "also_tied"), trees)
     gold = build_file([g.heads] * 12, "gold")
-    result = rank_and_select(ens, gold, sample_size=4, top_k=2, seed=3)
+    result = rank_and_select(ens, gold, top_k=2, seed=3)
     assert result.selected == ("later_file", "earlier_score")
 
 
-def test_rank_warns_when_asking_for_too_many():
+def test_rank_warns_when_asking_for_too_many(monkeypatch):
+    monkeypatch.setattr(evaluation, "_SAMPLE_SIZE", 5)
     ens, gold = ranked_ensemble()
-    result = rank_and_select(ens, gold, sample_size=5, top_k=9, seed=0)
+    result = rank_and_select(ens, gold, top_k=9, seed=0)
     assert result.selected == ("exact", "half", "off")
     assert "top 9 of 3" in result.warning
-
-
-def test_rank_requires_a_positive_sample_size():
-    ens, gold = ranked_ensemble()
-    for size in (-1, 0):
-        with pytest.raises(ValueError, match=f"sample_size must be at least 1, got {size}"):
-            rank_and_select(ens, gold, sample_size=size)
 
 
 def test_rank_requires_aligned_gold():
